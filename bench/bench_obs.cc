@@ -138,7 +138,6 @@ double Percentile(std::vector<double>* sorted, double q) {
 
 ModeResult RunMode(const std::string& name, const EngineInfo& info,
                    serve::BatchExecuteFn execute,
-                   serve::ExpertSearchService::LabelFn label,
                    serve::ServiceConfig config, size_t clients,
                    double seconds) {
   obs::Tracer::Global().ClearRequestTraces();
@@ -154,7 +153,7 @@ ModeResult RunMode(const std::string& name, const EngineInfo& info,
   }
 
   auto service = std::make_unique<serve::ExpertSearchService>(
-      config, info, std::move(execute), std::move(label));
+      config, info, std::move(execute));
   serve::HttpServer server(
       serve::HttpServerConfig(),
       [&service](const serve::HttpRequest& request,
@@ -244,18 +243,12 @@ int main() {
   KPEF_CHECK(built.ok());
   ExpertFindingEngine* engine = built->get();
   const EngineInfo info = engine->Info();
-  const HeteroGraph* graph = &engine->dataset().graph;
-  auto label = [graph](NodeId id) { return graph->Label(id); };
-  auto execute = [engine](const std::vector<std::string>& texts, size_t n,
-                          const BatchQueryOptions& options,
-                          std::vector<QueryStats>* stats) {
-    return engine->FindExpertsBatch(texts, n, options, stats);
-  };
+  const serve::BatchExecuteFn execute =
+      serve::ExpertSearchService::ExecuteFor(engine);
 
   auto config_for = [](obs::TraceMode mode) {
     serve::ServiceConfig config;
     config.batcher.max_batch_size = 16;
-    config.batcher.max_queue_age_ms = 2.0;
     config.trace_mode = mode;
     config.trace_head_every = 64;
     return config;
@@ -274,15 +267,15 @@ int main() {
   constexpr int kRepeats = 3;
 
   // Warmup (discarded): page in the engine and the allocator.
-  RunMode("warmup", info, execute, label, config_for(obs::TraceMode::kOff),
-          kClients, 0.4);
+  RunMode("warmup", info, execute, config_for(obs::TraceMode::kOff), kClients,
+          0.4);
 
   // Round-robin repeats so slow drift (thermal, noisy neighbours) hits
   // every mode equally; keep each mode's best run.
   ModeResult best[3];
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (int m = 0; m < 3; ++m) {
-      ModeResult r = RunMode(kModes[m].name, info, execute, label,
+      ModeResult r = RunMode(kModes[m].name, info, execute,
                              config_for(kModes[m].mode), kClients, kSeconds);
       std::printf("rep%d %-8s %7.0f req/s  p50 %6.3fms  p99 %6.3fms  "
                   "ok=%zu log_lines=%llu retained=%llu\n",

@@ -4,7 +4,7 @@
 // over an engine built on the tiny synthetic profile, then drives it
 // with closed-loop keep-alive HTTP clients:
 //
-//   1. Batching sweep: 1/4/16 clients against batch<=16/age 2ms, plus a
+//   1. Batching sweep: 1/4/16 clients against batch<=16, plus a
 //      16-client run with batching disabled (batch size 1) as the
 //      baseline. Records throughput, p50/p99 latency, and the mean
 //      batch size observed by the engine (the acceptance bar is
@@ -135,7 +135,6 @@ struct ScenarioResult {
   std::string name;
   size_t clients = 0;
   size_t batch_limit = 0;
-  double age_ms = 0.0;
   double seconds = 0.0;
   size_t ok = 0;
   size_t shed = 0;
@@ -158,11 +157,10 @@ double Percentile(std::vector<double>* sorted, double q) {
 /// against the service described by `config`, built over `execute`.
 ScenarioResult RunScenario(const std::string& name, const EngineInfo& info,
                            serve::BatchExecuteFn execute,
-                           serve::ExpertSearchService::LabelFn label,
                            serve::ServiceConfig config, size_t clients,
                            double seconds) {
   auto service = std::make_unique<serve::ExpertSearchService>(
-      config, info, std::move(execute), std::move(label));
+      config, info, std::move(execute));
   serve::HttpServer server(
       serve::HttpServerConfig(),
       [&service](const serve::HttpRequest& request,
@@ -227,7 +225,6 @@ ScenarioResult RunScenario(const std::string& name, const EngineInfo& info,
   result.name = name;
   result.clients = clients;
   result.batch_limit = config.batcher.max_batch_size;
-  result.age_ms = config.batcher.max_queue_age_ms;
   result.seconds = elapsed;
   std::vector<double> latencies;
   double batch_sum = 0.0;
@@ -271,13 +268,8 @@ int main() {
   KPEF_CHECK(built.ok());
   ExpertFindingEngine* engine = built->get();
   const EngineInfo info = engine->Info();
-  const HeteroGraph* graph = &engine->dataset().graph;
-  auto label = [graph](NodeId id) { return graph->Label(id); };
-  auto execute = [engine](const std::vector<std::string>& texts, size_t n,
-                          const BatchQueryOptions& options,
-                          std::vector<QueryStats>* stats) {
-    return engine->FindExpertsBatch(texts, n, options, stats);
-  };
+  const serve::BatchExecuteFn execute =
+      serve::ExpertSearchService::ExecuteFor(engine);
 
   const double kSeconds = 1.5;
   std::vector<ScenarioResult> results;
@@ -286,19 +278,16 @@ int main() {
   {
     serve::ServiceConfig config;
     config.batcher.max_batch_size = 1;
-    config.batcher.max_queue_age_ms = 0.0;
-    results.push_back(RunScenario("unbatched", info, execute, label, config,
-                                  16, kSeconds));
+    results.push_back(
+        RunScenario("unbatched", info, execute, config, 16, kSeconds));
   }
 
   // 2. Batching sweep: same knobs, growing concurrency.
   for (const size_t clients : {size_t{1}, size_t{4}, size_t{16}}) {
     serve::ServiceConfig config;
     config.batcher.max_batch_size = 16;
-    config.batcher.max_queue_age_ms = 2.0;
-    results.push_back(RunScenario(
-        "batch16_age2_c" + std::to_string(clients), info, execute, label,
-        config, clients, kSeconds));
+    results.push_back(RunScenario("batch16_c" + std::to_string(clients),
+                                  info, execute, config, clients, kSeconds));
   }
 
   // 3. Shedding: slow the engine to 5ms per batch behind a 4-deep
@@ -306,21 +295,19 @@ int main() {
   //    server keeps answering the admitted fraction.
   {
     serve::BatchExecuteFn slow_execute =
-        [engine](const std::vector<std::string>& texts, size_t n,
-                 const BatchQueryOptions& options,
-                 std::vector<QueryStats>* stats) {
+        [execute](const std::vector<std::string>& texts, size_t n,
+                  const BatchQueryOptions& options) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          return engine->FindExpertsBatch(texts, n, options, stats);
+          return execute(texts, n, options);
         };
     serve::ServiceConfig config;
     config.batcher.max_batch_size = 4;
-    config.batcher.max_queue_age_ms = 2.0;
     config.batcher.max_pending = 4;
-    results.push_back(RunScenario("shed_pending4_slow5ms", info,
-                                  slow_execute, label, config, 16, kSeconds));
+    results.push_back(RunScenario("shed_pending4_slow5ms", info, slow_execute,
+                                  config, 16, kSeconds));
   }
 
-  const ScenarioResult& loaded = results[3];  // batch16_age2_c16
+  const ScenarioResult& loaded = results[3];  // batch16_c16
   const ScenarioResult& shed = results.back();
   std::printf("\nacceptance: mean batch under 16 clients = %.2f (> 1: %s), "
               "sheds at full queue = %zu (> 0: %s)\n",
@@ -339,10 +326,10 @@ int main() {
     std::fprintf(
         out,
         "    {\"name\": \"%s\", \"clients\": %zu, \"batch_limit\": %zu, "
-        "\"age_ms\": %.1f, \"seconds\": %.3f, \"ok\": %zu, \"shed\": %zu, "
+        "\"seconds\": %.3f, \"ok\": %zu, \"shed\": %zu, "
         "\"errors\": %zu, \"throughput_rps\": %.1f, \"p50_ms\": %.3f, "
         "\"p99_ms\": %.3f, \"mean_batch_size\": %.3f}%s\n",
-        r.name.c_str(), r.clients, r.batch_limit, r.age_ms, r.seconds, r.ok,
+        r.name.c_str(), r.clients, r.batch_limit, r.seconds, r.ok,
         r.shed, r.errors, r.throughput_rps, r.p50_ms, r.p99_ms,
         r.mean_batch_size, i + 1 < results.size() ? "," : "");
   }

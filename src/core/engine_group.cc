@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "ann/brute_force.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -190,6 +194,14 @@ StatusOr<uint64_t> EngineGroup::PublishExternal(
   const uint64_t id = next_generation_.fetch_add(1);
   generation->id = id;
   Publish(std::shared_ptr<const Generation>(std::move(generation)));
+#ifdef __GLIBC__
+  // Every ingest publish deep-copies the serving state and retires the
+  // previous copy. glibc keeps such freed blocks cached in the
+  // allocating thread's arena (its dynamic mmap threshold rises past
+  // their size), so without a trim peak RSS grows with the publish
+  // rate. Returning them here is cheap next to the copy itself.
+  malloc_trim(0);
+#endif
   return id;
 }
 
@@ -208,10 +220,11 @@ Status EngineGroup::Reload(const std::string& dir) {
 
 std::vector<std::vector<ExpertScore>> EngineGroup::FindExpertsBatch(
     const std::vector<std::string>& query_texts, size_t n,
-    const BatchQueryOptions& options, std::vector<QueryStats>* stats) {
+    const BatchQueryOptions& options, std::vector<QueryStats>* stats,
+    std::shared_ptr<const Generation>* answered) {
   // The snapshot keeps the generation (engine, shards, indexes) alive
   // for the whole call even if a reload publishes mid-batch.
-  const std::shared_ptr<const Generation> gen = Snapshot();
+  std::shared_ptr<const Generation> gen = Snapshot();
   Timer timer;
   std::vector<std::vector<ExpertScore>> results;
   if (gen->shards.empty()) {
@@ -230,6 +243,7 @@ std::vector<std::vector<ExpertScore>> EngineGroup::FindExpertsBatch(
   gen->latency_us.fetch_add(
       static_cast<uint64_t>(timer.ElapsedMillis() * 1000.0),
       std::memory_order_relaxed);
+  if (answered != nullptr) *answered = std::move(gen);
   return results;
 }
 

@@ -111,11 +111,14 @@ class EngineGroup {
   /// by the current generation (snapshotted once per call). Sharded
   /// generations return bit-identical results to a single engine over
   /// the same corpus when the per-shard retrieval is exact (brute mode,
-  /// or an exhaustive-ef unquantized index).
+  /// or an exhaustive-ef unquantized index). `answered`, when non-null,
+  /// receives that generation, so the caller can keep reading the data
+  /// that scored the batch (e.g. expert names) after a newer publish.
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,
       const BatchQueryOptions& options,
-      std::vector<QueryStats>* stats = nullptr);
+      std::vector<QueryStats>* stats = nullptr,
+      std::shared_ptr<const Generation>* answered = nullptr);
 
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,

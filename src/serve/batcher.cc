@@ -56,27 +56,12 @@ size_t MicroBatcher::PendingForTest() const {
 }
 
 void MicroBatcher::DispatchLoop() {
-  const auto max_age =
-      std::chrono::duration_cast<CancelToken::Clock::duration>(
-          std::chrono::duration<double, std::milli>(config_.max_queue_age_ms));
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (queue_.empty()) {
-      if (draining_) return;
-      cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
-      continue;
-    }
-    // Flush when full, stale, or draining; otherwise sleep until the
-    // oldest request ages out (new arrivals re-examine the predicate).
-    const auto flush_at = queue_.front().enqueue_time + max_age;
-    const bool full = queue_.size() >= config_.max_batch_size;
-    if (!full && !draining_ && CancelToken::Clock::now() < flush_at) {
-      cv_.wait_until(lock, flush_at, [this, flush_at] {
-        return draining_ || queue_.size() >= config_.max_batch_size ||
-               CancelToken::Clock::now() >= flush_at;
-      });
-      continue;
-    }
+    cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
+    if (queue_.empty()) return;  // draining, and every request answered
+    // Idle with work queued: cut the batch now. It holds whatever
+    // arrived while the previous batch ran, oldest first.
     const size_t take = std::min(queue_.size(), config_.max_batch_size);
     std::vector<Pending> batch;
     batch.reserve(take);
@@ -177,9 +162,7 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   KPEF_COUNTER_ADD(obs::kServeBatches, 1);
   KPEF_HISTOGRAM_OBSERVE(obs::kServeBatchSize, live.size());
 
-  std::vector<QueryStats> stats;
-  std::vector<std::vector<ExpertScore>> results =
-      execute_(texts, top_n, options, &stats);
+  BatchResult result = execute_(texts, top_n, options);
   const auto completion_time = CancelToken::Clock::now();
 
   for (size_t slot = 0; slot < live.size(); ++slot) {
@@ -187,10 +170,11 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
     BatchResponse response;
     response.batch_size = live.size();
     response.queue_wait_ms = MillisBetween(p.enqueue_time, dispatch_time);
-    if (slot < results.size()) {
-      response.experts = std::move(results[slot]);
+    if (slot < result.experts.size()) {
+      response.experts = std::move(result.experts[slot]);
     }
-    if (slot < stats.size()) response.stats = stats[slot];
+    if (slot < result.stats.size()) response.stats = result.stats[slot];
+    response.label = result.label;
     if (response.experts.size() > p.request.top_n) {
       response.experts.resize(p.request.top_n);
     }

@@ -1,15 +1,19 @@
 // Dynamic micro-batching scheduler: coalesces concurrent find_experts
 // requests into one FindExpertsBatch call (DESIGN.md §11).
 //
-// Requests enter a bounded queue; a dedicated dispatch thread flushes a
-// batch when either (a) max_batch_size requests are pending or (b) the
-// oldest pending request has waited max_queue_age_ms. Admission control
-// is synchronous: Submit() fails immediately when the queue is full, so
-// the caller can shed load (HTTP 429) without ever blocking the event
-// loop. Per-request deadlines propagate into the engine call per slot
-// (BatchQueryOptions::deadlines), so the engine stops spending time on a
-// query the moment its own budget expires; requests that miss their
-// deadline come back flagged (HTTP 504) instead of wedging the batch.
+// Requests enter a bounded queue drained by one dispatch thread. The
+// dispatcher is work-conserving: whenever it is idle and work is queued
+// it cuts a batch at once, so a batch holds exactly what arrived while
+// the previous engine call ran (capped at max_batch_size). There is no
+// timer: a lone request on an idle server goes straight to the engine,
+// and under load the engine's own busy time is the coalescing window.
+// Admission control is synchronous: Submit() fails immediately when the
+// queue is full, so the caller can shed load (HTTP 429) without ever
+// blocking the event loop. Per-request deadlines propagate into the
+// engine call per slot (BatchQueryOptions::deadlines), so the engine
+// stops spending time on a query the moment its own budget expires;
+// requests that miss their deadline come back flagged (HTTP 504) instead
+// of wedging the batch.
 //
 // The batcher is a pure unit: it executes batches through an injected
 // function, so tests drive it with a fake engine and no sockets.
@@ -34,11 +38,9 @@
 namespace kpef::serve {
 
 struct BatcherConfig {
-  /// Flush as soon as this many requests are pending.
+  /// Most requests one engine call takes; a longer queue is cut into
+  /// consecutive batches, oldest first.
   size_t max_batch_size = 16;
-  /// Flush once the oldest pending request is this old, even if the
-  /// batch is smaller (bounds queueing latency under light load).
-  double max_queue_age_ms = 4.0;
   /// Admission bound: Submit() sheds once this many requests are queued
   /// (requests already dispatched to the engine do not count).
   size_t max_pending = 256;
@@ -65,10 +67,28 @@ struct BatchRequest {
   uint64_t trace_key = 0;
 };
 
+/// Maps an expert NodeId to its display name.
+using LabelFn = std::function<std::string(NodeId)>;
+
+/// What one engine call hands back: one expert list and one QueryStats
+/// per query, plus the names of the data that answered them.
+struct BatchResult {
+  std::vector<std::vector<ExpertScore>> experts;
+  std::vector<QueryStats> stats;
+  /// Resolves names against the data that scored this batch (for an
+  /// EngineGroup, pinned to the answering generation, so a publish
+  /// between the engine call and rendering cannot change them). Null
+  /// renders empty names.
+  LabelFn label;
+};
+
 /// Delivered to the completion callback, on the dispatch thread.
 struct BatchResponse {
   std::vector<ExpertScore> experts;
   QueryStats stats;
+  /// The answering batch's BatchResult::label (null when the request
+  /// never reached the engine).
+  LabelFn label;
   /// True when the request missed its deadline (results may be empty or
   /// partial — the partial flag for the HTTP 504 body).
   bool deadline_exceeded = false;
@@ -79,11 +99,11 @@ struct BatchResponse {
   size_t batch_size = 0;
 };
 
-/// Signature of ExpertFindingEngine::FindExpertsBatch — injected so unit
-/// tests substitute a fake engine.
-using BatchExecuteFn = std::function<std::vector<std::vector<ExpertScore>>(
+/// One FindExpertsBatch call — injected so unit tests substitute a fake
+/// engine.
+using BatchExecuteFn = std::function<BatchResult(
     const std::vector<std::string>& texts, size_t top_n,
-    const BatchQueryOptions& options, std::vector<QueryStats>* stats)>;
+    const BatchQueryOptions& options)>;
 
 class MicroBatcher {
  public:
@@ -117,8 +137,8 @@ class MicroBatcher {
   };
 
   void DispatchLoop();
-  /// Pops up to max_batch_size requests and runs them as one engine
-  /// call, invoking completions. Caller must NOT hold mutex_.
+  /// Runs one cut batch as one engine call, invoking completions.
+  /// Caller must NOT hold mutex_.
   void RunBatch(std::vector<Pending> batch);
 
   const BatcherConfig config_;

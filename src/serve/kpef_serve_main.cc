@@ -4,9 +4,9 @@
 //
 //   kpef_serve --graph graph.kg --model-dir model [--address 127.0.0.1]
 //              [--port 8080] [--shards 1] [--threads 0]
-//              [--reload-watch 0] [--batch-size 16] [--batch-age-ms 4]
-//              [--max-pending 256] [--default-n 10] [--max-n 400]
-//              [--default-deadline-ms 0] [--metrics-out path]
+//              [--reload-watch 0] [--batch-size 16] [--max-pending 256]
+//              [--default-n 10] [--max-n 400] [--default-deadline-ms 0]
+//              [--metrics-out path]
 //              [--access-log path|-] [--trace-mode off|sampled|always]
 //              [--trace-head-every 64] [--slow-ms 100] [--slow-queue-ms 50]
 //              [--rerank-factor 2.0] [--wal path]
@@ -27,9 +27,18 @@
 // mtime changes. --threads N sizes the serving pool the micro-batcher
 // fans SearchBatch over (0 = hardware concurrency).
 //
+// Every flag takes one value; an unknown flag, a flag without a value,
+// or a stray argument exits 1 naming it.
+//
+// The micro-batcher is work-conserving: it hands the engine a batch the
+// moment its dispatcher is idle, so a lone request is never held back,
+// and under load a batch is what queued while the engine was busy (at
+// most --batch-size requests).
+//
 // SIGTERM/SIGINT drain gracefully: stop accepting, flush queued batches,
 // answer in-flight requests, then exit 0.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -59,11 +68,33 @@ namespace {
 
 using namespace kpef;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
+// Every flag kpef_serve reads.
+constexpr const char* kFlags[] = {
+    "access-log", "address", "batch-size", "default-deadline-ms",
+    "default-n", "graph", "ingest-merge-edges", "max-n", "max-pending",
+    "metrics-out", "model-dir", "port", "reload-watch", "rerank-factor",
+    "shards", "slow-ms", "slow-queue-ms", "threads", "trace-head-every",
+    "trace-mode", "wal"};
+
+/// Parses `--flag value` pairs, rejecting unknown flags, flags without
+/// a value and stray arguments, so a mistyped or retired flag fails
+/// loudly instead of silently doing nothing.
+StatusOr<std::map<std::string, std::string>> ParseFlags(int argc,
+                                                        char** argv) {
   std::map<std::string, std::string> flags;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
+  for (int i = 1; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument '" + arg + "'");
+    }
+    const std::string key = arg.substr(2);
+    if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+        std::end(kFlags)) {
+      return Status::InvalidArgument("unknown flag " + arg);
+    }
+    if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+      return Status::InvalidArgument("flag " + arg + " needs a value");
+    }
     flags[key] = argv[i + 1];
   }
   return flags;
@@ -84,7 +115,9 @@ int Fail(const Status& status) {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kInfo);
-  const auto flags = ParseFlags(argc, argv);
+  const auto parsed = ParseFlags(argc, argv);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const std::map<std::string, std::string>& flags = *parsed;
   const std::string graph_path = FlagOr(flags, "graph", "graph.kg");
   const std::string model_dir = FlagOr(flags, "model-dir", "model");
 
@@ -165,10 +198,11 @@ int main(int argc, char** argv) {
       std::max(0, std::atoi(FlagOr(flags, "threads", "0").c_str()))));
 
   serve::ServiceConfig service_config;
-  service_config.batcher.max_batch_size = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "batch-size", "16").c_str()));
-  service_config.batcher.max_queue_age_ms =
-      std::atof(FlagOr(flags, "batch-age-ms", "4").c_str());
+  const int batch_size = std::atoi(FlagOr(flags, "batch-size", "16").c_str());
+  if (batch_size < 1) {
+    return Fail(Status::InvalidArgument("--batch-size must be at least 1"));
+  }
+  service_config.batcher.max_batch_size = static_cast<size_t>(batch_size);
   service_config.batcher.max_pending = static_cast<size_t>(
       std::atoi(FlagOr(flags, "max-pending", "256").c_str()));
   service_config.batcher.max_top_n = static_cast<size_t>(
@@ -220,11 +254,9 @@ int main(int argc, char** argv) {
       });
   const Status started = server.Start();
   if (!started.ok()) return Fail(started);
-  std::printf("serving on http://%s:%u (batch<=%zu, age<=%.1fms, "
-              "queue<=%zu)\n",
+  std::printf("serving on http://%s:%u (batch<=%zu, queue<=%zu)\n",
               server_config.address.c_str(), server.port(),
               service_config.batcher.max_batch_size,
-              service_config.batcher.max_queue_age_ms,
               service_config.batcher.max_pending);
   std::fflush(stdout);
 

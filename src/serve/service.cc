@@ -108,11 +108,10 @@ StatusOr<IngestBatch> IngestBatchFromJson(const JsonValue& doc) {
 }  // namespace
 
 ExpertSearchService::ExpertSearchService(ServiceConfig config, EngineInfo info,
-                                         BatchExecuteFn execute, LabelFn label,
+                                         BatchExecuteFn execute,
                                          ServiceHooks hooks)
     : config_(std::move(config)),
       info_(std::move(info)),
-      label_(std::move(label)),
       hooks_(std::move(hooks)),
       slow_ring_(config_.slow_ring_capacity),
       batcher_(config_.batcher, std::move(execute)) {
@@ -131,44 +130,37 @@ ExpertSearchService::ExpertSearchService(ServiceConfig config, EngineInfo info,
   }
 }
 
-std::unique_ptr<ExpertSearchService> ExpertSearchService::ForEngine(
-    ExpertFindingEngine* engine, ServiceConfig config) {
-  BatchExecuteFn execute = [engine](const std::vector<std::string>& texts,
-                                    size_t top_n,
-                                    const BatchQueryOptions& options,
-                                    std::vector<QueryStats>* stats) {
-    return engine->FindExpertsBatch(texts, top_n, options, stats);
+BatchExecuteFn ExpertSearchService::ExecuteFor(ExpertFindingEngine* engine) {
+  return [engine](const std::vector<std::string>& texts, size_t top_n,
+                  const BatchQueryOptions& options) {
+    BatchResult result;
+    result.experts =
+        engine->FindExpertsBatch(texts, top_n, options, &result.stats);
+    const HeteroGraph* graph = &engine->dataset().graph;
+    result.label = [graph](NodeId id) { return graph->Label(id); };
+    return result;
   };
-  const HeteroGraph* graph = &engine->dataset().graph;
-  LabelFn label = [graph](NodeId id) { return graph->Label(id); };
-  return std::make_unique<ExpertSearchService>(
-      config, engine->Info(), std::move(execute), std::move(label));
+}
+
+BatchExecuteFn ExpertSearchService::ExecuteFor(EngineGroup* group) {
+  return [group](const std::vector<std::string>& texts, size_t top_n,
+                 const BatchQueryOptions& options) {
+    BatchResult result;
+    std::shared_ptr<const EngineGroup::Generation> answered;
+    result.experts = group->FindExpertsBatch(texts, top_n, options,
+                                             &result.stats, &answered);
+    // Names come from the generation that scored the batch, held until
+    // the last completion has rendered: streaming ingest may publish a
+    // grown generation at any moment, and its graph is not this one.
+    result.label = [gen = std::move(answered)](NodeId id) {
+      return gen->engine->dataset().graph.Label(id);
+    };
+    return result;
+  };
 }
 
 std::unique_ptr<ExpertSearchService> ExpertSearchService::ForEngineGroup(
     EngineGroup* group, ServiceConfig config, IngestCoordinator* ingest) {
-  BatchExecuteFn execute = [group](const std::vector<std::string>& texts,
-                                   size_t top_n,
-                                   const BatchQueryOptions& options,
-                                   std::vector<QueryStats>* stats) {
-    return group->FindExpertsBatch(texts, top_n, options, stats);
-  };
-  // Labels resolve against the serving generation's graph: streaming
-  // ingest publishes generations whose grown graph carries node ids the
-  // base dataset has never heard of, so the lookup goes through
-  // Snapshot() (with a bounds guard) instead of capturing the base
-  // graph pointer.
-  LabelFn label = [group](NodeId id) {
-    const std::shared_ptr<const EngineGroup::Generation> gen =
-        group->Snapshot();
-    const HeteroGraph& graph = gen->owned_dataset != nullptr
-                                   ? gen->owned_dataset->graph
-                                   : group->dataset().graph;
-    if (id < 0 || static_cast<size_t>(id) >= graph.NumNodes()) {
-      return "node-" + std::to_string(id);
-    }
-    return graph.Label(id);
-  };
   ServiceHooks hooks;
   hooks.info = [group] { return group->Info(); };
   hooks.reload = [group](const std::string& dir) -> StatusOr<uint64_t> {
@@ -182,10 +174,8 @@ std::unique_ptr<ExpertSearchService> ExpertSearchService::ForEngineGroup(
     };
     hooks.ingest_stats = [ingest] { return ingest->Stats(); };
   }
-  return std::make_unique<ExpertSearchService>(config, group->Info(),
-                                               std::move(execute),
-                                               std::move(label),
-                                               std::move(hooks));
+  return std::make_unique<ExpertSearchService>(
+      config, group->Info(), ExecuteFor(group), std::move(hooks));
 }
 
 ExpertSearchService::~ExpertSearchService() { Drain(); }
@@ -424,10 +414,8 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
   // routes the rendered response back to the event loop. A copy stays
   // behind for the shed path (Submit never invokes `done` on failure).
   HttpServer::Responder respond_on_shed = respond;
-  LabelFn label = label_;
-  auto done = [this, respond = std::move(respond), label = std::move(label),
-               started, trace_id, trace_key, head, t0_ns,
-               query_text = batch_request.query,
+  auto done = [this, respond = std::move(respond), started, trace_id,
+               trace_key, head, t0_ns, query_text = batch_request.query,
                top_n = batch_request.top_n](BatchResponse result) {
     const double e2e_ms = started->ElapsedMillis();
     const bool slow = IsSlow(e2e_ms, result);
@@ -500,8 +488,8 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
       body.append("{\"id\":");
       body.append(std::to_string(result.experts[i].author));
       body.append(",\"name\":");
-      AppendJsonString(label ? label(result.experts[i].author) : "",
-                       &body);
+      AppendJsonString(
+          result.label ? result.label(result.experts[i].author) : "", &body);
       body.append(",\"score\":");
       body.append(JsonNumber(result.experts[i].score));
       body.push_back('}');

@@ -40,8 +40,10 @@
 //     503 service built without a reload hook
 //
 // The service talks to the engine exclusively through a BatchExecuteFn,
-// so tests wire a fake engine; ForEngine() adapts a real
-// ExpertFindingEngine.
+// so tests wire a fake engine; ExecuteFor() adapts a real engine or
+// EngineGroup, and ForEngineGroup() also wires the group's admin hooks.
+// Expert names are rendered with the label view the execute call
+// returns, i.e. from the data (generation) that answered the request.
 
 #ifndef KPEF_SERVE_SERVICE_H_
 #define KPEF_SERVE_SERVICE_H_
@@ -125,18 +127,17 @@ struct ServiceHooks {
 
 class ExpertSearchService {
  public:
-  /// Maps an expert NodeId to a display label for response rendering.
-  using LabelFn = std::function<std::string(NodeId)>;
-
   ExpertSearchService(ServiceConfig config, EngineInfo info,
-                      BatchExecuteFn execute, LabelFn label,
-                      ServiceHooks hooks = {});
+                      BatchExecuteFn execute, ServiceHooks hooks = {});
   ~ExpertSearchService();
 
-  /// Wires a real engine: execute = engine->FindExpertsBatch, labels
-  /// from the dataset graph. The engine must outlive the service.
-  static std::unique_ptr<ExpertSearchService> ForEngine(
-      ExpertFindingEngine* engine, ServiceConfig config);
+  /// engine->FindExpertsBatch, labelled from the engine's graph. The
+  /// engine must outlive the returned function.
+  static BatchExecuteFn ExecuteFor(ExpertFindingEngine* engine);
+  /// group->FindExpertsBatch on the current generation, labelled from
+  /// that same generation (the label view keeps it alive). The group
+  /// must outlive the returned function.
+  static BatchExecuteFn ExecuteFor(EngineGroup* group);
 
   /// Wires an EngineGroup: queries go to the current generation,
   /// /healthz reads live generation info, POST /v1/admin/reload
@@ -158,6 +159,8 @@ class ExpertSearchService {
 
   const ServiceConfig& config() const { return config_; }
   const obs::SlowQueryRing& slow_ring() const { return slow_ring_; }
+  /// Queries admitted but not yet dispatched to the engine.
+  size_t PendingForTest() const { return batcher_.PendingForTest(); }
 
  private:
   void HandleFindExperts(const HttpRequest& request,
@@ -181,7 +184,6 @@ class ExpertSearchService {
 
   const ServiceConfig config_;
   const EngineInfo info_;
-  const LabelFn label_;
   const ServiceHooks hooks_;
   std::unique_ptr<obs::RequestLog> access_log_;
   obs::SlowQueryRing slow_ring_;

@@ -1,7 +1,10 @@
-// MicroBatcher as a pure unit (ISSUE 5 satellite): flush-on-size,
-// flush-on-age, per-request deadline propagation into BatchQueryOptions,
-// shed-when-full, and drain-on-shutdown — all against a fake engine
-// function, no sockets involved.
+// MicroBatcher as a pure unit: work-conserving dispatch (a lone request
+// goes straight in; whatever queued behind a busy engine rides the next
+// batch, FIFO, split at max_batch_size), per-request deadline
+// propagation into BatchQueryOptions, shed-when-full, and
+// drain-on-shutdown — all against a fake engine function, no sockets
+// involved. Coalescing is forced with a gated engine, never with a
+// timing window.
 
 #include <algorithm>
 #include <atomic>
@@ -22,40 +25,46 @@ namespace {
 using Clock = CancelToken::Clock;
 
 /// Records every engine call; optionally blocks until released and/or
-/// sleeps to simulate slow batches.
+/// sleeps to simulate slow batches (the sleep is read when a call
+/// enters, so changing it affects later calls only).
 struct FakeEngine {
   std::mutex mutex;
   std::condition_variable cv;
   bool blocked = false;
   double sleep_ms = 0.0;
   std::vector<size_t> batch_sizes;
+  std::vector<std::vector<std::string>> texts_seen;
   std::vector<size_t> top_ns;
   std::vector<BatchQueryOptions> options_seen;
 
   BatchExecuteFn AsFn() {
     return [this](const std::vector<std::string>& texts, size_t top_n,
-                  const BatchQueryOptions& options,
-                  std::vector<QueryStats>* stats) {
+                  const BatchQueryOptions& options) {
+      double sleep = 0.0;
       {
         std::unique_lock<std::mutex> lock(mutex);
         batch_sizes.push_back(texts.size());
+        texts_seen.push_back(texts);
         top_ns.push_back(top_n);
         options_seen.push_back(options);
+        sleep = sleep_ms;
+        cv.notify_all();
         cv.wait(lock, [this] { return !blocked; });
       }
-      if (sleep_ms > 0.0) {
+      if (sleep > 0.0) {
         std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(sleep_ms));
+            std::chrono::duration<double, std::milli>(sleep));
       }
-      stats->assign(texts.size(), QueryStats());
-      std::vector<std::vector<ExpertScore>> results(texts.size());
+      BatchResult result;
+      result.stats.assign(texts.size(), QueryStats());
+      result.experts.resize(texts.size());
       for (size_t q = 0; q < texts.size(); ++q) {
         for (size_t i = 0; i < top_n; ++i) {
-          results[q].push_back(
+          result.experts[q].push_back(
               ExpertScore{static_cast<NodeId>(i), 1.0 / (1.0 + i)});
         }
       }
-      return results;
+      return result;
     };
   }
 
@@ -70,9 +79,20 @@ struct FakeEngine {
     }
     cv.notify_all();
   }
+  void SetSleepMs(double ms) {
+    std::lock_guard<std::mutex> lock(mutex);
+    sleep_ms = ms;
+  }
   size_t NumCalls() {
     std::lock_guard<std::mutex> lock(mutex);
     return batch_sizes.size();
+  }
+  /// Blocks until `n` engine calls have entered (no timing assumption:
+  /// the bound only keeps a broken batcher from hanging the test).
+  bool WaitForCalls(size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return batch_sizes.size() >= n; });
   }
 };
 
@@ -108,20 +128,39 @@ BatchRequest Request(const std::string& query, size_t top_n = 5) {
   return request;
 }
 
+/// "q0", "q1", ... (built by append: GCC 12 raises a false -Wrestrict
+/// on the inlined `"q" + std::to_string(i)`).
+std::string Numbered(int i) {
+  return std::string("q").append(std::to_string(i));
+}
+
+/// Wedges the dispatcher inside the engine on a "plug" request, so every
+/// request submitted afterwards queues until engine.Release(); the next
+/// engine call then takes exactly those (up to max_batch_size). The
+/// plug's own completion lands in `plug_done`.
+void PlugEngine(MicroBatcher* batcher, FakeEngine* engine,
+                Collector* plug_done) {
+  engine->Block();
+  ASSERT_TRUE(batcher->Submit(Request("plug"), plug_done->Fn()));
+  ASSERT_TRUE(engine->WaitForCalls(1));
+  ASSERT_EQ(batcher->PendingForTest(), 0u);
+}
+
 TEST(MicroBatcherTest, FlushOnSizeCoalescesIntoOneEngineCall) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 4;
-  config.max_queue_age_ms = 60000.0;  // age never fires in this test
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(batcher.Submit(Request("q" + std::to_string(i)),
-                               collector.Fn()));
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(i)), collector.Fn()));
   }
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(4));
-  ASSERT_EQ(engine.NumCalls(), 1u);
-  EXPECT_EQ(engine.batch_sizes[0], 4u);
+  ASSERT_EQ(engine.NumCalls(), 2u);  // the plug, then all four at once
+  EXPECT_EQ(engine.batch_sizes[1], 4u);
   for (const BatchResponse& r : collector.responses) {
     EXPECT_EQ(r.batch_size, 4u);
     EXPECT_FALSE(r.deadline_exceeded);
@@ -129,33 +168,76 @@ TEST(MicroBatcherTest, FlushOnSizeCoalescesIntoOneEngineCall) {
   }
 }
 
-TEST(MicroBatcherTest, FlushOnAgeDispatchesPartialBatch) {
+// Work conservation: an idle batcher hands a lone request to the engine
+// at once. Nothing else is ever submitted, so if the batcher waited for
+// company (or a timer) the engine would never be entered.
+TEST(MicroBatcherTest, IdleBatcherDispatchesLoneRequestAtOnce) {
   FakeEngine engine;
+  engine.Block();  // hold the call open so its entry is observable
   BatcherConfig config;
-  config.max_batch_size = 64;  // size never fires in this test
-  config.max_queue_age_ms = 5.0;
+  config.max_batch_size = 64;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
   ASSERT_TRUE(batcher.Submit(Request("lonely"), collector.Fn()));
-  // Nothing else arrives; the age timer must flush the singleton batch.
+  EXPECT_TRUE(engine.WaitForCalls(1));
+  EXPECT_EQ(batcher.PendingForTest(), 0u);
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(1));
   ASSERT_EQ(engine.NumCalls(), 1u);
   EXPECT_EQ(engine.batch_sizes[0], 1u);
   EXPECT_EQ(collector.responses[0].batch_size, 1u);
 }
 
+// Requests that queue while a batch runs ride the next engine call
+// together, in arrival order, cut into max_batch_size pieces.
+TEST(MicroBatcherTest, RequestsQueuedBehindBusyEngineRideNextBatchesInOrder) {
+  FakeEngine engine;
+  BatcherConfig config;
+  config.max_batch_size = 3;
+  MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
+  Collector collector;
+  constexpr int kQueued = 7;
+  for (int i = 0; i < kQueued; ++i) {
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(i)), collector.Fn()));
+  }
+  EXPECT_EQ(batcher.PendingForTest(), static_cast<size_t>(kQueued));
+  engine.Release();
+  ASSERT_TRUE(collector.WaitForCount(kQueued));
+  ASSERT_TRUE(plug.WaitForCount(1));
+
+  // The plug, then 3 + 3 + 1: each cut took the queue's head.
+  EXPECT_EQ(engine.batch_sizes, (std::vector<size_t>{1, 3, 3, 1}));
+  std::vector<std::string> order;
+  for (size_t call = 1; call < engine.texts_seen.size(); ++call) {
+    order.insert(order.end(), engine.texts_seen[call].begin(),
+                 engine.texts_seen[call].end());
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"q0", "q1", "q2", "q3", "q4",
+                                             "q5", "q6"}));
+  // Completions report the batch each request rode in.
+  std::vector<size_t> rode;
+  for (const BatchResponse& r : collector.responses) {
+    rode.push_back(r.batch_size);
+  }
+  EXPECT_EQ(rode, (std::vector<size_t>{3, 3, 3, 3, 3, 3, 1}));
+}
+
 TEST(MicroBatcherTest, TopNIsBatchMaxAndResultsAreTruncatedPerRequest) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   ASSERT_TRUE(batcher.Submit(Request("small", 3), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("large", 9), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  ASSERT_EQ(engine.top_ns.size(), 1u);
-  EXPECT_EQ(engine.top_ns[0], 9u);  // engine ran at the batch max
+  ASSERT_EQ(engine.top_ns.size(), 2u);
+  EXPECT_EQ(engine.top_ns[1], 9u);  // engine ran at the batch max
   // Each request got its own n back.
   std::vector<size_t> sizes;
   for (const BatchResponse& r : collector.responses) {
@@ -169,8 +251,9 @@ TEST(MicroBatcherTest, DeadlinePropagatesIntoBatchQueryOptions) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest a = Request("a");
   a.has_deadline = true;
@@ -180,12 +263,13 @@ TEST(MicroBatcherTest, DeadlinePropagatesIntoBatchQueryOptions) {
   b.deadline = Clock::now() + std::chrono::seconds(60);
   ASSERT_TRUE(batcher.Submit(std::move(a), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(std::move(b), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  ASSERT_EQ(engine.options_seen.size(), 1u);
+  ASSERT_EQ(engine.options_seen.size(), 2u);
   // Every request carried a deadline, so the batch got a cancel token
   // (deadline = the latest of the two; it must not have fired).
-  EXPECT_TRUE(engine.options_seen[0].cancel.CanBeCancelled());
-  EXPECT_FALSE(engine.options_seen[0].cancel.IsCancelled());
+  EXPECT_TRUE(engine.options_seen[1].cancel.CanBeCancelled());
+  EXPECT_FALSE(engine.options_seen[1].cancel.IsCancelled());
   for (const BatchResponse& r : collector.responses) {
     EXPECT_FALSE(r.deadline_exceeded);
   }
@@ -195,37 +279,41 @@ TEST(MicroBatcherTest, NoCancelTokenWhenAnyRequestLacksDeadline) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest a = Request("a");
   a.has_deadline = true;
   a.deadline = Clock::now() + std::chrono::seconds(30);
   ASSERT_TRUE(batcher.Submit(std::move(a), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("b"), collector.Fn()));  // no deadline
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  ASSERT_EQ(engine.options_seen.size(), 1u);
+  ASSERT_EQ(engine.options_seen.size(), 2u);
   // An unbounded request rides in the batch, so the engine call must
   // not be cancellable at the bounded request's deadline.
-  EXPECT_FALSE(engine.options_seen[0].cancel.CanBeCancelled());
+  EXPECT_FALSE(engine.options_seen[1].cancel.CanBeCancelled());
 }
 
 TEST(MicroBatcherTest, ExpiredRequestsNeverReachTheEngine) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest expired = Request("expired");
   expired.has_deadline = true;
   expired.deadline = Clock::now() - std::chrono::milliseconds(1);
   ASSERT_TRUE(batcher.Submit(std::move(expired), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("live"), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  // The engine saw only the live request.
-  ASSERT_EQ(engine.batch_sizes.size(), 1u);
-  EXPECT_EQ(engine.batch_sizes[0], 1u);
+  // Both were cut into one batch, but the engine saw only the live one.
+  ASSERT_EQ(engine.batch_sizes.size(), 2u);
+  EXPECT_EQ(engine.texts_seen[1], (std::vector<std::string>{"live"}));
   size_t expired_count = 0;
   for (const BatchResponse& r : collector.responses) {
     if (r.deadline_exceeded) {
@@ -242,7 +330,6 @@ TEST(MicroBatcherTest, MissedDeadlineFlaggedAfterSlowBatch) {
   engine.sleep_ms = 30.0;
   BatcherConfig config;
   config.max_batch_size = 1;
-  config.max_queue_age_ms = 0.0;  // dispatch immediately
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
   BatchRequest tight = Request("tight");
@@ -258,16 +345,13 @@ TEST(MicroBatcherTest, ShedsWhenQueueFull) {
   engine.Block();  // first batch wedges the dispatcher
   BatcherConfig config;
   config.max_batch_size = 1;
-  config.max_queue_age_ms = 0.0;
   config.max_pending = 2;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
   // First submit is popped by the dispatcher (blocked in the engine);
-  // wait until the queue is empty again before filling it.
+  // wait until it is inside before filling the queue.
   ASSERT_TRUE(batcher.Submit(Request("in-engine"), collector.Fn()));
-  while (batcher.PendingForTest() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  EXPECT_TRUE(engine.WaitForCalls(1));
   ASSERT_TRUE(batcher.Submit(Request("q1"), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("q2"), collector.Fn()));
   // Queue is at max_pending: admission control sheds, callback not run.
@@ -281,25 +365,31 @@ TEST(MicroBatcherTest, ShedsWhenQueueFull) {
 
 TEST(MicroBatcherTest, ShutdownDrainsEveryQueuedRequest) {
   FakeEngine engine;
-  engine.Block();
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   config.max_pending = 64;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(batcher.Submit(Request("q" + std::to_string(i)),
-                               collector.Fn()));
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(i)), collector.Fn()));
   }
-  // Shutdown must flush all 7 even though the age timer never fired.
+  // Shutdown begins with all 7 queued behind the wedged engine and must
+  // still run every one of them (the release only unwedges the plug).
   std::thread release([&engine] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     engine.Release();
   });
   batcher.Shutdown();
   release.join();
-  EXPECT_EQ(collector.responses.size(), 7u);
+  EXPECT_EQ(plug.responses.size(), 1u);
+  ASSERT_EQ(collector.responses.size(), 7u);
+  EXPECT_EQ(engine.batch_sizes, (std::vector<size_t>{1, 2, 2, 2, 1}));
+  for (const BatchResponse& r : collector.responses) {
+    EXPECT_FALSE(r.deadline_exceeded);
+    EXPECT_EQ(r.experts.size(), 5u);  // real engine answers, not drops
+  }
   // After shutdown, admission is closed (and sheds without callback).
   EXPECT_FALSE(batcher.Submit(Request("late"), collector.Fn()));
   EXPECT_EQ(collector.responses.size(), 7u);
@@ -311,7 +401,6 @@ TEST(MicroBatcherTest, DestructorDrains) {
   {
     BatcherConfig config;
     config.max_batch_size = 8;
-    config.max_queue_age_ms = 60000.0;
     MicroBatcher batcher(config, engine.AsFn());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(batcher.Submit(Request("q"), collector.Fn()));
@@ -324,7 +413,6 @@ TEST(MicroBatcherTest, ConcurrentSubmittersAllComplete) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 8;
-  config.max_queue_age_ms = 1.0;
   config.max_pending = 1024;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
@@ -356,11 +444,12 @@ TEST(MicroBatcherTest, ConcurrentSubmittersAllComplete) {
 // unaffected.
 TEST(MicroBatcherTest, MixedDeadlinesPropagatePerSlot) {
   FakeEngine engine;
-  engine.sleep_ms = 100.0;  // the batch outlives the tight deadline
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
+  engine.SetSleepMs(100.0);  // the next batch outlives the tight deadline
   Collector collector;
   BatchRequest tight = Request("tight");
   tight.has_deadline = true;
@@ -369,10 +458,11 @@ TEST(MicroBatcherTest, MixedDeadlinesPropagatePerSlot) {
   tight.deadline = tight_deadline;
   ASSERT_TRUE(batcher.Submit(std::move(tight), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("unbounded"), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
 
-  ASSERT_EQ(engine.options_seen.size(), 1u);
-  const BatchQueryOptions& options = engine.options_seen[0];
+  ASSERT_EQ(engine.options_seen.size(), 2u);
+  const BatchQueryOptions& options = engine.options_seen[1];
   // The engine call itself stays uncancellable (the unbounded rider
   // must finish), but each slot's own budget rode along.
   EXPECT_FALSE(options.cancel.CanBeCancelled());
@@ -396,14 +486,17 @@ TEST(MicroBatcherTest, NoDeadlinesMeansNoSlotDeadlineVector) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   ASSERT_TRUE(batcher.Submit(Request("a"), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("b"), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  ASSERT_EQ(engine.options_seen.size(), 1u);
-  EXPECT_TRUE(engine.options_seen[0].deadlines.empty());
+  ASSERT_EQ(engine.options_seen.size(), 2u);
+  EXPECT_EQ(engine.batch_sizes[1], 2u);
+  EXPECT_TRUE(engine.options_seen[1].deadlines.empty());
 }
 
 // Regression (PR 8): the engine used to run the coalesced batch at the
@@ -413,15 +506,17 @@ TEST(MicroBatcherTest, OversizedTopNIsClampedToConfigCap) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_queue_age_ms = 60000.0;
   config.max_top_n = 50;
   MicroBatcher batcher(config, engine.AsFn());
+  Collector plug;
+  PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   ASSERT_TRUE(batcher.Submit(Request("huge", 100000), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("small", 3), collector.Fn()));
+  engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
-  ASSERT_EQ(engine.top_ns.size(), 1u);
-  EXPECT_EQ(engine.top_ns[0], 50u);  // clamped batch max, not 100000
+  ASSERT_EQ(engine.top_ns.size(), 2u);
+  EXPECT_EQ(engine.top_ns[1], 50u);  // clamped batch max, not 100000
   std::vector<size_t> sizes;
   for (const BatchResponse& r : collector.responses) {
     sizes.push_back(r.experts.size());
@@ -435,7 +530,6 @@ TEST(MicroBatcherTest, ZeroMaxTopNDisablesTheCap) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 1;
-  config.max_queue_age_ms = 0.0;
   config.max_top_n = 0;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
@@ -453,7 +547,6 @@ TEST(MicroBatcherTest, ConfiguredPoolReachesBatchQueryOptions) {
   ThreadPool pool(2);
   BatcherConfig config;
   config.max_batch_size = 1;
-  config.max_queue_age_ms = 0.0;
   config.pool = &pool;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;

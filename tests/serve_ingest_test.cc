@@ -261,7 +261,6 @@ struct Harness {
 
     ServiceConfig service_config;
     service_config.batcher.max_batch_size = 4;
-    service_config.batcher.max_queue_age_ms = 1.0;
     service_config.batcher.max_pending = 4096;  // never shed in-test
     service = ExpertSearchService::ForEngineGroup(group.get(), service_config,
                                                   coordinator.get());

@@ -5,6 +5,8 @@
 // under test: no request is dropped or errored by the swap, the old
 // generation is fully drained (destroyed) once its in-flight queries
 // finish, and /healthz + the reload response report the new generation.
+// Responses are rendered from the generation that answered them, even
+// when a newer one is published before the names are written.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -16,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -217,7 +220,6 @@ struct Harness {
 
     ServiceConfig service_config;
     service_config.batcher.max_batch_size = 4;
-    service_config.batcher.max_queue_age_ms = 1.0;
     service_config.batcher.max_pending = 4096;  // never shed in-test
     service_config.reload_dir = s.dir_a.string();
     service = ExpertSearchService::ForEngineGroup(group.get(),
@@ -380,6 +382,97 @@ TEST(ServeReloadTest, EmptyBodyReloadsServingDirectory) {
   EXPECT_EQ(harness.group->generation(), 2u);
   EXPECT_EQ(harness.group->Snapshot()->artifact_dir,
             SharedArtifacts::Get().dir_a.string());
+}
+
+/// `graph` with every author's label prefixed by "renamed " (same ids,
+/// edges and edge order).
+HeteroGraph RenameAuthors(const HeteroGraph& graph, NodeTypeId author) {
+  HeteroGraphBuilder builder(graph.schema());
+  for (NodeId v = 0; static_cast<size_t>(v) < graph.NumNodes(); ++v) {
+    builder.AddNode(graph.TypeOf(v), graph.TypeOf(v) == author
+                                         ? "renamed " + graph.Label(v)
+                                         : graph.Label(v));
+  }
+  for (const HeteroGraph::EdgeRecord& e : graph.Edges()) {
+    if (!builder.AddEdge(e.type, e.src, e.dst).ok()) std::abort();
+  }
+  return std::move(builder).Build();
+}
+
+size_t Count(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// A publish that lands after a batch was scored but before its response
+// is rendered must not change the names in that response: they come
+// from the answering generation, which the label view keeps alive.
+TEST(ServeReloadTest, NamesRenderFromTheAnsweringGeneration) {
+  SharedArtifacts& s = SharedArtifacts::Get();
+  EngineGroup::Options options;
+  options.engine = s.ServeConfig();
+  auto loaded =
+      EngineGroup::Load(&s.dataset, &s.corpus, options, s.dir_a.string());
+  ASSERT_TRUE(loaded.ok());
+  EngineGroup* group = loaded->get();
+
+  // The next generation scores exactly like the first but names every
+  // author "renamed ...", so each name shows which generation wrote it.
+  auto next = std::make_shared<EngineGroup::Generation>();
+  auto renamed = std::make_shared<Dataset>(s.dataset);
+  renamed->graph = RenameAuthors(s.dataset.graph, s.dataset.ids.author);
+  next->owned_dataset = renamed;
+  const ExpertFindingEngine& first_engine = *group->Snapshot()->engine;
+  auto engine = ExpertFindingEngine::FromParts(
+      renamed.get(), &s.corpus, options.engine, first_engine.encoder(),
+      Matrix(first_engine.embeddings()), nullptr);
+  ASSERT_TRUE(engine.ok());
+  next->engine = std::move(engine).value();
+
+  // A fake execute: the real group call, then the publish, before the
+  // batcher hands the result to the rendering completion.
+  BatchExecuteFn publish_after =
+      [&next, group, real = ExpertSearchService::ExecuteFor(group)](
+          const std::vector<std::string>& texts, size_t n,
+          const BatchQueryOptions& batch_options) {
+        BatchResult result = real(texts, n, batch_options);
+        if (next != nullptr) {
+          EXPECT_TRUE(group->PublishExternal(std::move(next)).ok());
+          next = nullptr;
+        }
+        return result;
+      };
+  ExpertSearchService service(ServiceConfig(), group->Info(),
+                              std::move(publish_after));
+  const auto ask = [&] {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/find_experts";
+    request.body = FindExpertsBody(s.queries.queries[0].text);
+    std::promise<HttpResponse> done;
+    std::future<HttpResponse> response = done.get_future();
+    service.Handle(request, [&done](HttpResponse r) {
+      done.set_value(std::move(r));
+    });
+    return response.get();
+  };
+
+  const HttpResponse first = ask();
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(group->generation(), 2u);  // published before rendering
+  EXPECT_EQ(Count(first.body, "\"name\":\"author"), 5u) << first.body;
+  EXPECT_EQ(Count(first.body, "renamed"), 0u) << first.body;
+
+  // Answered by generation 2, so rendered from it.
+  const HttpResponse second = ask();
+  ASSERT_EQ(second.status, 200) << second.body;
+  EXPECT_EQ(Count(second.body, "\"name\":\"renamed author"), 5u)
+      << second.body;
+  service.Drain();
 }
 
 }  // namespace

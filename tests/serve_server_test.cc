@@ -161,11 +161,11 @@ struct FakeEngine {
 
   BatchExecuteFn AsFn() {
     return [this](const std::vector<std::string>& texts, size_t top_n,
-                  const BatchQueryOptions& options,
-                  std::vector<QueryStats>* stats) {
+                  const BatchQueryOptions& options) {
       {
         std::unique_lock<std::mutex> lock(mutex);
         batch_sizes.push_back(texts.size());
+        cv.notify_all();
         cv.wait(lock, [this] { return !blocked; });
       }
       if (sleep_ms > 0.0) {
@@ -178,15 +178,17 @@ struct FakeEngine {
         obs::RecordSpan(options.trace_keys[q], "engine.fake",
                         obs::Tracer::Global().NowNanos(), 1000);
       }
-      stats->assign(texts.size(), QueryStats());
-      std::vector<std::vector<ExpertScore>> results(texts.size());
+      BatchResult result;
+      result.stats.assign(texts.size(), QueryStats());
+      result.experts.resize(texts.size());
       for (size_t q = 0; q < texts.size(); ++q) {
         for (size_t i = 0; i < top_n; ++i) {
-          results[q].push_back(
+          result.experts[q].push_back(
               ExpertScore{static_cast<NodeId>(100 + i), 1.0 / (1.0 + i)});
         }
       }
-      return results;
+      result.label = [](NodeId id) { return "expert-" + std::to_string(id); };
+      return result;
     };
   }
 
@@ -201,13 +203,27 @@ struct FakeEngine {
     }
     cv.notify_all();
   }
-  size_t MaxBatchSize() {
+  std::vector<size_t> BatchSizes() {
     std::lock_guard<std::mutex> lock(mutex);
-    size_t best = 0;
-    for (size_t s : batch_sizes) best = std::max(best, s);
-    return best;
+    return batch_sizes;
+  }
+  /// Blocks until `n` engine calls have entered.
+  bool WaitForCalls(size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return batch_sizes.size() >= n; });
   }
 };
+
+/// Polls until the service's batcher holds `n` admitted-but-undispatched
+/// requests (the bound only keeps a broken server from hanging a test).
+bool WaitForPending(const ExpertSearchService& service, size_t n) {
+  for (int i = 0; i < 5000; ++i) {
+    if (service.PendingForTest() == n) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
 
 /// Server + service pair on an ephemeral port. Declaration order
 /// matters: the server must outlive the service's batcher callbacks.
@@ -224,9 +240,8 @@ struct Harness {
     info.num_experts = 5;
     info.embedding_dim = 8;
     info.has_index = true;
-    service = std::make_unique<ExpertSearchService>(
-        service_config, info, engine.AsFn(),
-        [](NodeId id) { return "expert-" + std::to_string(id); });
+    service = std::make_unique<ExpertSearchService>(service_config, info,
+                                                    engine.AsFn());
     server = std::make_unique<HttpServer>(
         server_config, [this](const HttpRequest& request,
                               HttpServer::Responder respond) {
@@ -247,7 +262,6 @@ struct Harness {
 ServiceConfig FastConfig() {
   ServiceConfig config;
   config.batcher.max_batch_size = 8;
-  config.batcher.max_queue_age_ms = 1.0;
   return config;
 }
 
@@ -312,7 +326,6 @@ TEST(ServeServerTest, UnknownRoutesAndMethods) {
 TEST(ServeServerTest, ConcurrentClientsCoalesceIntoBatches) {
   ServiceConfig config;
   config.batcher.max_batch_size = 8;
-  config.batcher.max_queue_age_ms = 25.0;  // wide coalescing window
   Harness harness(config);
   constexpr int kClients = 8;
   std::vector<std::unique_ptr<TestClient>> clients;
@@ -320,6 +333,12 @@ TEST(ServeServerTest, ConcurrentClientsCoalesceIntoBatches) {
     clients.push_back(std::make_unique<TestClient>(harness.port()));
     ASSERT_TRUE(clients.back()->connected());
   }
+  // Wedge the engine on one request so the concurrent ones queue behind
+  // it; the batcher then hands all of them to the next engine call.
+  harness.engine.Block();
+  TestClient plug(harness.port());
+  ASSERT_TRUE(plug.Post("/v1/find_experts", R"({"query":"plug"})"));
+  EXPECT_TRUE(harness.engine.WaitForCalls(1));
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};
   for (int i = 0; i < kClients; ++i) {
@@ -335,17 +354,21 @@ TEST(ServeServerTest, ConcurrentClientsCoalesceIntoBatches) {
       }
     });
   }
+  // EXPECT, not ASSERT: the engine must be released whatever happens.
+  EXPECT_TRUE(WaitForPending(*harness.service, kClients));
+  harness.engine.Release();
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(ok.load(), kClients);
-  // The micro-batcher must have coalesced at least two concurrent
-  // requests into one engine call.
-  EXPECT_GT(harness.engine.MaxBatchSize(), 1u);
+  ClientResponse response;
+  ASSERT_TRUE(plug.ReadResponse(&response));
+  EXPECT_EQ(response.status, 200);
+  // All eight concurrent requests rode one engine call.
+  EXPECT_EQ(harness.engine.BatchSizes(), (std::vector<size_t>{1, kClients}));
 }
 
 TEST(ServeServerTest, ShedsWith429AndRetryAfter) {
   ServiceConfig config;
   config.batcher.max_batch_size = 1;
-  config.batcher.max_queue_age_ms = 0.0;
   config.batcher.max_pending = 1;
   Harness harness(config);
   harness.engine.Block();
@@ -354,13 +377,11 @@ TEST(ServeServerTest, ShedsWith429AndRetryAfter) {
   TestClient first(harness.port());
   ASSERT_TRUE(first.Post("/v1/find_experts", R"({"query":"a"})"));
   // Wait for it to be popped into the (blocked) engine call.
-  while (harness.engine.MaxBatchSize() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(harness.engine.WaitForCalls(1));
   TestClient second(harness.port());
   ASSERT_TRUE(second.Post("/v1/find_experts", R"({"query":"b"})"));
-  // Give the queued request time to be admitted before overflowing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The queued request must be admitted before the overflow arrives.
+  EXPECT_TRUE(WaitForPending(*harness.service, 1));
 
   TestClient third(harness.port());
   ASSERT_TRUE(third.Post("/v1/find_experts", R"({"query":"c"})"));
@@ -380,7 +401,6 @@ TEST(ServeServerTest, ShedsWith429AndRetryAfter) {
 TEST(ServeServerTest, DeadlineReturns504WithPartialFlag) {
   ServiceConfig config;
   config.batcher.max_batch_size = 1;
-  config.batcher.max_queue_age_ms = 0.0;
   Harness harness(config);
   harness.engine.sleep_ms = 50.0;
   TestClient client(harness.port());
@@ -461,15 +481,12 @@ TEST(ServeServerTest, PipelinedRequestsAnsweredInOrder) {
 TEST(ServeServerTest, GracefulDrainFinishesInFlightThenCloses) {
   ServiceConfig config;
   config.batcher.max_batch_size = 1;
-  config.batcher.max_queue_age_ms = 0.0;
   Harness harness(config);
   harness.engine.Block();
 
   TestClient busy(harness.port());
   ASSERT_TRUE(busy.Post("/v1/find_experts", R"({"query":"inflight"})"));
-  while (harness.engine.MaxBatchSize() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(harness.engine.WaitForCalls(1));
   TestClient idle(harness.port());  // keep-alive, nothing in flight
   ASSERT_TRUE(idle.connected());
   std::this_thread::sleep_for(std::chrono::milliseconds(10));

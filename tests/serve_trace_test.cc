@@ -16,6 +16,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -217,8 +219,13 @@ struct Harness {
   std::unique_ptr<HttpServer> server;
   std::unique_ptr<ExpertSearchService> service;
 
-  Harness(ExpertFindingEngine* engine, ServiceConfig config) {
-    service = ExpertSearchService::ForEngine(engine, config);
+  /// Serves `engine`, through `execute` when given (a wrapper around
+  /// ExpertSearchService::ExecuteFor(engine)).
+  Harness(ExpertFindingEngine* engine, ServiceConfig config,
+          BatchExecuteFn execute = nullptr) {
+    if (!execute) execute = ExpertSearchService::ExecuteFor(engine);
+    service = std::make_unique<ExpertSearchService>(config, engine->Info(),
+                                                    std::move(execute));
     server = std::make_unique<HttpServer>(
         HttpServerConfig(), [this](const HttpRequest& request,
                                    HttpServer::Responder respond) {
@@ -242,7 +249,6 @@ TEST_F(ServeTraceTest, SlowRequestYieldsCompleteSpanTree) {
   LogLines log;
   ServiceConfig config;
   config.batcher.max_batch_size = 4;
-  config.batcher.max_queue_age_ms = 1.0;
   config.batcher.pool = &shared().pool;
   config.trace_head_every = 0;  // retention must come from the tail rule
   config.slow_e2e_ms = 0.0001;  // everything is "slow"
@@ -289,8 +295,36 @@ TEST_F(ServeTraceTest, SlowRequestYieldsCompleteSpanTree) {
             std::string::npos);
 }
 
+/// Holds every engine call until Open(), counting arrivals: a request
+/// parked here wedges the batcher so the next ones queue behind it.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+  size_t entered = 0;
+
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++entered;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+  }
+  bool WaitEntered(size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return entered >= n; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
 // Batchmates must not bleed spans into each other: N concurrent
-// requests coalesced into shared micro-batches — with engine work fanned
+// requests coalesced into one micro-batch — with engine work fanned
 // across a shared pool — each retain a trace whose spans carry only that
 // request's key, with exactly one encode span each.
 TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
@@ -298,10 +332,19 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config;
   config.batcher.max_batch_size = 8;
-  config.batcher.max_queue_age_ms = 25.0;  // wide coalescing window
   config.batcher.pool = &shared().pool;
   config.trace_mode = obs::TraceMode::kAlwaysOn;
-  Harness harness(shared().engine.get(), config);
+  // A "plug" request waits at the gate inside the engine call, so the
+  // batchmates queue behind it and ride the next real batch together.
+  Gate gate;
+  BatchExecuteFn gated =
+      [&gate, real = ExpertSearchService::ExecuteFor(shared().engine.get())](
+          const std::vector<std::string>& texts, size_t n,
+          const BatchQueryOptions& options) {
+        gate.Pass();
+        return real(texts, n, options);
+      };
+  Harness harness(shared().engine.get(), config, std::move(gated));
 
   constexpr int kClients = 6;
   std::vector<std::unique_ptr<TestClient>> clients;
@@ -309,6 +352,13 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
     clients.push_back(std::make_unique<TestClient>(harness.port()));
     ASSERT_TRUE(clients.back()->connected());
   }
+  TestClient plug(harness.port());
+  ASSERT_TRUE(plug.Post("/v1/find_experts",
+                        "{\"query\":\"" + shared().queries.queries[0].text +
+                            "\",\"n\":3}",
+                        "plug"));
+  EXPECT_TRUE(gate.WaitEntered(1));
+
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};
   for (int i = 0; i < kClients; ++i) {
@@ -324,13 +374,27 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
       }
       ClientResponse response;
       if (clients[static_cast<size_t>(i)]->ReadResponse(&response) &&
-          response.status == 200) {
+          response.status == 200 &&
+          response.body.find("\"batch_size\":6") != std::string::npos) {
         ok.fetch_add(1);
       }
     });
   }
+  // Open the gate only once all six are admitted (whatever happens, so
+  // a failure cannot leave the dispatcher parked).
+  for (int wait = 0; wait < 5000 && harness.service->PendingForTest() <
+                                        static_cast<size_t>(kClients);
+       ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(harness.service->PendingForTest(), static_cast<size_t>(kClients));
+  gate.Open();
   for (std::thread& t : threads) t.join();
+  // Every batchmate answered 200 from the one six-request batch.
   ASSERT_EQ(ok.load(), kClients);
+  ClientResponse plug_response;
+  ASSERT_TRUE(plug.ReadResponse(&plug_response));
+  EXPECT_EQ(plug_response.status, 200);
 
   const std::vector<obs::TraceSnapshot> retained =
       obs::Tracer::Global().RetainedSnapshots();
@@ -359,7 +423,6 @@ TEST_F(ServeTraceTest, DeadlineMissIsTailRetained) {
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config;
   config.batcher.max_batch_size = 1;
-  config.batcher.max_queue_age_ms = 0.0;
   config.batcher.pool = &shared().pool;
   config.trace_head_every = 0;
   config.slow_e2e_ms = 1e9;  // only the deadline rule can fire
