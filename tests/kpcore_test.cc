@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -212,7 +213,20 @@ struct TheoremCase {
   int32_t k;
 };
 
-class Theorem1Test : public ::testing::TestWithParam<TheoremCase> {
+// Same sweep point, printed by value. gtest's default printer dumps the
+// struct's raw bytes, `path` pointer included, and ASLR moves that pointer on
+// every run, so the ctest name discovered for each case changed from build to
+// build.
+struct Theorem1Case {
+  const char* path;
+  int32_t k;
+};
+
+void PrintTo(const Theorem1Case& c, std::ostream* os) {
+  *os << c.path << " k=" << c.k;
+}
+
+class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {
  protected:
   static const Dataset& dataset() {
     static const Dataset* d = new Dataset(GenerateDataset(TinyProfile()));
@@ -222,7 +236,7 @@ class Theorem1Test : public ::testing::TestWithParam<TheoremCase> {
 
 TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
   const Dataset& data = dataset();
-  const TheoremCase param = GetParam();
+  const Theorem1Case param = GetParam();
   auto path = MetaPath::Parse(data.graph.schema(), param.path);
   ASSERT_TRUE(path.ok());
   const HomogeneousProjection projection =
@@ -243,12 +257,12 @@ TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     SweepsPathsAndK, Theorem1Test,
-    ::testing::Values(TheoremCase{"P-A-P", 2}, TheoremCase{"P-A-P", 3},
-                      TheoremCase{"P-A-P", 4}, TheoremCase{"P-A-P", 6},
-                      TheoremCase{"P-P", 1}, TheoremCase{"P-P", 2},
-                      TheoremCase{"P-P", 3}, TheoremCase{"P-T-P", 4},
-                      TheoremCase{"P-T-P", 8}),
-    [](const ::testing::TestParamInfo<TheoremCase>& info) {
+    ::testing::Values(Theorem1Case{"P-A-P", 2}, Theorem1Case{"P-A-P", 3},
+                      Theorem1Case{"P-A-P", 4}, Theorem1Case{"P-A-P", 6},
+                      Theorem1Case{"P-P", 1}, Theorem1Case{"P-P", 2},
+                      Theorem1Case{"P-P", 3}, Theorem1Case{"P-T-P", 4},
+                      Theorem1Case{"P-T-P", 8}),
+    [](const ::testing::TestParamInfo<Theorem1Case>& info) {
       std::string name = info.param.path;
       for (char& c : name) {
         if (c == '-') c = '_';
