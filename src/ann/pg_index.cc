@@ -911,13 +911,18 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   std::vector<size_t> occupancy(batch, 0);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
   const bool cancellable = cancel.CanBeCancelled();
-  // Queries run in lockstep groups of kGroup: one task per group, groups
-  // fanned over the pool. Within a group the per-query greedy logic is
-  // byte-identical to the serial path (see SearchGroup), so results do
-  // not depend on the pool size or how the batch splits into groups.
-  // Cancellation is checked once per query as its group forms: a query
-  // either runs to completion or is skipped whole.
+  // Queries run in lockstep groups: one task per group, groups fanned
+  // over the pool. A group holds ceil(batch / pool width) queries, capped
+  // at kGroup, so a small served batch searches one query per worker
+  // instead of one group on one worker, and large batches keep full
+  // groups. Within a group the per-query greedy logic is byte-identical
+  // to the serial path (see SearchGroup), so results do not depend on the
+  // pool size or how the batch splits into groups. Cancellation is
+  // checked once per query as its group forms: a query either runs to
+  // completion or is skipped whole.
   constexpr size_t kGroup = 64;
+  const size_t workers = std::max<size_t>(1, p.num_threads());
+  const size_t group_size = std::min(kGroup, (batch + workers - 1) / workers);
   // Destination-aware grouping: a lockstep group only amortizes work
   // (shared adjacency walks, the x4 shared-row kernel, one prefetch per
   // node instead of one per query) for queries that actually traverse
@@ -961,11 +966,11 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
                        });
     }
   }
-  const size_t num_groups = (batch + kGroup - 1) / kGroup;
+  const size_t num_groups = (batch + group_size - 1) / group_size;
   std::vector<uint64_t> group_interleaved(num_groups, 0);
   ParallelFor(p, num_groups, [&](size_t g) {
-    const size_t begin = g * kGroup;
-    const size_t end = std::min(batch, begin + kGroup);
+    const size_t begin = g * group_size;
+    const size_t end = std::min(batch, begin + group_size);
     GroupSlot slots[kGroup];
     size_t slot_q[kGroup];
     size_t count = 0;

@@ -130,7 +130,9 @@ class PGIndex {
 
   /// Searches every row of `queries` (one query per row, same
   /// dimensionality as the indexed points), fanning groups of queries
-  /// across `pool` (nullptr = ThreadPool::Default()). Within a group
+  /// across `pool` (nullptr = ThreadPool::Default()). A group holds
+  /// ceil(batch / pool width) queries, at most 64, so a batch no wider
+  /// than the pool searches one query per worker. Within a group
   /// the greedy searches run in lockstep over shared arenas; results
   /// are identical to calling Search per row for any pool size and any
   /// batch composition. Per-query stats land in `*stats` (resized to

@@ -35,9 +35,8 @@ std::vector<ExpertScore> DenseExpertModel::FindExperts(
   }
   const std::vector<NodeId> top_papers =
       TopPapersByScore(*dataset_, scores, top_m_);
-  const RankedLists lists =
-      BuildRankedLists(dataset_->graph, dataset_->ids.write, top_papers);
-  return FullScanTopN(lists, n);
+  return RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
+                     ContributionWeighting::kZipf, n);
 }
 
 }  // namespace kpef

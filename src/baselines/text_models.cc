@@ -14,9 +14,8 @@ std::vector<ExpertScore> TfIdfExpertModel::FindExperts(
   const std::vector<float> scores = tfidf_->ScoreAll(query);
   const std::vector<NodeId> top_papers =
       TopPapersByScore(*dataset_, scores, top_m_);
-  const RankedLists lists =
-      BuildRankedLists(dataset_->graph, dataset_->ids.write, top_papers);
-  return FullScanTopN(lists, n);
+  return RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
+                     ContributionWeighting::kZipf, n);
 }
 
 AvgGloveModel::AvgGloveModel(const Dataset* dataset, const Corpus* corpus,

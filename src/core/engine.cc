@@ -219,7 +219,6 @@ EngineInfo ExpertFindingEngine::Info() const {
   info.embedding_dim = embeddings_.cols();
   info.has_index = index_ != nullptr;
   info.quantized_index = index_ != nullptr && index_->quantized();
-  info.use_ta = config_.use_ta;
   info.top_m = config_.top_m;
   info.git_hash = BuildGitHash();
   info.build_type = BuildType();
@@ -267,28 +266,13 @@ std::vector<ExpertScore> ExpertFindingEngine::FindExpertsWithStats(
     const std::string& query_text, size_t n, QueryStats* stats) {
   KPEF_TRACE_SPAN("engine.find_experts");
   Timer query_timer;
-  const std::vector<NodeId> top_papers =
-      RetrievePapers(query_text, config_.top_m, stats);
-  Timer timer;
-  const RankedLists lists =
-      BuildRankedLists(dataset_->graph, dataset_->ids.write, top_papers,
-                       config_.contribution_weighting);
-  TopNStats top_stats;
-  std::vector<ExpertScore> experts =
-      config_.use_ta ? ThresholdTopN(lists, n, &top_stats)
-                     : FullScanTopN(lists, n, &top_stats);
-  // Stats flow from per-call locals into both the caller's QueryStats
-  // and the registry, so the two views agree and concurrent queries
-  // never share a mutable counter.
-  if (stats) {
-    stats->ranking_ms = timer.ElapsedMillis();
-    stats->ranking_entries_accessed = top_stats.entries_accessed;
-    stats->ta_early_terminated = top_stats.early_terminated;
-  }
-  KPEF_COUNTER_ADD(obs::kEngineQueriesTotal, 1);
+  std::vector<QueryStats> batch_stats;
+  std::vector<std::vector<ExpertScore>> experts =
+      FindExpertsBatch({query_text}, n, &batch_stats);
+  if (stats) *stats = batch_stats[0];
   KPEF_HISTOGRAM_OBSERVE(obs::kEngineQueryLatencyMs,
                          query_timer.ElapsedMillis());
-  return experts;
+  return std::move(experts[0]);
 }
 
 std::vector<ExpertScore> ExpertFindingEngine::FindExperts(
@@ -355,8 +339,7 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
         const std::vector<float> v =
             encoder_->Encode(corpus_->EncodeQuery(query_texts[q]));
         std::copy(v.begin(), v.end(), queries.Row(q).begin());
-        // Encoding counts toward retrieval time, matching the serial
-        // path where RetrievePapers times encode + search together.
+        // Encoding counts toward retrieval time, as in RetrievePapers.
         local[q].encode_ms = encode_timer.ElapsedMillis();
         local[q].retrieval_ms = local[q].encode_ms;
         encoded[q] = 1;
@@ -463,15 +446,12 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
         for (const Neighbor& nb : neighbors[q]) {
           top_papers.push_back(papers[nb.id]);
         }
-        const RankedLists lists =
-            BuildRankedLists(dataset_->graph, dataset_->ids.write, top_papers,
-                             config_.contribution_weighting);
         TopNStats top_stats;
-        results[q] = config_.use_ta ? ThresholdTopN(lists, n, &top_stats)
-                                    : FullScanTopN(lists, n, &top_stats);
+        results[q] =
+            RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
+                        config_.contribution_weighting, n, &top_stats);
         local[q].ranking_ms = ranking_timer.ElapsedMillis();
         local[q].ranking_entries_accessed = top_stats.entries_accessed;
-        local[q].ta_early_terminated = top_stats.early_terminated;
         ranked[q] = 1;
       },
       cancel);

@@ -3,7 +3,9 @@
 // Offline (Build): meta-path (k, P)-core communities -> triple sampling ->
 // triplet fine-tuning of the document encoder -> paper embeddings E ->
 // PG-Index. Online (FindExperts): encode query -> top-m papers via
-// PG-Index (or brute force) -> TA-based (or full-scan) top-n experts.
+// PG-Index (or brute force) -> top-n experts by a one-pass full scan
+// (RankExperts). TA (ThresholdTopN) returns the same answer but never
+// stops early at serving m, so it stays off the engine path (DESIGN.md).
 
 #ifndef KPEF_CORE_ENGINE_H_
 #define KPEF_CORE_ENGINE_H_
@@ -70,7 +72,10 @@ struct EngineConfig {
   /// Candidate-pool size of the greedy search (0 = top_m).
   size_t search_ef = 0;
   bool use_pg_index = true;  // Ours-3/4 of Figure 7 when false
-  bool use_ta = true;        // Ours-2/4 of Figure 7 when false
+  /// Unread: the engine always ranks by one-pass full scan. Kept only so
+  /// servebench, which sets it, still builds; delete it with servebench's
+  /// next change.
+  bool use_ta = false;
 
   uint64_t seed = 1234;
   /// Display name in result tables.
@@ -99,7 +104,6 @@ struct EngineInfo {
   /// The index traverses SQ8 codes with fp32 rerank (PGIndexConfig
   /// quantize / the loaded artifact's codes).
   bool quantized_index = false;
-  bool use_ta = false;
   size_t top_m = 0;
   /// Build stamp (common/build_info.h): short git hash and build type.
   std::string git_hash;
@@ -127,9 +131,9 @@ struct EngineInfo {
   uint64_t ingest_last_merge_generation = 0;
 };
 
-/// Per-query online statistics. In the batch path both timing fields are
-/// real per-query wall-clock times (the retrieval time comes from the
-/// per-query SearchStats inside SearchBatch), so they are comparable.
+/// Per-query online statistics. Both timing fields are real per-query
+/// wall-clock times (the retrieval time comes from the per-query
+/// SearchStats inside SearchBatch), so they are comparable.
 struct QueryStats {
   double retrieval_ms = 0.0;
   /// Query-encoding share of retrieval_ms (retrieval_ms = encode +
@@ -139,8 +143,8 @@ struct QueryStats {
   /// All retrieval distance evaluations: SQ8 traversal + fp32 rerank on
   /// a quantized index, plain fp32 otherwise — comparable across modes.
   uint64_t distance_computations = 0;
+  /// S(a, p) entries the one-pass ranking summed.
   size_t ranking_entries_accessed = 0;
-  bool ta_early_terminated = false;
   /// True when the batch deadline (or external cancel token) fired
   /// before this query completed; its result list is empty and the
   /// timing fields cover only the phases that ran.
@@ -230,13 +234,16 @@ class ExpertFindingEngine : public RetrievalModel {
   std::vector<ExpertScore> FindExperts(const std::string& query_text,
                                        size_t n) override;
 
-  /// FindExperts with per-phase timing (efficiency benches).
+  /// FindExperts with per-phase timing (efficiency benches): a batch of
+  /// one through FindExpertsBatch on ThreadPool::Default().
   std::vector<ExpertScore> FindExpertsWithStats(const std::string& query_text,
                                                 size_t n, QueryStats* stats);
 
-  /// Answers every query in one call, fanning encoding, retrieval, and
-  /// ranking across the thread pool (nullptr = ThreadPool::Default()).
-  /// result[q] matches FindExperts(query_texts[q], n); per-query stats
+  /// Answers every query in one call: encodes the queries across the pool
+  /// (nullptr = ThreadPool::Default()), retrieves the top-m papers of all
+  /// of them in one PGIndex::SearchBatch (which spreads a small batch one
+  /// query per worker), and ranks each query's papers with RankExperts.
+  /// result[q] does not depend on the batch it rides in; per-query stats
   /// land in `*stats` (resized to the batch).
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,
@@ -245,20 +252,20 @@ class ExpertFindingEngine : public RetrievalModel {
   /// FindExpertsBatch with a per-call deadline and/or cancellation (see
   /// BatchQueryOptions). Queries the deadline overtakes return empty
   /// with QueryStats::deadline_exceeded set; the rest are identical to
-  /// the serial path.
+  /// an unbounded call.
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,
       const BatchQueryOptions& options,
       std::vector<QueryStats>* stats = nullptr);
 
-  /// Top-m semantically similar papers for a query (§IV-B), best first.
+  /// Top-m semantically similar papers for a query (§IV-B), best first —
+  /// the retrieval half of FindExperts, for callers that rank the papers
+  /// themselves (explain, Figure 7's TA variants).
   std::vector<NodeId> RetrievePapers(const std::string& query_text, size_t m,
                                      QueryStats* stats = nullptr);
 
   /// Adjusts the retrieval depth m without rebuilding (Figure 8(c)).
   void set_top_m(size_t m) { config_.top_m = m; }
-  /// Toggles the TA path without rebuilding (Figure 7 variants).
-  void set_use_ta(bool use_ta) { config_.use_ta = use_ta; }
 
   /// Serving-time summary (dimensions, corpus sizes, active retrieval
   /// paths) for health endpoints and startup logs.

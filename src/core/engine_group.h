@@ -7,10 +7,10 @@
 // retrieval scatters PGIndex::SearchBatch across the shards on the
 // shared ThreadPool, and the per-shard neighbor lists are k-way merged
 // by (distance, global row) into the global top-m *before* ranking —
-// the paper's per-paper ranked lists L_1..L_m and the TA threshold then
-// see exactly the retrieval a single engine would have produced, so the
-// sharded top-n is bit-identical to the single-engine path (equivalence
-// contract; proof sketch in DESIGN.md §14).
+// the expert ranking then sees exactly the retrieval a single engine
+// would have produced, so the sharded top-n is bit-identical to the
+// single-engine path (equivalence contract; proof sketch in DESIGN.md
+// §14).
 //
 // Hot swap: each artifact load produces an immutable Generation behind
 // a std::shared_ptr<const Generation>. Queries snapshot the pointer for
@@ -38,7 +38,7 @@ class EngineGroup {
  public:
   struct Options {
     /// Serving configuration applied to every generation (retrieval
-    /// depth, rerank factor, TA toggle, ...). use_pg_index selects
+    /// depth, rerank factor, ...). use_pg_index selects
     /// per-shard PG-Indexes vs per-shard brute-force scans.
     EngineConfig engine;
     /// Corpus partitions (>= 1). One shard serves straight through the

@@ -7,13 +7,15 @@
 
 namespace kpef {
 
+double HarmonicNumber(size_t n) {
+  double harmonic = 0.0;
+  for (size_t i = 1; i <= n; ++i) harmonic += 1.0 / static_cast<double>(i);
+  return harmonic;
+}
+
 double ZipfContribution(size_t author_rank, size_t num_authors) {
   KPEF_CHECK(author_rank >= 1 && author_rank <= num_authors);
-  double harmonic = 0.0;
-  for (size_t i = 1; i <= num_authors; ++i) {
-    harmonic += 1.0 / static_cast<double>(i);
-  }
-  return 1.0 / (static_cast<double>(author_rank) * harmonic);
+  return 1.0 / (static_cast<double>(author_rank) * HarmonicNumber(num_authors));
 }
 
 RankedLists BuildRankedLists(const HeteroGraph& graph, EdgeTypeId write_type,
@@ -24,27 +26,12 @@ RankedLists BuildRankedLists(const HeteroGraph& graph, EdgeTypeId write_type,
   result.lists.resize(top_papers.size());
   std::unordered_set<NodeId> candidates;
   for (size_t j = 0; j < top_papers.size(); ++j) {
-    const NodeId paper = top_papers[j];
-    // Segments (base + ingest delta) concatenated are the author list in
-    // insertion (author-rank) order — Eq. 5's rank still holds for
-    // papers whose edges arrived via streaming ingestion.
-    const auto segments = graph.NeighborSegments(paper, write_type);
-    const size_t num_authors = segments.size();
     auto& list = result.lists[j];
-    list.reserve(num_authors);
-    const double inv_paper_rank = 1.0 / static_cast<double>(j + 1);
-    for (size_t rank = 1; rank <= num_authors; ++rank) {
-      const size_t slot = rank - 1;
-      const NodeId author = slot < segments.base.size()
-                                ? segments.base[slot]
-                                : segments.delta[slot - segments.base.size()];
-      // S(a, p) = w(a, p) / I(p)  (Eq. 4).
-      const double w = weighting == ContributionWeighting::kZipf
-                           ? ZipfContribution(rank, num_authors)
-                           : 1.0 / static_cast<double>(num_authors);
-      list.push_back({author, inv_paper_rank * w});
-      candidates.insert(author);
-    }
+    ForEachContribution(graph, write_type, top_papers[j], j, weighting,
+                        [&](NodeId author, double score) {
+                          list.push_back({author, score});
+                          candidates.insert(author);
+                        });
     std::sort(list.begin(), list.end(),
               [](const ExpertScore& a, const ExpertScore& b) {
                 if (a.score != b.score) return a.score > b.score;

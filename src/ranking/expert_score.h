@@ -23,6 +23,9 @@ struct ExpertScore {
   double score = 0.0;
 };
 
+/// Harmonic number H(n) = 1 + 1/2 + ... + 1/n, summed in that order.
+double HarmonicNumber(size_t n);
+
 /// Zipf contribution weight w(a, p) (Eq. 5) for the author at 1-based
 /// `author_rank` among `num_authors` authors: 1 / (rank * H(num_authors)).
 double ZipfContribution(size_t author_rank, size_t num_authors);
@@ -35,6 +38,34 @@ enum class ContributionWeighting {
   /// Ounis [37] that the paper uses as its point of comparison.
   kUniform,
 };
+
+/// Calls visit(author, S(a, p)) for every author of `paper`, retrieved at
+/// 0-based position `j` (I(p) = j + 1), in author-rank order:
+/// S(a, p) = w(a, p) / I(p) (Eq. 4). Authors are read from the graph's
+/// Write adjacency; its segments (base + ingest delta) concatenated are
+/// the author list in insertion (author-rank) order, so Eq. 5's rank
+/// also holds for papers that arrived via streaming ingestion. Every
+/// ranking path scores through here, so their per-entry values are
+/// bit-identical.
+template <typename Visit>
+void ForEachContribution(const HeteroGraph& graph, EdgeTypeId write_type,
+                         NodeId paper, size_t j,
+                         ContributionWeighting weighting, Visit&& visit) {
+  const auto segments = graph.NeighborSegments(paper, write_type);
+  const size_t num_authors = segments.size();
+  const bool zipf = weighting == ContributionWeighting::kZipf;
+  const double harmonic = zipf ? HarmonicNumber(num_authors) : 0.0;
+  const double inv_paper_rank = 1.0 / static_cast<double>(j + 1);
+  for (size_t slot = 0; slot < num_authors; ++slot) {
+    const NodeId author = slot < segments.base.size()
+                              ? segments.base[slot]
+                              : segments.delta[slot - segments.base.size()];
+    const double w =
+        zipf ? 1.0 / (static_cast<double>(slot + 1) * harmonic)
+             : 1.0 / static_cast<double>(num_authors);
+    visit(author, inv_paper_rank * w);
+  }
+}
 
 /// The m ranked lists L_1..L_m of Figure 6, one per retrieved paper
 /// (papers ordered by retrieval rank I(p) = j+1).

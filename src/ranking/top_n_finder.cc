@@ -18,6 +18,48 @@ bool BetterExpert(const ExpertScore& a, const ExpertScore& b) {
 
 }  // namespace
 
+std::vector<ExpertScore> RankExperts(const HeteroGraph& graph,
+                                     EdgeTypeId write_type,
+                                     const std::vector<NodeId>& top_papers,
+                                     ContributionWeighting weighting, size_t n,
+                                     TopNStats* stats) {
+  KPEF_TRACE_SPAN("ranking.rank_experts");
+  // Per-thread accumulator indexed by node id, all zero between calls:
+  // one double per graph node, like the graph's own per-node arrays.
+  // S(a, p) > 0, so a zero total marks an author not seen yet.
+  thread_local std::vector<double> totals;
+  thread_local std::vector<NodeId> touched;
+  if (totals.size() < graph.NumNodes()) totals.resize(graph.NumNodes(), 0.0);
+  touched.clear();
+  TopNStats local;
+  for (size_t j = 0; j < top_papers.size(); ++j) {
+    ForEachContribution(graph, write_type, top_papers[j], j, weighting,
+                        [&](NodeId author, double score) {
+                          double& total = totals[author];
+                          if (total == 0.0) touched.push_back(author);
+                          total += score;
+                          ++local.entries_accessed;
+                        });
+    ++local.rounds;
+  }
+  local.experts_touched = touched.size();
+  std::vector<ExpertScore> top;
+  top.reserve(touched.size());
+  for (const NodeId author : touched) {
+    top.push_back({author, totals[author]});
+    totals[author] = 0.0;
+  }
+  const size_t count = std::min(n, top.size());
+  std::partial_sort(top.begin(), top.begin() + count, top.end(),
+                    BetterExpert);
+  top.resize(count);
+  KPEF_COUNTER_ADD(obs::kRankingFullScansTotal, 1);
+  KPEF_COUNTER_ADD(obs::kRankingFullScanEntriesAccessed,
+                   local.entries_accessed);
+  if (stats) *stats = local;
+  return top;
+}
+
 std::vector<ExpertScore> FullScanTopN(const RankedLists& lists, size_t n,
                                       TopNStats* stats) {
   KPEF_TRACE_SPAN("ranking.full_scan");
@@ -53,24 +95,32 @@ std::vector<ExpertScore> ThresholdTopN(const RankedLists& lists, size_t n,
     return {};
   }
 
-  // Dense per-author state, indexed on first sight.
-  std::unordered_map<NodeId, int32_t> author_index;
-  std::vector<NodeId> authors;             // dense id -> author
-  std::vector<double> lower;               // exact partial sum
-  std::vector<double> cur_sum_found;       // sum of cur[j] over found lists
-  // Flat (list, author) log of sorted accesses, for threshold updates.
-  std::vector<std::pair<int32_t, int32_t>> access_log;
-  access_log.reserve(4 * m);
-
-  // Per-list sorted-access state. cur[j] bounds unseen entries of list j.
+  // Per-list sorted-access state. cur[j] bounds unseen entries of list j;
+  // entry d of list j has flat slot offset[j] + d.
   std::vector<double> cur(m, 0.0);
+  std::vector<size_t> offset(m + 1, 0);
   double tau = 0.0;  // upper bound on a completely unseen author
   size_t max_depth = 0;
   for (size_t j = 0; j < m; ++j) {
-    cur[j] = lists.lists[j].empty() ? 0.0 : lists.lists[j][0].score;
+    const auto& list = lists.lists[j];
+    cur[j] = list.empty() ? 0.0 : list[0].score;
     tau += cur[j];
-    max_depth = std::max(max_depth, lists.lists[j].size());
+    offset[j + 1] = offset[j] + list.size();
+    max_depth = std::max(max_depth, list.size());
   }
+  // Bounds and scores are float sums of at most m non-negative terms, none
+  // above the initial tau, so rounding moves each by far less than this
+  // slack. Stopping only once the n-th lower bound clears every upper
+  // bound by more than it makes the proven top-n exact, exact ties
+  // included (they never stop early).
+  const double slack = 1e-9 * tau;
+
+  // Dense per-author state, indexed on first sight.
+  std::unordered_map<NodeId, int32_t> author_index;
+  std::vector<NodeId> authors;             // dense id -> author
+  std::vector<double> lower;               // partial sum (depth order)
+  std::vector<double> cur_sum_found;       // sum of cur[j] over found lists
+  std::vector<int32_t> seen(offset[m], -1);  // slot -> dense id once read
 
   auto intern = [&](NodeId author) {
     auto [it, inserted] =
@@ -84,9 +134,9 @@ std::vector<ExpertScore> ThresholdTopN(const RankedLists& lists, size_t n,
   };
 
   std::vector<std::pair<double, int32_t>> ranked;  // reused scratch
-  bool exhausted_all = true;
+  bool proved = false;
   size_t depth = 0;
-  for (; depth < max_depth; ++depth) {
+  while (depth < max_depth && !proved) {
     // One round of sorted access across all lists still holding entries.
     for (size_t j = 0; j < m; ++j) {
       const auto& list = lists.lists[j];
@@ -95,32 +145,35 @@ std::vector<ExpertScore> ThresholdTopN(const RankedLists& lists, size_t n,
       ++local.entries_accessed;
       const int32_t a = intern(entry.author);
       lower[a] += entry.score;
-      access_log.push_back({static_cast<int32_t>(j), a});
+      seen[offset[j] + depth] = a;
     }
-    // Refresh per-list thresholds.
+    ++depth;
+    ++local.rounds;
+    // Refresh per-list thresholds; tau is re-summed, not updated, so its
+    // rounding stays that of one m-term sum.
+    tau = 0.0;
     for (size_t j = 0; j < m; ++j) {
       const auto& list = lists.lists[j];
-      const double next =
-          depth + 1 < list.size() ? list[depth + 1].score : 0.0;
-      tau += next - cur[j];
-      cur[j] = next;
+      cur[j] = depth < list.size() ? list[depth].score : 0.0;
+      tau += cur[j];
     }
-    ++local.rounds;
 
-    // Termination check (LB >= UB). Skipped until enough experts exist.
+    // Termination check (LB > UB). Skipped until enough experts exist.
     const size_t c = authors.size();
     if (c < n && c < lists.num_candidates) continue;
-    // cur_sum_found[a] = sum of cur[j] over the lists a was found in;
-    // recomputed from the flat access log (lists are short, so the log
-    // stays proportional to the entries read).
+    // cur_sum_found[a] = sum of cur[j] over the lists a was found in.
     std::fill(cur_sum_found.begin(), cur_sum_found.end(), 0.0);
-    for (const auto& [j, a] : access_log) cur_sum_found[a] += cur[j];
+    for (size_t j = 0; j < m; ++j) {
+      const size_t read = std::min(depth, lists.lists[j].size());
+      for (size_t d = 0; d < read; ++d) {
+        cur_sum_found[seen[offset[j] + d]] += cur[j];
+      }
+    }
     ranked.clear();
-    ranked.reserve(c);
     for (size_t a = 0; a < c; ++a) {
       ranked.push_back({lower[a], static_cast<int32_t>(a)});
     }
-    const size_t top_count = std::min(n, ranked.size());
+    const size_t top_count = std::min(n, c);
     std::nth_element(ranked.begin(), ranked.begin() + (top_count - 1),
                      ranked.end(), [](const auto& x, const auto& y) {
                        if (x.first != y.first) return x.first > y.first;
@@ -130,55 +183,47 @@ std::vector<ExpertScore> ThresholdTopN(const RankedLists& lists, size_t n,
     // UB over everyone outside the current top-n: visited others via
     // their tight bounds, unseen authors via tau.
     double ub = c < lists.num_candidates ? tau : 0.0;
-    for (size_t i = top_count; i < ranked.size(); ++i) {
+    for (size_t i = top_count; i < c; ++i) {
       const int32_t a = ranked[i].second;
       ub = std::max(ub, lower[a] + (tau - cur_sum_found[a]));
     }
-    if (lb >= ub) {
-      local.early_terminated = depth + 1 < max_depth;
-      exhausted_all = depth + 1 >= max_depth;
-      ++depth;
-      break;
+    if (lb > ub + slack) {
+      proved = true;
+      ranked.resize(top_count);
     }
   }
-  if (depth >= max_depth) exhausted_all = true;
+  local.early_terminated = proved && depth < max_depth;
   local.experts_touched = authors.size();
 
-  // Select the top-n by lower bound (exact when every list was drained).
-  ranked.clear();
-  for (size_t a = 0; a < authors.size(); ++a) {
-    ranked.push_back({lower[a], static_cast<int32_t>(a)});
+  // Exact scores of the candidates, summed per author in paper-rank order
+  // as FullScanTopN does. Candidates are the proven top-n, or everyone
+  // when the lists ran dry first. Entries sorted access skipped are
+  // resolved by author lookup (TA's random access).
+  std::vector<char> candidate(authors.size(), proved ? 0 : 1);
+  if (proved) {
+    for (const auto& [bound, a] : ranked) candidate[a] = 1;
   }
-  std::sort(ranked.begin(), ranked.end(), [&](const auto& x, const auto& y) {
-    if (x.first != y.first) return x.first > y.first;
-    return authors[x.second] < authors[y.second];
-  });
-  const size_t top_count = std::min(n, ranked.size());
-
-  std::vector<ExpertScore> result;
-  result.reserve(top_count);
-  if (exhausted_all) {
-    // Lower bounds are the exact scores.
-    for (size_t i = 0; i < top_count; ++i) {
-      result.push_back({authors[ranked[i].second], ranked[i].first});
-    }
-  } else {
-    // Resolve exact scores of the chosen experts with one filtered pass
-    // (sorted access already proved nobody else can enter the top-n).
-    std::unordered_map<NodeId, double> exact;
-    exact.reserve(top_count * 2);
-    for (size_t i = 0; i < top_count; ++i) {
-      exact[authors[ranked[i].second]] = 0.0;
-    }
-    for (const auto& list : lists.lists) {
-      for (const ExpertScore& entry : list) {
-        auto it = exact.find(entry.author);
-        if (it != exact.end()) it->second += entry.score;
+  std::vector<double> exact(authors.size(), 0.0);
+  for (size_t j = 0; j < m; ++j) {
+    const auto& list = lists.lists[j];
+    for (size_t d = 0; d < list.size(); ++d) {
+      int32_t a = seen[offset[j] + d];
+      if (a < 0) {
+        const auto it = author_index.find(list[d].author);
+        if (it == author_index.end()) continue;
+        a = it->second;
       }
+      if (candidate[a]) exact[a] += list[d].score;
     }
-    for (const auto& [author, score] : exact) result.push_back({author, score});
-    std::sort(result.begin(), result.end(), BetterExpert);
   }
+  std::vector<ExpertScore> result;
+  for (size_t a = 0; a < authors.size(); ++a) {
+    if (candidate[a]) result.push_back({authors[a], exact[a]});
+  }
+  const size_t count = std::min(n, result.size());
+  std::partial_sort(result.begin(), result.begin() + count, result.end(),
+                    BetterExpert);
+  result.resize(count);
   KPEF_COUNTER_ADD(obs::kTaQueriesTotal, 1);
   KPEF_COUNTER_ADD(obs::kTaEntriesAccessed, local.entries_accessed);
   if (local.early_terminated) {

@@ -100,9 +100,9 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
 
   // One engine call for the whole batch. top_n is the max over the
   // batch, clamped to max_top_n so one oversized request cannot inflate
-  // TA work for every rider; per-request lists are truncated afterwards
-  // (TA ranking is exact, so the top-n' of a top-n list with n' <= n is
-  // the same list). Deadlines propagate per slot: the engine skips a
+  // ranking work for every rider; per-request lists are truncated
+  // afterwards (ranking is exact, so the top-n' of a top-n list with
+  // n' <= n is the same list). Deadlines propagate per slot: the engine skips a
   // query at its next phase boundary once that query's own budget
   // expires, and the whole call is additionally bounded by the LATEST
   // live deadline when every request carries one.

@@ -46,7 +46,7 @@ struct BatcherConfig {
   size_t max_pending = 256;
   /// Hard cap on any request's top_n (0 = uncapped). The engine runs a
   /// coalesced batch at the max n over its requests, so without a cap
-  /// one n=1000 request inflates TA work for every rider; clamped
+  /// one n=1000 request inflates ranking work for every rider; clamped
   /// requests are counted in serve.top_n_clamped and answered with
   /// max_top_n results.
   size_t max_top_n = 400;

@@ -504,8 +504,6 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
     body.append(std::to_string(result.stats.distance_computations));
     body.append(",\"ranking_entries_accessed\":");
     body.append(std::to_string(result.stats.ranking_entries_accessed));
-    body.append(",\"ta_early_terminated\":");
-    body.append(result.stats.ta_early_terminated ? "true" : "false");
     body.append(",\"deadline_exceeded\":");
     body.append(result.deadline_exceeded ? "true" : "false");
     body.append("},\"batch_size\":");

@@ -15,6 +15,7 @@
 #include "eval/evaluation.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
+#include "ranking/top_n_finder.h"
 #include "text/tfidf.h"
 
 namespace kpef {
@@ -127,8 +128,6 @@ TEST_F(EngineTest, FindExpertsBatchMatchesSerial) {
               single_stats.distance_computations);
     EXPECT_EQ(batch_stats[q].ranking_entries_accessed,
               single_stats.ranking_entries_accessed);
-    EXPECT_EQ(batch_stats[q].ta_early_terminated,
-              single_stats.ta_early_terminated);
   }
 }
 
@@ -280,20 +279,22 @@ TEST_F(EngineTest, SelfQueryRetrievesOwnPaper) {
             papers.end());
 }
 
+// The engine ranks by one-pass full scan; TA over the ranked lists of
+// the same retrieved papers must give the same answer bit for bit.
 TEST_F(EngineTest, TaAndFullScanAgree) {
   Shared& s = shared();
-  EngineConfig config = Shared::SmallConfig();
-  config.use_ta = false;
-  EngineBuildReport report;
-  auto no_ta = ExpertFindingEngine::Build(&s.dataset, &s.corpus, config,
-                                          &s.tokens, &report);
-  ASSERT_TRUE(no_ta.ok());
+  const EngineConfig& config = s.engine->config();
   for (const Query& q : s.queries.queries) {
-    const auto a = s.engine->FindExperts(q.text, 8);
-    const auto b = (*no_ta)->FindExperts(q.text, 8);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i].score, b[i].score, 1e-9);
+    const auto served = s.engine->FindExperts(q.text, 8);
+    const RankedLists lists = BuildRankedLists(
+        s.dataset.graph, s.dataset.ids.write,
+        s.engine->RetrievePapers(q.text, config.top_m),
+        config.contribution_weighting);
+    const auto ta = ThresholdTopN(lists, 8);
+    ASSERT_EQ(served.size(), ta.size());
+    for (size_t i = 0; i < ta.size(); ++i) {
+      EXPECT_EQ(served[i].author, ta[i].author) << "rank " << i;
+      EXPECT_EQ(served[i].score, ta[i].score) << "rank " << i;
     }
   }
 }
@@ -374,8 +375,8 @@ TEST_F(EngineTest, PipelineMetricsPopulatedAfterBuildAndQuery) {
   EXPECT_GT(snapshot.counters.at(obs::kPgindexBuildsTotal), 0u);
   EXPECT_GT(snapshot.counters.at(obs::kPgindexSearchesTotal), 0u);
   EXPECT_GT(snapshot.counters.at(obs::kPgindexDistanceComputations), 0u);
-  EXPECT_GT(snapshot.counters.at(obs::kTaQueriesTotal), 0u);
-  EXPECT_GT(snapshot.counters.at(obs::kTaEntriesAccessed), 0u);
+  EXPECT_GT(snapshot.counters.at(obs::kRankingFullScansTotal), 0u);
+  EXPECT_GT(snapshot.counters.at(obs::kRankingFullScanEntriesAccessed), 0u);
   EXPECT_GT(snapshot.counters.at(obs::kEngineBuildsTotal), 0u);
   EXPECT_GT(snapshot.counters.at(obs::kEngineQueriesTotal), 0u);
   EXPECT_GT(snapshot.histograms.at(obs::kPgindexSearchHops).total_count, 0u);
@@ -406,11 +407,10 @@ TEST_F(EngineTest, RegistryDeltasMatchQueryStats) {
   EXPECT_EQ(delta(obs::kPgindexDistanceComputations) +
                 delta(obs::kPgindexSq8DistanceComputations),
             stats.distance_computations);
-  EXPECT_EQ(delta(obs::kTaEntriesAccessed), stats.ranking_entries_accessed);
-  EXPECT_EQ(delta(obs::kTaQueriesTotal), 1u);
+  EXPECT_EQ(delta(obs::kRankingFullScanEntriesAccessed),
+            stats.ranking_entries_accessed);
+  EXPECT_EQ(delta(obs::kRankingFullScansTotal), 1u);
   EXPECT_EQ(delta(obs::kEngineQueriesTotal), 1u);
-  EXPECT_EQ(delta(obs::kTaEarlyTerminationTotal),
-            stats.ta_early_terminated ? 1u : 0u);
 }
 
 TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
@@ -420,7 +420,7 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
       registry.GetCounter(obs::kPgindexDistanceComputations).Value() +
       registry.GetCounter(obs::kPgindexSq8DistanceComputations).Value();
   const uint64_t entries_before =
-      registry.GetCounter(obs::kTaEntriesAccessed).Value();
+      registry.GetCounter(obs::kRankingFullScanEntriesAccessed).Value();
   constexpr size_t kRounds = 4;
   const size_t num_queries = s.queries.queries.size() * kRounds;
   std::vector<QueryStats> stats(num_queries);
@@ -446,9 +446,9 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
           registry.GetCounter(obs::kPgindexSq8DistanceComputations).Value() -
           dist_before,
       dist_sum);
-  EXPECT_EQ(
-      registry.GetCounter(obs::kTaEntriesAccessed).Value() - entries_before,
-      entries_sum);
+  EXPECT_EQ(registry.GetCounter(obs::kRankingFullScanEntriesAccessed).Value() -
+                entries_before,
+            entries_sum);
 }
 #endif  // KPEF_METRICS_DISABLED
 

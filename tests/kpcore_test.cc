@@ -213,20 +213,15 @@ struct TheoremCase {
   int32_t k;
 };
 
-// Same sweep point, printed by value. gtest's default printer dumps the
-// struct's raw bytes, `path` pointer included, and ASLR moves that pointer on
-// every run, so the ctest name discovered for each case changed from build to
-// build.
-struct Theorem1Case {
-  const char* path;
-  int32_t k;
-};
-
-void PrintTo(const Theorem1Case& c, std::ostream* os) {
+// Print sweep points by value. gtest's default printer dumps the struct's
+// raw bytes, `path` pointer included, and ASLR moves that pointer on every
+// run, so the ctest name discovered for each case would change from build
+// to build.
+void PrintTo(const TheoremCase& c, std::ostream* os) {
   *os << c.path << " k=" << c.k;
 }
 
-class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {
+class Theorem1Test : public ::testing::TestWithParam<TheoremCase> {
  protected:
   static const Dataset& dataset() {
     static const Dataset* d = new Dataset(GenerateDataset(TinyProfile()));
@@ -236,7 +231,7 @@ class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {
 
 TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
   const Dataset& data = dataset();
-  const Theorem1Case param = GetParam();
+  const TheoremCase param = GetParam();
   auto path = MetaPath::Parse(data.graph.schema(), param.path);
   ASSERT_TRUE(path.ok());
   const HomogeneousProjection projection =
@@ -257,12 +252,12 @@ TEST_P(Theorem1Test, AllThreeAlgorithmsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     SweepsPathsAndK, Theorem1Test,
-    ::testing::Values(Theorem1Case{"P-A-P", 2}, Theorem1Case{"P-A-P", 3},
-                      Theorem1Case{"P-A-P", 4}, Theorem1Case{"P-A-P", 6},
-                      Theorem1Case{"P-P", 1}, Theorem1Case{"P-P", 2},
-                      Theorem1Case{"P-P", 3}, Theorem1Case{"P-T-P", 4},
-                      Theorem1Case{"P-T-P", 8}),
-    [](const ::testing::TestParamInfo<Theorem1Case>& info) {
+    ::testing::Values(TheoremCase{"P-A-P", 2}, TheoremCase{"P-A-P", 3},
+                      TheoremCase{"P-A-P", 4}, TheoremCase{"P-A-P", 6},
+                      TheoremCase{"P-P", 1}, TheoremCase{"P-P", 2},
+                      TheoremCase{"P-P", 3}, TheoremCase{"P-T-P", 4},
+                      TheoremCase{"P-T-P", 8}),
+    [](const ::testing::TestParamInfo<TheoremCase>& info) {
       std::string name = info.param.path;
       for (char& c : name) {
         if (c == '-') c = '_';

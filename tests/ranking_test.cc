@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "data/dataset.h"
+#include "graph/schema.h"
 #include "ranking/expert_score.h"
 #include "ranking/top_n_finder.h"
 #include "test_graphs.h"
@@ -126,7 +127,7 @@ TEST_P(ThresholdAlgorithmTest, MatchesFullScan) {
   ASSERT_EQ(full.size(), ta.size());
   for (size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(full[i].author, ta[i].author) << "rank " << i;
-    EXPECT_NEAR(full[i].score, ta[i].score, 1e-9);
+    EXPECT_EQ(full[i].score, ta[i].score) << "rank " << i;
   }
 }
 
@@ -186,6 +187,91 @@ TEST(ThresholdAlgorithmDetailTest, StatsAccounting) {
   EXPECT_EQ(full_stats.entries_accessed, total_entries);
   EXPECT_LE(ta_stats.entries_accessed, total_entries);
   EXPECT_GT(ta_stats.rounds, 0u);
+}
+
+// Random authorship: each paper has 1-4 distinct authors drawn with
+// Zipf-skewed popularity from a pool of `num_authors`, so prolific
+// authors recur across papers (and can let TA stop early).
+struct RandomAuthorship {
+  AcademicSchema ids;
+  HeteroGraph graph;
+  std::vector<NodeId> papers;
+};
+
+RandomAuthorship MakeRandomAuthorship(size_t num_papers, size_t num_authors,
+                                      Rng& rng) {
+  RandomAuthorship g;
+  g.ids = AcademicSchema::Make();
+  HeteroGraphBuilder builder(g.ids.schema);
+  std::vector<NodeId> authors;
+  for (size_t a = 0; a < num_authors; ++a) {
+    authors.push_back(builder.AddNode(g.ids.author));
+  }
+  for (size_t p = 0; p < num_papers; ++p) {
+    const NodeId paper = builder.AddNode(g.ids.paper);
+    g.papers.push_back(paper);
+    const size_t count = 1 + rng.Uniform(4);
+    std::set<NodeId> used;
+    for (size_t i = 0; i < count; ++i) {
+      const NodeId author = authors[rng.Zipf(num_authors, 1.2) - 1];
+      if (!used.insert(author).second) continue;
+      if (!builder.AddEdge(g.ids.write, author, paper).ok()) std::abort();
+    }
+  }
+  g.graph = std::move(builder).Build();
+  return g;
+}
+
+void ExpectSameAnswer(const std::vector<ExpertScore>& expected,
+                      const std::vector<ExpertScore>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].author, actual[i].author) << "rank " << i;
+    EXPECT_EQ(expected[i].score, actual[i].score) << "rank " << i;
+  }
+}
+
+// TA, the list full scan and the one-pass RankExperts sum each author's
+// contributions in paper-rank order and break ties by author id, so they
+// agree bit for bit — including uniform weighting, whose equal-share
+// co-authors tie exactly, and instances where TA stops early.
+TEST(RankingEquivalenceTest, ThresholdFullScanAndOnePassAgreeBitForBit) {
+  size_t early_stops = 0, ties = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    const RandomAuthorship g =
+        MakeRandomAuthorship(80, 2 + rng.Uniform(60), rng);
+    // A random retrieval: some of the papers, in random rank order.
+    std::vector<NodeId> top = g.papers;
+    rng.Shuffle(top);
+    top.resize(1 + rng.Uniform(top.size()));
+    for (const ContributionWeighting weighting :
+         {ContributionWeighting::kZipf, ContributionWeighting::kUniform}) {
+      const RankedLists lists =
+          BuildRankedLists(g.graph, g.ids.write, top, weighting);
+      for (const size_t n : {1u, 2u, 5u, 10u, 1000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << seed << " n=" << n << " uniform="
+                     << (weighting == ContributionWeighting::kUniform));
+        TopNStats full_stats, ta_stats, one_stats;
+        const auto full = FullScanTopN(lists, n, &full_stats);
+        ExpectSameAnswer(full, ThresholdTopN(lists, n, &ta_stats));
+        ExpectSameAnswer(full, RankExperts(g.graph, g.ids.write, top,
+                                           weighting, n, &one_stats));
+        EXPECT_EQ(one_stats.entries_accessed, full_stats.entries_accessed);
+        EXPECT_EQ(one_stats.experts_touched, full_stats.experts_touched);
+        EXPECT_EQ(one_stats.rounds, full_stats.rounds);
+        EXPECT_LE(ta_stats.entries_accessed, full_stats.entries_accessed);
+        early_stops += ta_stats.early_terminated;
+        for (size_t i = 1; i < full.size(); ++i) {
+          ties += full[i].score == full[i - 1].score;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both the early-stop boundary and exact ties.
+  EXPECT_GT(early_stops, 0u);
+  EXPECT_GT(ties, 0u);
 }
 
 TEST(ExpertRankingIntegrationTest, AggregatesAcrossPapers) {

@@ -276,9 +276,12 @@ TEST_F(Sq8IndexTest, BatchMatchesSerialForAnyPoolAndComposition) {
   // The batched lockstep search must return byte-identical results to
   // per-query Search, for every thread count and every way the batch
   // splits into groups — including stats, so timing attribution aside
-  // the two paths are observably the same traversal.
+  // the two paths are observably the same traversal. Groups hold
+  // ceil(batch / pool width) queries, so the pool widths and batch
+  // prefixes below cover group sizes from 1 (a batch no wider than the
+  // pool) up to the whole batch (one worker), with partial last groups.
   Rng rng(31);
-  constexpr size_t kBatch = 21;  // odd size: last group is partial
+  constexpr size_t kBatch = 21;
   Matrix queries(kBatch, kDim);
   for (size_t q = 0; q < kBatch; ++q) {
     for (float& v : queries.Row(q)) v = static_cast<float>(rng.Normal(0, 4));
@@ -289,44 +292,34 @@ TEST_F(Sq8IndexTest, BatchMatchesSerialForAnyPoolAndComposition) {
   for (size_t q = 0; q < kBatch; ++q) {
     serial[q] = index_->Search(queries.Row(q), m, ef, &serial_stats[q]);
   }
-  for (size_t threads : {1u, 2u, 8u}) {
+  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     ThreadPool pool(threads);
-    std::vector<PGIndex::SearchStats> stats;
-    const auto batched =
-        index_->SearchBatch(queries, m, ef, &stats, &pool);
-    ASSERT_EQ(batched.size(), kBatch);
-    for (size_t q = 0; q < kBatch; ++q) {
-      ASSERT_EQ(batched[q].size(), serial[q].size()) << "q=" << q;
-      for (size_t i = 0; i < serial[q].size(); ++i) {
-        EXPECT_EQ(batched[q][i].id, serial[q][i].id) << "q=" << q;
-        EXPECT_EQ(batched[q][i].distance, serial[q][i].distance) << "q=" << q;
+    for (size_t prefix : {1u, 2u, 3u, 4u, 5u, 8u, 13u, 21u}) {
+      Matrix sub(prefix, kDim);
+      for (size_t q = 0; q < prefix; ++q) {
+        const auto src = queries.Row(q);
+        std::copy(src.begin(), src.end(), sub.Row(q).begin());
       }
-      EXPECT_EQ(stats[q].hops, serial_stats[q].hops) << "q=" << q;
-      EXPECT_EQ(stats[q].sq8_distance_computations,
-                serial_stats[q].sq8_distance_computations)
-          << "q=" << q;
-      EXPECT_EQ(stats[q].distance_computations,
-                serial_stats[q].distance_computations)
-          << "q=" << q;
-      EXPECT_EQ(stats[q].rerank_candidates, serial_stats[q].rerank_candidates)
-          << "q=" << q;
-    }
-  }
-  // Different batch compositions: prefixes end mid-group, so queries
-  // land in different slots/groups than in the full batch.
-  for (size_t prefix : {1u, 3u, 8u, 13u}) {
-    Matrix sub(prefix, kDim);
-    for (size_t q = 0; q < prefix; ++q) {
-      const auto src = queries.Row(q);
-      std::copy(src.begin(), src.end(), sub.Row(q).begin());
-    }
-    ThreadPool pool(2);
-    const auto batched = index_->SearchBatch(sub, m, ef, nullptr, &pool);
-    for (size_t q = 0; q < prefix; ++q) {
-      ASSERT_EQ(batched[q].size(), serial[q].size());
-      for (size_t i = 0; i < serial[q].size(); ++i) {
-        EXPECT_EQ(batched[q][i].id, serial[q][i].id);
-        EXPECT_EQ(batched[q][i].distance, serial[q][i].distance);
+      std::vector<PGIndex::SearchStats> stats;
+      const auto batched = index_->SearchBatch(sub, m, ef, &stats, &pool);
+      ASSERT_EQ(batched.size(), prefix);
+      ASSERT_EQ(stats.size(), prefix);
+      for (size_t q = 0; q < prefix; ++q) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " prefix=" << prefix
+                                          << " q=" << q);
+        ASSERT_EQ(batched[q].size(), serial[q].size());
+        for (size_t i = 0; i < serial[q].size(); ++i) {
+          EXPECT_EQ(batched[q][i].id, serial[q][i].id);
+          EXPECT_EQ(batched[q][i].distance, serial[q][i].distance);
+        }
+        EXPECT_EQ(stats[q].hops, serial_stats[q].hops);
+        EXPECT_EQ(stats[q].sq8_distance_computations,
+                  serial_stats[q].sq8_distance_computations);
+        EXPECT_EQ(stats[q].distance_computations,
+                  serial_stats[q].distance_computations);
+        EXPECT_EQ(stats[q].rerank_candidates,
+                  serial_stats[q].rerank_candidates);
       }
     }
   }
