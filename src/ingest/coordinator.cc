@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "metapath/projection.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
 
@@ -114,21 +113,6 @@ Status IngestCoordinator::InitStaging(EngineGroup* group) {
   fill(dataset_->ids.author, author_by_label_);
   fill(dataset_->ids.venue, venue_by_label_);
   fill(dataset_->ids.topic, topic_by_label_);
-
-  for (const std::string& text : config_.meta_paths) {
-    KPEF_ASSIGN_OR_RETURN(MetaPath path,
-                          MetaPath::Parse(graph.schema(), text));
-    if (!path.IsSymmetricEndpoints() ||
-        path.SourceType() != dataset_->ids.paper) {
-      return Status::InvalidArgument("meta-path " + text +
-                                     " must connect papers");
-    }
-    HomogeneousProjection projection = ProjectHomogeneous(graph, path);
-    CoreMaintenance cores(projection);
-    paths_.push_back(PathState{std::move(path),
-                               DeltaProjection(std::move(projection)),
-                               std::move(cores)});
-  }
   return Status::OK();
 }
 
@@ -174,8 +158,7 @@ StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
   KPEF_COUNTER_ADD(obs::kIngestDuplicates, result.duplicates);
   KPEF_COUNTER_ADD(obs::kIngestBatches, 1);
 
-  if (PendingDeltaEdges() > options_.merge_pending_edge_budget ||
-      DeltaBytes() > options_.merge_delta_byte_budget) {
+  if (PendingDeltaEdges() > options_.merge_pending_edge_budget) {
     Timer merge_timer;
     CompactAll();
     result.merged = true;
@@ -292,80 +275,18 @@ StatusOr<bool> IngestCoordinator::ApplyPaper(const IngestPaper& paper,
     KPEF_RETURN_IF_ERROR(graph.AppendEdge(ids.cite, paper_node, it->second));
   }
 
-  // Every new meta-path instance passes through the new paper (old
-  // papers gained no mutual connections), so the projection delta is
-  // exactly the new paper's P-neighbor row.
-  for (PathState& state : paths_) {
-    state.projection.AddNode(paper_node);
-    state.cores.OnNodeAdded();
-    for (const int32_t nbr : PathNeighbors(state.path, paper_node)) {
-      KPEF_ASSIGN_OR_RETURN(
-          const bool inserted,
-          state.projection.AddEdge(static_cast<int32_t>(paper_local), nbr));
-      if (inserted) {
-        state.cores.OnEdgeInserted(state.projection,
-                                   static_cast<int32_t>(paper_local), nbr);
-      }
-    }
-  }
   return true;
-}
-
-std::vector<int32_t> IngestCoordinator::PathNeighbors(const MetaPath& path,
-                                                      NodeId paper) const {
-  const HeteroGraph& graph = dataset_->graph;
-  std::vector<NodeId> frontier{paper};
-  std::vector<NodeId> next;
-  std::unordered_set<NodeId> dedup;
-  for (size_t hop = 0; hop < path.NumHops(); ++hop) {
-    next.clear();
-    dedup.clear();
-    const EdgeTypeId edge = path.edge_types()[hop];
-    const NodeTypeId want = path.node_types()[hop + 1];
-    for (const NodeId v : frontier) {
-      const HeteroGraph::NeighborSpans spans = graph.NeighborSegments(v, edge);
-      for (const auto& segment : {spans.base, spans.delta}) {
-        for (const NodeId w : segment) {
-          if (graph.TypeOf(w) != want) continue;
-          if (dedup.insert(w).second) next.push_back(w);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  std::vector<int32_t> result;
-  result.reserve(frontier.size());
-  for (const NodeId w : frontier) {
-    if (w == paper) continue;
-    result.push_back(static_cast<int32_t>(graph.LocalIndex(w)));
-  }
-  std::sort(result.begin(), result.end());
-  return result;
 }
 
 size_t IngestCoordinator::PendingDeltaEdges() const {
   size_t pending = dataset_->graph.PendingDeltaEdges();
   if (index_ != nullptr) pending += index_->PendingDeltaEdges();
-  for (const PathState& state : paths_) {
-    pending += state.projection.PendingDeltaEdges();
-  }
   return pending;
-}
-
-size_t IngestCoordinator::DeltaBytes() const {
-  size_t bytes = 0;
-  for (const PathState& state : paths_) {
-    bytes += state.projection.DeltaBytes();
-  }
-  return bytes;
 }
 
 void IngestCoordinator::CompactAll() {
   dataset_->graph.CompactDeltas();
   if (index_ != nullptr) index_->CompactDelta();
-  for (PathState& state : paths_) {
-    state.projection.Compact();
-  }
 }
 
 StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
@@ -408,15 +329,6 @@ StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
 IngestStats IngestCoordinator::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-StatusOr<std::vector<int32_t>> IngestCoordinator::PathCores(size_t i) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (i >= paths_.size()) {
-    return Status::InvalidArgument("no meta-path at index " +
-                                   std::to_string(i));
-  }
-  return paths_[i].cores.cores();
 }
 
 }  // namespace kpef

@@ -3,22 +3,24 @@
 //
 // The coordinator owns a mutable *staging* copy of the base dataset,
 // corpus, embeddings, and PG-Index. Applying a batch (after its WAL
-// record is durable) appends to every layer in lockstep:
+// record is durable) appends to every layer serving reads, in lockstep:
 //
-//   graph    — AppendNode/AppendEdge delta segments on the HeteroGraph
-//   text     — Corpus::AddDocumentFrozen (vocabulary stays frozen)
-//   embed    — DocumentEncoder::Encode of the new doc -> Matrix row
-//   ann      — PGIndex::InsertBatch local-join insertion (when indexed)
-//   metapath — DeltaProjection edges for every configured meta-path
-//   kpcore   — CoreMaintenance subcore updates per inserted edge
+//   graph — AppendNode/AppendEdge delta segments on the HeteroGraph
+//   text  — Corpus::AddDocumentFrozen (vocabulary stays frozen)
+//   embed — DocumentEncoder::Encode of the new doc -> Matrix row
+//   ann   — PGIndex::InsertBatch local-join insertion (when indexed)
 //
 // and then publishes an immutable Generation (deep copies of the staging
 // dataset/corpus plus an ExpertFindingEngine::FromParts engine) through
 // EngineGroup::PublishExternal — queries never observe the mutable
 // staging state, so concurrent query traffic needs no locks (the RCU
-// contract of DESIGN.md §14). When the accumulated deltas cross the
-// merge budget the coordinator compacts every overlay back into flat
-// CSRs before publishing.
+// contract of DESIGN.md §14). When the graph and index delta overlays
+// together cross the merge budget the coordinator compacts both back
+// into flat CSRs before publishing.
+//
+// (k,P)-cores and meta-path projections are offline training inputs
+// (triple sampling, DESIGN.md §10); serving never reads them, so ingest
+// does not maintain them.
 //
 // Determinism contract (asserted by ingest_test.cc): a drained snapshot
 // is query-equivalent to a full offline assembly over the unioned graph
@@ -38,19 +40,15 @@
 #include "core/engine_group.h"
 #include "ingest/ingest_batch.h"
 #include "ingest/wal.h"
-#include "kpcore/core_maintenance.h"
-#include "metapath/delta_projection.h"
 
 namespace kpef {
 
 struct IngestOptions {
   /// WAL file; created (with header) when absent, replayed when present.
   std::string wal_path;
-  /// Pending delta edges (graph + index + projections) that trigger a
-  /// compaction before the next publish. 0 = compact every batch.
-  size_t merge_pending_edge_budget = 20000;
-  /// Delta heap bytes that trigger a compaction, whichever trips first.
-  size_t merge_delta_byte_budget = 32u << 20;
+  /// Pending delta edges (graph overlay + PG-Index overlay) that trigger
+  /// a compaction before the next publish. 0 = compact every batch.
+  size_t merge_pending_edge_budget = 3000;
   /// PG-Index insertion knobs (ignored on brute-force engines).
   PGIndex::InsertParams insert;
 };
@@ -95,21 +93,9 @@ class IngestCoordinator {
 
   IngestStats Stats() const;
 
-  /// Incrementally maintained core numbers for meta-path `i` (order of
-  /// EngineConfig::meta_paths) — introspection seam for tests, which
-  /// compare against a fresh CoreDecomposition over the merged graph.
-  StatusOr<std::vector<int32_t>> PathCores(size_t i) const;
-
  private:
   IngestCoordinator(const EngineConfig& config, IngestOptions options)
       : config_(config), options_(std::move(options)) {}
-
-  /// One meta-path's incremental machinery.
-  struct PathState {
-    MetaPath path;
-    DeltaProjection projection;
-    CoreMaintenance cores;
-  };
 
   Status InitStaging(EngineGroup* group);
   StatusOr<IngestApplyResult> ApplyLocked(const IngestBatch& batch,
@@ -117,10 +103,7 @@ class IngestCoordinator {
   /// Appends one paper to every staging layer; false = duplicate.
   StatusOr<bool> ApplyPaper(const IngestPaper& paper,
                             std::vector<size_t>* new_rows);
-  /// Papers reachable from `paper` over `path` in the staging graph.
-  std::vector<int32_t> PathNeighbors(const MetaPath& path, NodeId paper) const;
   size_t PendingDeltaEdges() const;
-  size_t DeltaBytes() const;
   void CompactAll();
   StatusOr<uint64_t> PublishSnapshot();
 
@@ -136,7 +119,6 @@ class IngestCoordinator {
   std::unique_ptr<DocumentEncoder> encoder_;
   Matrix embeddings_;
   std::unique_ptr<PGIndex> index_;
-  std::vector<PathState> paths_;
   /// Label -> node id per entity kind (papers key on their text).
   std::unordered_map<std::string, NodeId> paper_by_label_;
   std::unordered_map<std::string, NodeId> author_by_label_;

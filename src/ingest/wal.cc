@@ -1,5 +1,8 @@
 #include "ingest/wal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
 #include <cstring>
 #include <filesystem>
@@ -26,6 +29,18 @@ const std::array<uint32_t, 256>& CrcTable() {
     return t;
   }();
   return table;
+}
+
+/// fsyncs the directory holding `path`, so a newly created entry for
+/// `path` survives a crash.
+bool SyncParentDir(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
@@ -194,9 +209,12 @@ StatusOr<WalWriter> WalWriter::Open(const std::string& path,
     const std::vector<uint8_t> header = HeaderBytes(fingerprint);
     const bool ok =
         std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
-        std::fflush(f) == 0;
+        std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
     std::fclose(f);
     if (!ok) return Status::IOError("cannot write WAL header: " + path);
+    if (!SyncParentDir(path)) {
+      return Status::IOError("cannot sync WAL directory: " + path);
+    }
     valid_bytes = header.size();
   }
 
@@ -221,7 +239,7 @@ Status WalWriter::Append(std::span<const uint8_t> payload) {
   PutU32(frame, Crc32(payload));
   frame.insert(frame.end(), payload.begin(), payload.end());
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
-      std::fflush(file_) != 0) {
+      std::fflush(file_) != 0 || ::fdatasync(fileno(file_)) != 0) {
     return Status::IOError("WAL append failed: " + path_);
   }
   durable_bytes_ += frame.size();

@@ -1,9 +1,9 @@
 // Write-ahead log for streaming ingestion (DESIGN.md §16).
 //
 // Durability contract: an ingest batch is acknowledged only after its
-// serialized record is appended and flushed here, so a crash between the
-// ack and the next snapshot loses nothing — replaying the WAL over the
-// base artifacts reconstructs the exact staging state.
+// serialized record is appended and fdatasync'ed here, so a crash
+// between the ack and the next snapshot loses nothing — replaying the
+// WAL over the base artifacts reconstructs the exact staging state.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -83,10 +83,11 @@ class WalWriter {
   static StatusOr<WalWriter> Open(const std::string& path,
                                   const WalFingerprint& fingerprint);
 
-  /// Appends one record (len | crc | payload) and flushes it to the OS.
+  /// Appends one record (len | crc | payload) and fdatasyncs it; on
+  /// error DurableBytes() does not advance.
   Status Append(std::span<const uint8_t> payload);
 
-  /// Byte offset after the last flushed record (== file size).
+  /// Byte offset after the last synced record (== file size).
   uint64_t DurableBytes() const { return durable_bytes_; }
 
   const std::string& path() const { return path_; }

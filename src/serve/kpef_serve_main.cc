@@ -10,15 +10,14 @@
 //              [--access-log path|-] [--trace-mode off|sampled|always]
 //              [--trace-head-every 64] [--slow-ms 100] [--slow-queue-ms 50]
 //              [--rerank-factor 2.0] [--wal path]
-//              [--ingest-merge-edges 20000]
 //
 // --wal PATH enables streaming ingestion: the WAL at PATH is replayed
 // over the loaded artifacts at startup (creating the file when absent),
 // and POST /v1/admin/ingest accepts JSON paper batches that are logged,
 // folded into the serving state, and published as new generations while
-// queries keep running. Incompatible with --shards > 1.
-// --ingest-merge-edges caps how many delta-overlay edges may accumulate
-// before the coordinator compacts them back into flat CSR.
+// queries keep running. Incompatible with --shards > 1. The graph and
+// PG-Index delta overlays are compacted back into flat CSR whenever
+// together they pass IngestOptions::merge_pending_edge_budget edges.
 //
 // --shards N partitions the corpus over N per-shard PG-Indexes
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
@@ -71,9 +70,9 @@ using namespace kpef;
 // Every flag kpef_serve reads.
 constexpr const char* kFlags[] = {
     "access-log", "address", "batch-size", "default-deadline-ms",
-    "default-n", "graph", "ingest-merge-edges", "max-n", "max-pending",
-    "metrics-out", "model-dir", "port", "reload-watch", "rerank-factor",
-    "shards", "slow-ms", "slow-queue-ms", "threads", "trace-head-every",
+    "default-n", "graph", "max-n", "max-pending", "metrics-out",
+    "model-dir", "port", "reload-watch", "rerank-factor", "shards",
+    "slow-ms", "slow-queue-ms", "threads", "trace-head-every",
     "trace-mode", "wal"};
 
 /// Parses `--flag value` pairs, rejecting unknown flags, flags without
@@ -176,9 +175,6 @@ int main(int argc, char** argv) {
     }
     IngestOptions ingest_options;
     ingest_options.wal_path = wal_path;
-    ingest_options.merge_pending_edge_budget = static_cast<size_t>(
-        std::max(0, std::atoi(FlagOr(flags, "ingest-merge-edges", "20000")
-                                  .c_str())));
     auto coordinator = IngestCoordinator::Create(
         group->get(), group_options.engine, std::move(ingest_options));
     if (!coordinator.ok()) return Fail(coordinator.status());

@@ -239,7 +239,8 @@ struct Harness {
   std::unique_ptr<ExpertSearchService> service;
 
   explicit Harness(bool with_ingest, const std::string& wal_tag = "",
-                   size_t merge_budget = 20000) {
+                   size_t merge_budget =
+                       IngestOptions{}.merge_pending_edge_budget) {
     SharedArtifacts& s = SharedArtifacts::Get();
     EngineGroup::Options options;
     options.engine = SharedArtifacts::Config();
@@ -292,7 +293,9 @@ std::string FindExpertsBody(const std::string& query) {
 // the ingested papers' authors findable afterwards.
 TEST(ServeIngestTest, IngestUnderSustainedTrafficDropsNothing) {
   SharedArtifacts& s = SharedArtifacts::Get();
-  Harness harness(/*with_ingest=*/true, "traffic", /*merge_budget=*/500);
+  // Each 9-paper batch adds ~80 graph overlay edges: 150 trips after the
+  // second batch and again after the fourth.
+  Harness harness(/*with_ingest=*/true, "traffic", /*merge_budget=*/150);
 
   constexpr int kClients = 3;
   std::atomic<bool> stop{false};
@@ -346,7 +349,7 @@ TEST(ServeIngestTest, IngestUnderSustainedTrafficDropsNothing) {
     }
   }
   EXPECT_EQ(applied, s.split.tail.size());
-  EXPECT_TRUE(merged) << "merge budget 500 should have tripped mid-stream";
+  EXPECT_TRUE(merged) << "merge budget 150 should have tripped mid-stream";
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   stop.store(true);
