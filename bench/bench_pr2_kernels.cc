@@ -128,8 +128,7 @@ int main() {
                                           BaselineSquaredL2,
                                           nullptr,  // axpy
                                           nullptr,  // scale
-                                          nullptr,  // sq8_asym_l2
-                                          nullptr}; // sq8_asym_l2x4
+                                          nullptr}; // sq8_asym_l2
   const KernelResult baseline = TimeKernel(baseline_kernel, kDim, kReps / 4);
   const KernelResult scalar = TimeKernel(ScalarKernel(), kDim, kReps);
   const KernelResult active = TimeKernel(ActiveKernel(), kDim, kReps);

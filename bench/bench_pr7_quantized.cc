@@ -10,8 +10,8 @@
 // longer fits the fast cache tiers while the SQ8 code matrix (~40 MB, 4x
 // smaller rows) still does. That is the regime a real expert-embedding
 // corpus serves from -- the index is much bigger than cache -- and the one
-// where quantized rows, the BFS-contiguous layout, prefetch, and batch
-// interleaving convert into throughput. On a machine with a small corpus
+// where quantized rows, the BFS-contiguous layout, and prefetch convert
+// into throughput. On a machine with a small corpus
 // fully cache-resident, fp32 and SQ8 converge and the speedups read ~1x;
 // the JSON records the corpus geometry so that case is self-describing.
 //
@@ -107,9 +107,8 @@ ModeNumbers MeasureMode(const PGIndex& index, const Matrix& queries,
   ModeNumbers out;
 
   // Recall + per-query stats from one instrumented batched pass, checked
-  // against the per-query path (the lockstep loop is contractually
-  // identical to serial search, so any mismatch is a bug worth crashing
-  // the bench over).
+  // against the per-query path (SearchBatch runs Search's greedy loop
+  // per query, so any mismatch is a bug worth crashing the bench over).
   std::vector<std::vector<Neighbor>> batched;
   batched.reserve(nq);
   for (const Matrix& b : batches) {
@@ -292,7 +291,7 @@ int main(int argc, char** argv) {
     Row row{ef, {}, {}};
     // The serving pool, passed explicitly the way kpef_serve's
     // micro-batcher now hands its pool through BatchQueryOptions:
-    // lockstep groups fan across its workers.
+    // SearchBatch fans its queries across its workers.
     ThreadPool* pool = &ThreadPool::Default();
     row.fp32 = MeasureMode(index, queries, query_batches, truth, kTopK, ef,
                            /*force_exact=*/true, kMinSeconds, pool);
@@ -382,11 +381,9 @@ int main(int argc, char** argv) {
       "    \"recall_at_10_fp32\": %.4f,\n"
       "    \"recall_at_10_sq8\": %.4f,\n"
       "    \"recall_ratio\": %.4f,\n"
-      "    \"notes\": \"single host core: batched and single-query paths"
-      " share one core, so batch_speedup here is pure per-round constant"
-      " amortization plus shared row decodes; SearchBatch additionally"
-      " parallelizes lockstep groups across a ThreadPool when cores"
-      " exist\",\n"
+      "    \"notes\": \"batched and single-query paths run the same"
+      " per-query greedy search; batch_speedup is the pool fan-out over"
+      " host_cores workers and reads ~1x on one core\",\n"
       "    \"curves\": [\n%s    ]\n"
       "  },\n"
       "%s"

@@ -36,49 +36,18 @@ inline void PrefetchBytes(const void* p, size_t bytes) {
 
 }  // namespace
 
-// Per-query bindings of one lockstep group search.
-struct PGIndex::GroupSlot {
-  std::span<const float> query;  // padded fp32 row (stride-wide)
-  SearchStats* stats = nullptr;
-  std::vector<Neighbor>* out = nullptr;
-  size_t pool_occupancy = 0;  // pool size at termination (histogram)
-};
-
-// Thread-local scratch reused across searches: per-slot visited stamps,
-// heap storage, and prepared SQ8 queries, plus shared work lists. A
-// steady-state search allocates nothing.
+// Thread-local scratch reused across searches: the visited bitmap, heap
+// storage, the prepared SQ8 query and the per-hop list of fresh
+// neighbors. A steady-state search allocates nothing.
 struct PGIndex::SearchArena {
-  // One row to score in pass B of a lockstep round: node's code row
-  // against run_slots[begin, begin + count).
-  struct ScoreRun {
-    int32_t node;
-    uint32_t begin;
-    uint32_t count;
-  };
-
-  std::vector<VisitedBitset> visited;
-  std::vector<std::vector<Neighbor>> cand;  // min-heaps (std::greater)
-  std::vector<std::vector<Neighbor>> pool;  // max-heaps (worst on top)
-  std::vector<AlignedVector> qt;            // prepared SQ8 queries
-  std::vector<std::pair<int32_t, uint32_t>> expand;  // (node, slot)
-  std::vector<std::pair<uint32_t, uint32_t>> groups;  // [begin, end) in expand
-  std::vector<ScoreRun> runs;               // pass A -> pass B worklist
-  std::vector<uint32_t> run_slots;          // flat slot lists for runs
+  VisitedBitset visited;
+  std::vector<Neighbor> cand;   // min-heap (std::greater)
+  std::vector<Neighbor> pool;   // max-heap (worst on top)
+  AlignedVector qt;             // prepared SQ8 query
+  std::vector<int32_t> fresh;   // unvisited neighbors of the popped node
   std::vector<Neighbor> rerank;
-  // Base+overlay concatenation scratch (used only while inserts pend;
-  // two buffers because the visited-warm lookahead and pass A's walk of
-  // an earlier group interleave within one round).
+  // Base+overlay concatenation scratch (used only while inserts pend).
   std::vector<int32_t> merged;
-  std::vector<int32_t> merged_warm;
-
-  void Prepare(size_t slots) {
-    if (visited.size() < slots) {
-      visited.resize(slots);
-      cand.resize(slots);
-      pool.resize(slots);
-      qt.resize(slots);
-    }
-  }
 };
 
 namespace {
@@ -596,12 +565,13 @@ void PGIndex::CompactDelta() {
                  quantized(), /*ext_codes=*/nullptr);
 }
 
-uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
-                              const SearchParams& params,
-                              SearchArena& arena) const {
+size_t PGIndex::GreedySearch(std::span<const float> query,
+                             const SearchParams& params, SearchArena& arena,
+                             SearchStats* stats,
+                             std::vector<Neighbor>* out) const {
   const size_t n = points_.rows();
   const size_t m = params.m;
-  if (n == 0 || m == 0 || count == 0) return 0;
+  if (n == 0 || m == 0) return 0;
   const bool use_sq8 = quantized() && !params.force_exact;
   double rf = params.rerank_factor > 0.0 ? params.rerank_factor
                                          : rerank_factor_;
@@ -611,24 +581,23 @@ uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
               : m;
   const size_t pool_size = std::max(params.ef, rerank_depth);
 
-  arena.Prepare(count);
   const DistanceKernel& kernel = ActiveKernel();
   const size_t fp32_width = points_.stride();
   const float* steps = use_sq8 ? codes_.steps().data() : nullptr;
   const size_t code_width = use_sq8 ? codes_.stride() : 0;
 
-  auto fp32_distance = [&](size_t s, int32_t u) {
-    ++slots[s].stats->distance_computations;
-    return kernel.squared_l2(points_.PaddedRow(u).data(),
-                             slots[s].query.data(), fp32_width);
+  auto fp32_distance = [&](int32_t u) {
+    ++stats->distance_computations;
+    return kernel.squared_l2(points_.PaddedRow(u).data(), query.data(),
+                             fp32_width);
   };
-  auto traversal_distance = [&](size_t s, int32_t u) {
+  auto traversal_distance = [&](int32_t u) {
     if (use_sq8) {
-      ++slots[s].stats->sq8_distance_computations;
-      return kernel.sq8_asym_l2(arena.qt[s].data(), steps, codes_.RowPtr(u),
+      ++stats->sq8_distance_computations;
+      return kernel.sq8_asym_l2(arena.qt.data(), steps, codes_.RowPtr(u),
                                 code_width);
     }
-    return fp32_distance(s, u);
+    return fp32_distance(u);
   };
   auto prefetch_point = [&](int32_t u) {
     if (use_sq8) {
@@ -639,219 +608,97 @@ uint64_t PGIndex::SearchGroup(GroupSlot* slots, size_t count,
   };
   const auto min_cmp = std::greater<Neighbor>{};
 
+  auto& visited = arena.visited;
+  auto& cand = arena.cand;
+  auto& pool = arena.pool;
+  visited.Begin(n);
+  cand.clear();
+  pool.clear();
+  if (use_sq8) codes_.PrepareQuery(query, arena.qt);
   const int32_t entry = to_internal_[navigating_node_];
-  bool live[64];  // count is bounded by the batch group size (<= 8)
-  KPEF_CHECK(count <= 64);
-  for (size_t s = 0; s < count; ++s) {
-    arena.visited[s].Begin(n);
-    arena.cand[s].clear();
-    arena.pool[s].clear();
-    if (use_sq8) codes_.PrepareQuery(slots[s].query, arena.qt[s]);
-    const Neighbor first{entry, traversal_distance(s, entry)};
-    arena.cand[s].push_back(first);
-    arena.pool[s].push_back(first);
-    arena.visited[s].TestAndSet(entry);
-    live[s] = true;
-  }
+  const Neighbor first{entry, traversal_distance(entry)};
+  cand.push_back(first);
+  pool.push_back(first);
+  visited.TestAndSet(entry);
 
-  // Lockstep rounds: phase 1 pops each live query's best candidate (the
-  // per-query pop/terminate logic is exactly the serial greedy loop, so
-  // results are independent of group composition); phase 2 expands the
-  // popped nodes, grouping queries that landed on the same node so one
-  // pass over its adjacency (and one load of each neighbor row) services
-  // all of them, with the next rows prefetched while the current one is
-  // scored.
-  uint64_t interleaved_hops = 0;
-  auto& expand = arena.expand;
-  for (;;) {
-    size_t live_count = 0;
-    for (size_t s = 0; s < count; ++s) live_count += live[s] ? 1 : 0;
-    if (live_count == 0) break;
-    expand.clear();
-    for (size_t s = 0; s < count; ++s) {
-      if (!live[s]) continue;
-      auto& cand = arena.cand[s];
-      if (cand.empty()) {
-        live[s] = false;
-        continue;
-      }
-      std::pop_heap(cand.begin(), cand.end(), min_cmp);
-      const Neighbor current = cand.back();
-      cand.pop_back();
-      auto& pool = arena.pool[s];
-      if (pool.size() >= pool_size &&
-          current.distance > pool.front().distance) {
-        live[s] = false;  // cannot improve the pool anymore
-        continue;
-      }
-      ++slots[s].stats->hops;
-      if (live_count > 1) ++interleaved_hops;
-      expand.emplace_back(current.id, static_cast<uint32_t>(s));
+  // Best-first loop: pop the nearest candidate, stop once it cannot
+  // improve a full pool, else expand it. Expansion runs as two passes
+  // over the adjacency list. The first marks visited and prefetches
+  // each fresh neighbor's row the moment it is known to be needed; the
+  // second scores those rows in the same order. Splitting the passes
+  // keeps a hop's row fetches in flight together instead of each miss
+  // serializing behind the previous kernel call.
+  while (!cand.empty()) {
+    std::pop_heap(cand.begin(), cand.end(), min_cmp);
+    const Neighbor current = cand.back();
+    cand.pop_back();
+    if (pool.size() >= pool_size && current.distance > pool.front().distance) {
+      break;  // cannot improve the pool anymore
     }
-    if (expand.empty()) continue;
-    // Group coinciding nodes. Insertion sort by node id, stable so
-    // per-slot processing order within a node is the slot order
-    // (irrelevant to results, nice for reading): expand holds at most
-    // one entry per live slot, and std::stable_sort would allocate its
-    // merge buffer on every round.
-    for (size_t i = 1; i < expand.size(); ++i) {
-      const auto e = expand[i];
-      size_t j = i;
-      for (; j > 0 && expand[j - 1].first > e.first; --j) {
-        expand[j] = expand[j - 1];
-      }
-      expand[j] = e;
+    ++stats->hops;
+    const auto base_nbrs = InternalNeighbors(current.id);
+    if (!base_nbrs.empty()) {
+      PrefetchBytes(base_nbrs.data(), base_nbrs.size() * sizeof(int32_t));
     }
-    // Split into coincidence groups and prefetch every popped node's
-    // adjacency range before any of them is walked — with up to 8 live
-    // queries the ranges' cache misses overlap instead of serializing.
-    auto& groups = arena.groups;
-    groups.clear();
-    for (size_t i = 0; i < expand.size();) {
-      size_t j = i;
-      while (j < expand.size() && expand[j].first == expand[i].first) ++j;
-      groups.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
-      const auto base_nbrs = InternalNeighbors(expand[i].first);
-      if (!base_nbrs.empty()) {
-        PrefetchBytes(base_nbrs.data(), base_nbrs.size() * sizeof(int32_t));
-      }
-      i = j;
+    const auto nbrs = MergedNeighbors(current.id, arena.merged);
+    for (const int32_t u : nbrs) visited.Prefetch(u);
+    auto& fresh = arena.fresh;
+    fresh.clear();
+    for (const int32_t u : nbrs) {
+      if (visited.TestAndSet(u)) continue;
+      prefetch_point(u);
+      fresh.push_back(u);
     }
-    // Warm a group's visited-bitmap words a couple of groups ahead of
-    // pass A's walk (the row prefetches are issued by pass A itself).
-    auto warm_visited = [&](size_t g) {
-      const auto [begin, end] = groups[g];
-      const auto nbrs =
-          MergedNeighbors(expand[begin].first, arena.merged_warm);
-      for (const int32_t u : nbrs) {
-        for (uint32_t w = begin; w < end; ++w) {
-          arena.visited[expand[w].second].Prefetch(u);
-        }
-      }
-    };
-    if (!groups.empty()) warm_visited(0);
-    if (groups.size() > 1) warm_visited(1);
-    // Phase 2 proper runs as two passes over the round's groups. Pass A
-    // walks every group's adjacency once: it marks visited (in exactly
-    // the serial order), records a ScoreRun for each neighbor row that
-    // any groupmate still needs, and issues that row's prefetch the
-    // moment it is known to be needed. Pass B then scores the runs in
-    // the same order. The split means every row fetch of the round is
-    // in flight before pass B needs it: the misses overlap into
-    // bandwidth instead of serializing behind kernel calls, and the
-    // overlap window grows with the number of live groups — this is
-    // where a real batch beats one-at-a-time on an index bigger than
-    // cache. Visited updates all happen in pass A and heap updates all
-    // happen in pass B, each in the serial nested order, so results
-    // are bit-identical to the fused loop.
-    auto& runs = arena.runs;
-    auto& run_slots = arena.run_slots;
-    runs.clear();
-    run_slots.clear();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (g + 2 < groups.size()) warm_visited(g + 2);
-      const auto [begin, end] = groups[g];
-      const auto nbrs = MergedNeighbors(expand[begin].first, arena.merged);
-      for (const int32_t u : nbrs) {
-        const uint32_t first = static_cast<uint32_t>(run_slots.size());
-        for (uint32_t w = begin; w < end; ++w) {
-          const uint32_t slot = expand[w].second;
-          if (arena.visited[slot].TestAndSet(u)) continue;
-          run_slots.push_back(slot);
-        }
-        const uint32_t nfresh =
-            static_cast<uint32_t>(run_slots.size()) - first;
-        if (nfresh == 0) continue;
-        prefetch_point(u);
-        runs.push_back({u, first, nfresh});
-      }
-    }
-    for (const auto& run : runs) {
-      const int32_t u = run.node;
-      const uint32_t* fresh = run_slots.data() + run.begin;
-      const uint32_t nfresh = run.count;
-      float dists[64];  // count <= 64, so a run never exceeds 64 slots
-      // When several queries share the node, the x4 kernel dequantizes
-      // u's code row once for up to four of them (bit-identical per
-      // slot to single-row calls).
-      if (use_sq8 && nfresh >= 3) {
-          for (uint32_t base = 0; base < nfresh; base += 4) {
-            const float* qts[4];
-            for (uint32_t k = 0; k < 4; ++k) {
-              const uint32_t t = base + k < nfresh ? base + k : nfresh - 1;
-              qts[k] = arena.qt[fresh[t]].data();
-            }
-            float quad[4];
-            kernel.sq8_asym_l2x4(qts, steps, codes_.RowPtr(u), code_width,
-                                 quad);
-            for (uint32_t k = 0; k < 4 && base + k < nfresh; ++k) {
-              dists[base + k] = quad[k];
-              ++slots[fresh[base + k]].stats->sq8_distance_computations;
-            }
-          }
-      } else {
-        for (uint32_t t = 0; t < nfresh; ++t) {
-          dists[t] = traversal_distance(fresh[t], u);
-        }
-      }
-      for (uint32_t t = 0; t < nfresh; ++t) {
-        const size_t s = fresh[t];
-        const float dist = dists[t];
-        auto& pool = arena.pool[s];
-        if (pool.size() < pool_size || dist < pool.front().distance) {
-          const Neighbor next{u, dist};
-          auto& cand = arena.cand[s];
-          cand.push_back(next);
-          std::push_heap(cand.begin(), cand.end(), min_cmp);
-          if (pool.size() < pool_size) {
-            pool.push_back(next);
-            std::push_heap(pool.begin(), pool.end());
-          } else {
-            ReplaceHeapTop(pool, next);
-          }
+    for (const int32_t u : fresh) {
+      const float dist = traversal_distance(u);
+      if (pool.size() < pool_size || dist < pool.front().distance) {
+        const Neighbor next{u, dist};
+        cand.push_back(next);
+        std::push_heap(cand.begin(), cand.end(), min_cmp);
+        if (pool.size() < pool_size) {
+          pool.push_back(next);
+          std::push_heap(pool.begin(), pool.end());
+        } else {
+          ReplaceHeapTop(pool, next);
         }
       }
     }
   }
 
-  // Finalization per slot: order the surviving pool, exact-rerank the
-  // SQ8 frontrunners in fp32, cut to m, and translate internal ids back
-  // to external. Distances returned are true (rooted) L2.
-  for (size_t s = 0; s < count; ++s) {
-    auto& pool = arena.pool[s];
-    slots[s].pool_occupancy = pool.size();
-    std::sort_heap(pool.begin(), pool.end());  // ascending (dist, id)
-    std::vector<Neighbor>& out = *slots[s].out;
-    out.clear();
-    if (use_sq8) {
-      const size_t rcount = std::min(pool.size(), rerank_depth);
-      slots[s].stats->rerank_candidates += rcount;
-      auto& rr = arena.rerank;
-      rr.clear();
-      rr.reserve(rcount);
-      for (size_t r = 0; r < rcount; ++r) {
-        PrefetchBytes(points_.PaddedRow(pool[r].id).data(),
-                      fp32_width * sizeof(float));
-      }
-      for (size_t r = 0; r < rcount; ++r) {
-        const int32_t u = pool[r].id;
-        rr.push_back({u, fp32_distance(s, u)});
-      }
-      std::sort(rr.begin(), rr.end());
-      if (rr.size() > m) rr.resize(m);
-      out.reserve(rr.size());
-      for (const Neighbor& nb : rr) {
-        out.push_back({to_external_[nb.id], std::sqrt(nb.distance)});
-      }
-    } else {
-      const size_t rcount = std::min(pool.size(), m);
-      out.reserve(rcount);
-      for (size_t r = 0; r < rcount; ++r) {
-        out.push_back({to_external_[pool[r].id], std::sqrt(pool[r].distance)});
-      }
+  // Finalization: order the surviving pool, exact-rerank the SQ8
+  // frontrunners in fp32, cut to m, and translate internal ids back to
+  // external. Distances returned are true (rooted) L2.
+  const size_t occupancy = pool.size();
+  std::sort_heap(pool.begin(), pool.end());  // ascending (dist, id)
+  out->clear();
+  if (use_sq8) {
+    const size_t rcount = std::min(pool.size(), rerank_depth);
+    stats->rerank_candidates += rcount;
+    auto& rr = arena.rerank;
+    rr.clear();
+    rr.reserve(rcount);
+    for (size_t r = 0; r < rcount; ++r) {
+      PrefetchBytes(points_.PaddedRow(pool[r].id).data(),
+                    fp32_width * sizeof(float));
+    }
+    for (size_t r = 0; r < rcount; ++r) {
+      const int32_t u = pool[r].id;
+      rr.push_back({u, fp32_distance(u)});
+    }
+    std::sort(rr.begin(), rr.end());
+    if (rr.size() > m) rr.resize(m);
+    out->reserve(rr.size());
+    for (const Neighbor& nb : rr) {
+      out->push_back({to_external_[nb.id], std::sqrt(nb.distance)});
+    }
+  } else {
+    const size_t rcount = std::min(pool.size(), m);
+    out->reserve(rcount);
+    for (size_t r = 0; r < rcount; ++r) {
+      out->push_back({to_external_[pool[r].id], std::sqrt(pool[r].distance)});
     }
   }
-  return interleaved_hops;
+  return occupancy;
 }
 
 std::vector<Neighbor> PGIndex::Search(std::span<const float> query, size_t m,
@@ -867,8 +714,8 @@ std::vector<Neighbor> PGIndex::Search(std::span<const float> query,
   SearchStats local_stats;
   std::vector<Neighbor> result;
   Timer search_timer;
-  GroupSlot slot{{padded.data(), padded.size()}, &local_stats, &result};
-  SearchGroup(&slot, 1, params, LocalArena());
+  const size_t occupancy = GreedySearch({padded.data(), padded.size()}, params,
+                                        LocalArena(), &local_stats, &result);
   local_stats.search_ms = search_timer.ElapsedMillis();
   // The greedy loop above accumulated into stack-local stats only;
   // concurrent searches over a shared (const) index merge here, once.
@@ -880,8 +727,7 @@ std::vector<Neighbor> PGIndex::Search(std::span<const float> query,
   KPEF_COUNTER_ADD(obs::kPgindexRerankCandidates,
                    local_stats.rerank_candidates);
   KPEF_HISTOGRAM_OBSERVE(obs::kPgindexSearchHops, local_stats.hops);
-  KPEF_HISTOGRAM_OBSERVE(obs::kPgindexCandidatePoolOccupancy,
-                         slot.pool_occupancy);
+  KPEF_HISTOGRAM_OBSERVE(obs::kPgindexCandidatePoolOccupancy, occupancy);
   if (stats) *stats = local_stats;
   return result;
 }
@@ -911,117 +757,32 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   std::vector<size_t> occupancy(batch, 0);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
   const bool cancellable = cancel.CanBeCancelled();
-  // Queries run in lockstep groups: one task per group, groups fanned
-  // over the pool. A group holds ceil(batch / pool width) queries, capped
-  // at kGroup, so a small served batch searches one query per worker
-  // instead of one group on one worker, and large batches keep full
-  // groups. Within a group the per-query greedy logic is byte-identical
-  // to the serial path (see SearchGroup), so results do not depend on the
-  // pool size or how the batch splits into groups. Cancellation is
-  // checked once per query as its group forms: a query either runs to
-  // completion or is skipped whole.
-  constexpr size_t kGroup = 64;
-  const size_t workers = std::max<size_t>(1, p.num_threads());
-  const size_t group_size = std::min(kGroup, (batch + workers - 1) / workers);
-  // Destination-aware grouping: a lockstep group only amortizes work
-  // (shared adjacency walks, the x4 shared-row kernel, one prefetch per
-  // node instead of one per query) for queries that actually traverse
-  // the same rows. Each query's nearest highway — the navigating node's
-  // adjacency holds one per cluster by construction — is a cheap proxy
-  // for the region its greedy descent will enter, so the batch is
-  // ordered by that key before being cut into groups. Per-query results
-  // are independent of group composition (see SearchGroup), so this
-  // reorders work, never answers.
-  std::vector<uint32_t> order(batch);
-  for (size_t q = 0; q < batch; ++q) order[q] = static_cast<uint32_t>(q);
-  std::vector<int32_t> highway_scratch;
-  if (batch > kGroup && points_.rows() > 0) {
-    const auto highways =
-        MergedNeighbors(to_internal_[navigating_node_], highway_scratch);
-    if (highways.size() > 1) {
-      // The key scan is per-batch plumbing, deliberately left out of
-      // per-query SearchStats: those stay byte-identical to the serial
-      // path (tested), and wall-clock throughput pays for the scan
-      // either way.
-      const DistanceKernel& kernel = ActiveKernel();
-      const size_t width = points_.stride();
-      std::vector<int32_t> region(batch);
-      for (size_t q = 0; q < batch; ++q) {
-        const float* query = queries.PaddedRow(q).data();
-        int32_t best = highways[0];
-        float best_dist = std::numeric_limits<float>::infinity();
-        for (const int32_t h : highways) {
-          const float d =
-              kernel.squared_l2(points_.PaddedRow(h).data(), query, width);
-          if (d < best_dist) {
-            best_dist = d;
-            best = h;
-          }
-        }
-        region[q] = best;
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return region[a] < region[b];
-                       });
+  // One task per query, each running Search's greedy loop on its
+  // worker's arena, so results and stats do not depend on the pool size
+  // or the batch's composition. Cancellation is checked as each query
+  // starts: a query either runs to completion or is skipped whole.
+  ParallelFor(p, batch, [&](size_t q) {
+    if (cancellable && cancel.IsCancelled()) {
+      local_stats[q].cancelled = true;
+      return;
     }
-  }
-  const size_t num_groups = (batch + group_size - 1) / group_size;
-  std::vector<uint64_t> group_interleaved(num_groups, 0);
-  ParallelFor(p, num_groups, [&](size_t g) {
-    const size_t begin = g * group_size;
-    const size_t end = std::min(batch, begin + group_size);
-    GroupSlot slots[kGroup];
-    size_t slot_q[kGroup];
-    size_t count = 0;
-    for (size_t qi = begin; qi < end; ++qi) {
-      const size_t q = order[qi];
-      if (cancellable && cancel.IsCancelled()) {
-        local_stats[q].cancelled = true;
-        continue;
-      }
-      slots[count] = GroupSlot{queries.PaddedRow(q), &local_stats[q],
-                               &results[q]};
-      slot_q[count] = q;
-      ++count;
-    }
-    if (count == 0) return;
-    Timer group_timer;
-    group_interleaved[g] = SearchGroup(slots, count, params, LocalArena());
-    const double elapsed_ms = group_timer.ElapsedMillis();
-    // The group overlaps its queries in time; attribute its wall-clock
-    // to them proportionally to their distance-evaluation counts.
-    double total_work = 0.0;
-    for (size_t i = 0; i < count; ++i) {
-      total_work +=
-          static_cast<double>(slots[i].stats->distance_computations +
-                              slots[i].stats->sq8_distance_computations);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const double work =
-          static_cast<double>(slots[i].stats->distance_computations +
-                              slots[i].stats->sq8_distance_computations);
-      slots[i].stats->search_ms = total_work > 0.0
-                                      ? elapsed_ms * (work / total_work)
-                                      : elapsed_ms / static_cast<double>(count);
-      occupancy[slot_q[i]] = slots[i].pool_occupancy;
-    }
+    Timer search_timer;
+    occupancy[q] = GreedySearch(queries.PaddedRow(q), params, LocalArena(),
+                                &local_stats[q], &results[q]);
+    local_stats[q].search_ms = search_timer.ElapsedMillis();
   });
   // Merge per-query stats through the registry once for the whole batch.
   uint64_t total_fp32 = 0, total_sq8 = 0, total_rerank = 0;
-  uint64_t total_interleaved = 0;
   for (const SearchStats& s : local_stats) {
     total_fp32 += s.distance_computations;
     total_sq8 += s.sq8_distance_computations;
     total_rerank += s.rerank_candidates;
   }
-  for (uint64_t h : group_interleaved) total_interleaved += h;
   KPEF_COUNTER_ADD(obs::kPgindexSearchesTotal, batch);
   KPEF_COUNTER_ADD(obs::kPgindexBatchSearchesTotal, 1);
   KPEF_COUNTER_ADD(obs::kPgindexDistanceComputations, total_fp32);
   KPEF_COUNTER_ADD(obs::kPgindexSq8DistanceComputations, total_sq8);
   KPEF_COUNTER_ADD(obs::kPgindexRerankCandidates, total_rerank);
-  KPEF_COUNTER_ADD(obs::kPgindexBatchInterleavedHops, total_interleaved);
   for (size_t q = 0; q < batch; ++q) {
     KPEF_HISTOGRAM_OBSERVE(obs::kPgindexSearchHops, local_stats[q].hops);
     KPEF_HISTOGRAM_OBSERVE(obs::kPgindexCandidatePoolOccupancy, occupancy[q]);

@@ -13,10 +13,9 @@
 //    scores 64-byte-aligned code rows with the dispatched asymmetric
 //    int8 kernel, then exact-reranks the top rerank_factor * m
 //    candidates in fp32 so recall stays contractual;
-//  - SearchBatch interleaves frontier expansion across query groups with
-//    shared visited/heap arenas (no per-query allocation), servicing
-//    several queries' distance evaluations per pass over a node's
-//    adjacency list.
+//  - SearchBatch fans the batch's queries over a thread pool, one
+//    greedy search per query on its worker's reused arena (no per-query
+//    allocation).
 
 #ifndef KPEF_ANN_PG_INDEX_H_
 #define KPEF_ANN_PG_INDEX_H_
@@ -94,10 +93,7 @@ class PGIndex {
     uint64_t rerank_candidates = 0;
     /// Nodes whose adjacency lists were expanded.
     uint64_t hops = 0;
-    /// Wall-clock time of this query's own greedy search. Batch groups
-    /// run interleaved, so there the group's wall-clock is attributed
-    /// to its queries proportionally to their distance evaluations (an
-    /// honest per-query cost estimate; the batch overlaps in time).
+    /// Wall-clock time of this query's own greedy search.
     double search_ms = 0.0;
     /// True when SearchBatch skipped this query because the cancel token
     /// had fired; its result list is empty.
@@ -129,18 +125,16 @@ class PGIndex {
                                SearchStats* stats = nullptr) const;
 
   /// Searches every row of `queries` (one query per row, same
-  /// dimensionality as the indexed points), fanning groups of queries
-  /// across `pool` (nullptr = ThreadPool::Default()). A group holds
-  /// ceil(batch / pool width) queries, at most 64, so a batch no wider
-  /// than the pool searches one query per worker. Within a group
-  /// the greedy searches run in lockstep over shared arenas; results
-  /// are identical to calling Search per row for any pool size and any
-  /// batch composition. Per-query stats land in `*stats` (resized to
-  /// the batch) and the metrics registry is updated once per batch. A
-  /// non-null `cancel` token is checked at per-query boundaries:
-  /// queries whose group starts after the token fired are skipped
-  /// (empty result, SearchStats::cancelled set), so an expired deadline
-  /// yields partial batch results instead of a wedged call.
+  /// dimensionality as the indexed points), fanning the queries across
+  /// `pool` (nullptr = ThreadPool::Default()). Each query runs the same
+  /// greedy search as Search, so results and counters are identical to
+  /// calling Search per row for any pool size and any batch
+  /// composition. Per-query stats land in `*stats` (resized to the
+  /// batch) and the metrics registry is updated once per batch. A
+  /// non-null `cancel` token is checked as each query starts: queries
+  /// that start after the token fired are skipped (empty result,
+  /// SearchStats::cancelled set), so an expired deadline yields partial
+  /// batch results instead of a wedged call.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, size_t m, size_t ef = 0,
       std::vector<SearchStats>* stats = nullptr, ThreadPool* pool = nullptr,
@@ -230,11 +224,10 @@ class PGIndex {
  private:
   PGIndex() = default;
 
-  struct GroupSlot;
   struct SearchArena;
 
-  /// Thread-local scratch (visited stamps, heap storage, prepared
-  /// queries) reused across searches on this thread.
+  /// Thread-local scratch (visited bitmap, heap storage, prepared
+  /// query) reused across searches on this thread.
   static SearchArena& LocalArena();
 
   /// Shared by Build and Load: BFS-relabels the external-order graph
@@ -246,11 +239,12 @@ class PGIndex {
                       int32_t navigating_external, bool quantize,
                       const Sq8Codes* ext_codes);
 
-  /// Runs `count` greedy searches in lockstep; slots must be primed
-  /// with query spans and stats sinks. Returns hops executed while two
-  /// or more queries were live (the interleaving measure).
-  uint64_t SearchGroup(GroupSlot* slots, size_t count,
-                       const SearchParams& params, SearchArena& arena) const;
+  /// One greedy best-first search (§IV-B) for the padded `query`:
+  /// writes the top-m to `*out`, adds its counters to `*stats`, and
+  /// returns the candidate-pool occupancy at termination.
+  size_t GreedySearch(std::span<const float> query, const SearchParams& params,
+                      SearchArena& arena, SearchStats* stats,
+                      std::vector<Neighbor>* out) const;
 
   /// Base-CSR out-neighbors; empty span for nodes appended after the
   /// last finalization (their edges live only in the overlay).

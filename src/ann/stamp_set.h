@@ -49,10 +49,10 @@ class StampSet {
 /// O(1) — but for ANN-search corpora that is a few tens of KB, and the
 /// payoff is cache footprint: a 64-byte line holds 512 ids' bits, so a
 /// whole query's visited set stays L1/L2-resident where the 8-byte
-/// stamp array (MBs per slot) turns every random probe into a far-cache
-/// access. The PG-Index search arenas hold one per lockstep slot; a
-/// full 64-slot batch group needs ~2.5 MB of bitmaps for a 320k-node
-/// graph versus ~160 MB of stamp arrays.
+/// stamp array (MBs per query) turns every random probe into a far-cache
+/// access. Each PG-Index search arena (one per searching thread) holds
+/// one: ~40 KB of bitmap for a 320k-node graph versus ~2.5 MB of
+/// stamps.
 class VisitedBitset {
  public:
   /// Starts a fresh empty set over ids [0, n).

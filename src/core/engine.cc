@@ -16,6 +16,23 @@
 
 namespace kpef {
 
+namespace {
+
+// True when query q's own deadline (BatchQueryOptions::deadlines) has
+// passed.
+bool SlotExpired(const BatchQueryOptions& options, size_t q) {
+  return !options.deadlines.empty() &&
+         CancelToken::Clock::now() >= options.deadlines[q];
+}
+
+// Query q's request-trace key (0 = untraced); each phase installs it as
+// the thread's context so its spans land in the right request.
+uint64_t TraceKey(const BatchQueryOptions& options, size_t q) {
+  return q < options.trace_keys.size() ? options.trace_keys[q] : 0;
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::Build(
     const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
     const Matrix* pretrained_tokens, EngineBuildReport* report) {
@@ -229,36 +246,16 @@ EngineInfo ExpertFindingEngine::Info() const {
 std::vector<NodeId> ExpertFindingEngine::RetrievePapers(
     const std::string& query_text, size_t m, QueryStats* stats) {
   KPEF_TRACE_SPAN("engine.retrieve_papers");
-  Timer timer;
-  double encode_ms = 0.0;
-  std::vector<float> query;
-  {
-    KPEF_TRACE_SPAN("engine.encode");
-    Timer encode_timer;
-    query = encoder_->Encode(corpus_->EncodeQuery(query_text));
-    encode_ms = encode_timer.ElapsedMillis();
-  }
-  std::vector<Neighbor> neighbors;
-  uint64_t distance_computations = 0;
-  if (index_) {
-    PGIndex::SearchStats search_stats;
-    const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
-    neighbors = index_->Search(query, m, ef, &search_stats);
-    distance_computations = search_stats.distance_computations +
-                            search_stats.sq8_distance_computations;
-  } else {
-    neighbors = BruteForceSearch(embeddings_, query, m);
-    distance_computations = embeddings_.rows();
-  }
+  std::vector<QueryStats> local(1);
+  std::vector<char> retrieved(1, 0);
+  const std::vector<std::vector<Neighbor>> neighbors =
+      RetrieveBatch({query_text}, m, BatchQueryOptions(),
+                    ThreadPool::Default(), CancelToken(), &local, &retrieved);
   const std::vector<NodeId>& papers = dataset_->Papers();
   std::vector<NodeId> result;
-  result.reserve(neighbors.size());
-  for (const Neighbor& nb : neighbors) result.push_back(papers[nb.id]);
-  if (stats) {
-    stats->retrieval_ms = timer.ElapsedMillis();
-    stats->encode_ms = encode_ms;
-    stats->distance_computations = distance_computations;
-  }
+  result.reserve(neighbors[0].size());
+  for (const Neighbor& nb : neighbors[0]) result.push_back(papers[nb.id]);
+  if (stats) *stats = local[0];
   return result;
 }
 
@@ -288,40 +285,14 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   return FindExpertsBatch(query_texts, n, options, stats);
 }
 
-std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
-    const std::vector<std::string>& query_texts, size_t n,
-    const BatchQueryOptions& options, std::vector<QueryStats>* stats) {
-  KPEF_TRACE_SPAN("engine.find_experts_batch");
-  Timer batch_timer;
+std::vector<std::vector<Neighbor>> ExpertFindingEngine::RetrieveBatch(
+    const std::vector<std::string>& query_texts, size_t m,
+    const BatchQueryOptions& options, ThreadPool& workers,
+    const CancelToken& cancel, std::vector<QueryStats>* stats,
+    std::vector<char>* retrieved) const {
   const size_t batch = query_texts.size();
-  std::vector<std::vector<ExpertScore>> results(batch);
-  std::vector<QueryStats> local(batch);
-  if (batch == 0) {
-    if (stats) stats->clear();
-    return results;
-  }
-  ThreadPool& workers =
-      options.pool != nullptr ? *options.pool : ThreadPool::Default();
-  CancelToken cancel = options.cancel;
-  if (options.deadline_ms > 0.0) {
-    cancel = CancelToken::AfterMillis(options.deadline_ms, options.cancel);
-  }
   const bool cancellable = cancel.CanBeCancelled();
-  // Per-slot deadlines: a query whose own budget expired is skipped by
-  // every later phase (and compacted out of the batched search below),
-  // independent of the whole-call token.
   const bool has_slot_deadlines = !options.deadlines.empty();
-  KPEF_CHECK(!has_slot_deadlines || options.deadlines.size() == batch)
-      << "BatchQueryOptions::deadlines must match the query list";
-  const auto slot_expired = [&](size_t q) {
-    return has_slot_deadlines &&
-           CancelToken::Clock::now() >= options.deadlines[q];
-  };
-  // Per-query request-trace key (0 = untraced); phase lambdas install it
-  // as the thread's context so their spans land in the right request.
-  const auto trace_key = [&options](size_t q) -> uint64_t {
-    return q < options.trace_keys.size() ? options.trace_keys[q] : 0;
-  };
 
   // Encode all queries into one padded matrix (PG-Index consumes the
   // rows in place, no per-query copies). Each phase below records which
@@ -332,16 +303,16 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   ParallelFor(
       workers, batch,
       [&](size_t q) {
-        if (slot_expired(q)) return;
-        obs::ScopedTraceContext trace_scope(trace_key(q));
+        if (SlotExpired(options, q)) return;
+        obs::ScopedTraceContext trace_scope(TraceKey(options, q));
         KPEF_TRACE_SPAN("engine.encode");
         Timer encode_timer;
         const std::vector<float> v =
             encoder_->Encode(corpus_->EncodeQuery(query_texts[q]));
         std::copy(v.begin(), v.end(), queries.Row(q).begin());
-        // Encoding counts toward retrieval time, as in RetrievePapers.
-        local[q].encode_ms = encode_timer.ElapsedMillis();
-        local[q].retrieval_ms = local[q].encode_ms;
+        // Encoding counts toward retrieval time.
+        (*stats)[q].encode_ms = encode_timer.ElapsedMillis();
+        (*stats)[q].retrieval_ms = (*stats)[q].encode_ms;
         encoded[q] = 1;
       },
       cancel);
@@ -350,18 +321,16 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   // Per-query retrieval time comes from the per-query SearchStats, so
   // it is a real wall-clock figure comparable to ranking_ms (the batch
   // searches overlap, so a batch-average would smear them).
-  const size_t m = config_.top_m;
   const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
   std::vector<std::vector<Neighbor>> neighbors(batch);
-  std::vector<char> retrieved(batch, 0);
   if (options.search || index_) {
     // Queries whose slot deadline expired between encode and here are
-    // compacted out of the search matrix: they never enter a lockstep
-    // group, so an already-504'd request stops costing traversal work.
+    // compacted out of the search matrix, so an already-504'd request
+    // stops costing traversal work.
     std::vector<size_t> live;
     live.reserve(batch);
     for (size_t q = 0; q < batch; ++q) {
-      if (encoded[q] && !slot_expired(q)) live.push_back(q);
+      if (encoded[q] && !SlotExpired(options, q)) live.push_back(q);
     }
     // Bound the batched search by the latest live slot deadline — the
     // call must not outlive every remaining budget even when the caller
@@ -398,35 +367,66 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
       const size_t q = live[i];
       if (i < found.size()) neighbors[q] = std::move(found[i]);
       if (i >= search_stats.size()) continue;
-      local[q].distance_computations =
+      (*stats)[q].distance_computations =
           search_stats[i].distance_computations +
           search_stats[i].sq8_distance_computations;
-      local[q].retrieval_ms += search_stats[i].search_ms;
-      retrieved[q] = !search_stats[i].cancelled;
+      (*stats)[q].retrieval_ms += search_stats[i].search_ms;
+      (*retrieved)[q] = !search_stats[i].cancelled;
       // The index layer stays trace-free; attribute each query's share
       // of the batched search as a manual span anchored at dispatch.
       obs::RecordSpan(
-          trace_key(q), "engine.search", search_start_ns,
+          TraceKey(options, q), "engine.search", search_start_ns,
           static_cast<uint64_t>(search_stats[i].search_ms * 1e6));
     }
   } else {
     ParallelFor(
         workers, batch,
         [&](size_t q) {
-          if (!encoded[q] || slot_expired(q) ||
+          if (!encoded[q] || SlotExpired(options, q) ||
               (cancellable && cancel.IsCancelled())) {
             return;
           }
-          obs::ScopedTraceContext trace_scope(trace_key(q));
+          obs::ScopedTraceContext trace_scope(TraceKey(options, q));
           KPEF_TRACE_SPAN("engine.search");
           Timer search_timer;
           neighbors[q] = BruteForceSearch(embeddings_, queries.Row(q), m);
-          local[q].distance_computations = embeddings_.rows();
-          local[q].retrieval_ms += search_timer.ElapsedMillis();
-          retrieved[q] = 1;
+          (*stats)[q].distance_computations = embeddings_.rows();
+          (*stats)[q].retrieval_ms += search_timer.ElapsedMillis();
+          (*retrieved)[q] = 1;
         },
         cancel);
   }
+  return neighbors;
+}
+
+std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
+    const std::vector<std::string>& query_texts, size_t n,
+    const BatchQueryOptions& options, std::vector<QueryStats>* stats) {
+  KPEF_TRACE_SPAN("engine.find_experts_batch");
+  Timer batch_timer;
+  const size_t batch = query_texts.size();
+  std::vector<std::vector<ExpertScore>> results(batch);
+  std::vector<QueryStats> local(batch);
+  if (batch == 0) {
+    if (stats) stats->clear();
+    return results;
+  }
+  ThreadPool& workers =
+      options.pool != nullptr ? *options.pool : ThreadPool::Default();
+  CancelToken cancel = options.cancel;
+  if (options.deadline_ms > 0.0) {
+    cancel = CancelToken::AfterMillis(options.deadline_ms, options.cancel);
+  }
+  const bool cancellable = cancel.CanBeCancelled();
+  // Per-slot deadlines: a query whose own budget expired is skipped by
+  // every later phase (and compacted out of the batched search),
+  // independent of the whole-call token.
+  KPEF_CHECK(options.deadlines.empty() || options.deadlines.size() == batch)
+      << "BatchQueryOptions::deadlines must match the query list";
+
+  std::vector<char> retrieved(batch, 0);
+  const std::vector<std::vector<Neighbor>> neighbors = RetrieveBatch(
+      query_texts, config_.top_m, options, workers, cancel, &local, &retrieved);
 
   // Ranking: independent per query over the shared (read-only) graph.
   const std::vector<NodeId>& papers = dataset_->Papers();
@@ -434,11 +434,11 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   ParallelFor(
       workers, batch,
       [&](size_t q) {
-        if (!retrieved[q] || slot_expired(q) ||
+        if (!retrieved[q] || SlotExpired(options, q) ||
             (cancellable && cancel.IsCancelled())) {
           return;
         }
-        obs::ScopedTraceContext trace_scope(trace_key(q));
+        obs::ScopedTraceContext trace_scope(TraceKey(options, q));
         KPEF_TRACE_SPAN("engine.ranking");
         Timer ranking_timer;
         std::vector<NodeId> top_papers;

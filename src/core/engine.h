@@ -241,8 +241,9 @@ class ExpertFindingEngine : public RetrievalModel {
 
   /// Answers every query in one call: encodes the queries across the pool
   /// (nullptr = ThreadPool::Default()), retrieves the top-m papers of all
-  /// of them in one PGIndex::SearchBatch (which spreads a small batch one
-  /// query per worker), and ranks each query's papers with RankExperts.
+  /// of them in one PGIndex::SearchBatch (one greedy search per query,
+  /// fanned over the pool), and ranks each query's papers with
+  /// RankExperts.
   /// result[q] does not depend on the batch it rides in; per-query stats
   /// land in `*stats` (resized to the batch).
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
@@ -259,7 +260,8 @@ class ExpertFindingEngine : public RetrievalModel {
       std::vector<QueryStats>* stats = nullptr);
 
   /// Top-m semantically similar papers for a query (§IV-B), best first —
-  /// the retrieval half of FindExperts, for callers that rank the papers
+  /// the retrieval half of FindExperts (a batch of one through the same
+  /// encode + search phases), for callers that rank the papers
   /// themselves (explain, Figure 7's TA variants).
   std::vector<NodeId> RetrievePapers(const std::string& query_text, size_t m,
                                      QueryStats* stats = nullptr);
@@ -282,6 +284,17 @@ class ExpertFindingEngine : public RetrievalModel {
   ExpertFindingEngine(const Dataset* dataset, const Corpus* corpus,
                       EngineConfig config)
       : dataset_(dataset), corpus_(corpus), config_(std::move(config)) {}
+
+  /// Encode + retrieval phases shared by FindExpertsBatch and
+  /// RetrievePapers: each query's top-m paper rows, ascending by
+  /// (distance, row). Fills the timing and distance fields of `*stats`
+  /// and sets (*retrieved)[q] for each query the deadline did not
+  /// overtake (both pre-sized to the batch).
+  std::vector<std::vector<Neighbor>> RetrieveBatch(
+      const std::vector<std::string>& query_texts, size_t m,
+      const BatchQueryOptions& options, ThreadPool& workers,
+      const CancelToken& cancel, std::vector<QueryStats>* stats,
+      std::vector<char>* retrieved) const;
 
   const Dataset* dataset_;
   const Corpus* corpus_;

@@ -89,13 +89,6 @@ float Sq8AsymL2Scalar(const float* qt, const float* step,
   return ReduceLanes(lanes);
 }
 
-void Sq8AsymL2x4Scalar(const float* const qts[4], const float* step,
-                       const uint8_t* codes, size_t n, float out[4]) {
-  // The scalar baseline has no shared-decode advantage to exploit; four
-  // independent calls are already the contract's exact result.
-  for (int k = 0; k < 4; ++k) out[k] = Sq8AsymL2Scalar(qts[k], step, codes, n);
-}
-
 // --- Trainer kernels: purely elementwise (no accumulator lanes), so the
 // scalar and AVX2 paths are bit-identical as long as neither contracts
 // mul+add into FMA (this TU targets baseline x86-64, which has no FMA;
@@ -136,8 +129,7 @@ void AdamUpdateScalar(float* params, const float* grads, float* m, float* v,
 constexpr DistanceKernel kScalarKernel = {
     "scalar",        DotScalar,         SquaredL2Scalar,
     AxpyScalar,      ScaleScalar,       Sq8AsymL2Scalar,
-    Sq8AsymL2x4Scalar, Axpy2Scalar,     TripletGradScalar,
-    AdamUpdateScalar};
+    Axpy2Scalar,     TripletGradScalar, AdamUpdateScalar};
 
 }  // namespace
 

@@ -70,19 +70,6 @@ struct DistanceKernel {
   /// tails with qt = step = 0 contribute exact zero terms.
   float (*sq8_asym_l2)(const float* qt, const float* step,
                        const uint8_t* codes, size_t n);
-  /// Four asymmetric squared L2 distances against the *same* SQ8 code
-  /// row: out[k] = sum over i of (qts[k][i] - step[i] * codes[i])^2.
-  /// The batched PG-Index search uses this when several queries of a
-  /// lockstep group expand the same node — the row's dequantization
-  /// (step[i] * codes[i]) is computed once and shared, and the four
-  /// accumulator chains are independent, so the per-query cost drops
-  /// well below four single-row calls. Each out[k] is bit-identical to
-  /// sq8_asym_l2(qts[k], step, codes, n): the shared product is the
-  /// same rounded float, and each query keeps its own 8-lane
-  /// accumulation per the contract above. qts entries may repeat (a
-  /// short group pads with a duplicate pointer).
-  void (*sq8_asym_l2x4)(const float* const qts[4], const float* step,
-                        const uint8_t* codes, size_t n, float out[4]);
   /// Fused two-term axpy: y += a * x1 + b * x2. Elementwise in index
   /// order — y[i] + (a*x1[i] + b*x2[i]) with one rounding per arithmetic
   /// op and no FMA contraction — so, having no accumulator lanes at all,

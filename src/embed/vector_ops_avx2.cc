@@ -119,62 +119,6 @@ float Sq8AsymL2Avx2(const float* qt, const float* step, const uint8_t* codes,
   return ReduceAvx2(merged);
 }
 
-void Sq8AsymL2x4Avx2(const float* const qts[4], const float* step,
-                     const uint8_t* codes, size_t n, float out[4]) {
-  // One shared dequantization (cvt + step-mul) per 8-code block, four
-  // queries scored against it, each with the contract's two
-  // accumulator chains. Per query this is the same float sequence as
-  // Sq8AsymL2Avx2 — the shared product is one rounded value either
-  // way — so out[k] is bit-identical to a single call, while the
-  // decode work is paid once instead of four times.
-  __m256 chain0[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                      _mm256_setzero_ps(), _mm256_setzero_ps()};
-  __m256 chain1[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                      _mm256_setzero_ps(), _mm256_setzero_ps()};
-  const size_t n16 = n - n % 16;
-  for (size_t i = 0; i < n16; i += 16) {
-    const __m128i c0 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(codes + i));
-    const __m256 dec0 = _mm256_mul_ps(
-        _mm256_loadu_ps(step + i),
-        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(c0)));
-    const __m128i c1 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(codes + i + 8));
-    const __m256 dec1 = _mm256_mul_ps(
-        _mm256_loadu_ps(step + i + 8),
-        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(c1)));
-    for (int k = 0; k < 4; ++k) {
-      const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(qts[k] + i), dec0);
-      chain0[k] = _mm256_add_ps(chain0[k], _mm256_mul_ps(d0, d0));
-      const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(qts[k] + i + 8), dec1);
-      chain1[k] = _mm256_add_ps(chain1[k], _mm256_mul_ps(d1, d1));
-    }
-  }
-  if (n16 == n) {
-    for (int k = 0; k < 4; ++k) {
-      out[k] = ReduceAvx2(_mm256_add_ps(chain0[k], chain1[k]));
-    }
-    return;
-  }
-  alignas(32) float tail[4][16];
-  for (int k = 0; k < 4; ++k) {
-    _mm256_store_ps(tail[k], chain0[k]);
-    _mm256_store_ps(tail[k] + 8, chain1[k]);
-  }
-  for (size_t i = n16; i < n; ++i) {
-    const float dec = step[i] * static_cast<float>(codes[i]);
-    for (int k = 0; k < 4; ++k) {
-      const float d = qts[k][i] - dec;
-      tail[k][i - n16] += d * d;
-    }
-  }
-  for (int k = 0; k < 4; ++k) {
-    const __m256 merged = _mm256_add_ps(_mm256_load_ps(tail[k]),
-                                        _mm256_load_ps(tail[k] + 8));
-    out[k] = ReduceAvx2(merged);
-  }
-}
-
 // --- Trainer kernels: elementwise, mirroring the scalar baseline's
 // per-element operation order exactly (no FMA: -ffp-contract=off), so
 // results are bit-identical to vector_ops.cc. vsqrtps and vdivps are
@@ -259,8 +203,7 @@ void AdamUpdateAvx2(float* params, const float* grads, float* m, float* v,
 constexpr DistanceKernel kAvx2Kernel = {
     "avx2",          DotAvx2,         SquaredL2Avx2,
     AxpyAvx2,        ScaleAvx2,       Sq8AsymL2Avx2,
-    Sq8AsymL2x4Avx2, Axpy2Avx2,       TripletGradAvx2,
-    AdamUpdateAvx2};
+    Axpy2Avx2,       TripletGradAvx2, AdamUpdateAvx2};
 
 }  // namespace
 

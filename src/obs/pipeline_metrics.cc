@@ -44,7 +44,7 @@ void WarmPipelineMetrics() {
         kPgindexBuildDistanceComputations, kPgindexSearchesTotal,
         kPgindexBatchSearchesTotal, kPgindexDistanceComputations,
         kPgindexSq8DistanceComputations, kPgindexRerankCandidates,
-        kPgindexBatchInterleavedHops, kTaQueriesTotal, kTaEntriesAccessed, kTaEarlyTerminationTotal,
+        kTaQueriesTotal, kTaEntriesAccessed, kTaEarlyTerminationTotal,
         kRankingFullScansTotal, kRankingFullScanEntriesAccessed,
         kPoolTasksCancelled, kPoolWaitHelpRuns, kEngineBuildsTotal,
         kEngineQueriesTotal, kEngineBatchQueriesTotal,
@@ -144,8 +144,6 @@ const char* PipelineMetricHelp(const std::string& name) {
            "SQ8 asymmetric distance evaluations (quantized traversal)."},
           {kPgindexRerankCandidates,
            "Candidates exact-reranked in fp32 after the SQ8 traversal."},
-          {kPgindexBatchInterleavedHops,
-           "Batch hops executed while >= 2 lockstep queries were live."},
           {kTrainerEpochLoss,
            "Mean triplet loss of the most recent training epoch."},
           {kTrainerTriplesPerSec,

@@ -74,10 +74,6 @@ inline constexpr char kPgindexSq8DistanceComputations[] =
 /// Candidates exact-reranked in fp32 after the SQ8 traversal.
 inline constexpr char kPgindexRerankCandidates[] =
     "pgindex.rerank_candidates";
-/// Batch-search hops executed while >= 2 queries of a lockstep group
-/// were still live (the share of the traversal that ran interleaved).
-inline constexpr char kPgindexBatchInterleavedHops[] =
-    "pgindex.batch_interleaved_hops";
 /// Histogram: adjacency expansions per search.
 inline constexpr char kPgindexSearchHops[] = "pgindex.search_hops";
 /// Histogram: result-pool occupancy when the search terminated.

@@ -15,9 +15,11 @@
 // over the loaded artifacts at startup (creating the file when absent),
 // and POST /v1/admin/ingest accepts JSON paper batches that are logged,
 // folded into the serving state, and published as new generations while
-// queries keep running. Incompatible with --shards > 1. The graph and
-// PG-Index delta overlays are compacted back into flat CSR whenever
-// together they pass IngestOptions::merge_pending_edge_budget edges.
+// queries keep running. Incompatible with --shards > 1 and with
+// --reload-watch, and POST /v1/admin/reload answers 503 under it (a
+// reload would drop the ingested papers). The graph and PG-Index delta
+// overlays are compacted back into flat CSR whenever together they pass
+// IngestOptions::merge_pending_edge_budget edges.
 //
 // --shards N partitions the corpus over N per-shard PG-Indexes
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
@@ -119,6 +121,17 @@ int main(int argc, char** argv) {
   const std::map<std::string, std::string>& flags = *parsed;
   const std::string graph_path = FlagOr(flags, "graph", "graph.kg");
   const std::string model_dir = FlagOr(flags, "model-dir", "model");
+  // Reload would publish the base artifacts without the ingested papers
+  // (and the next ingest publish would undo the reload), so the two
+  // never run together.
+  const std::string wal_path = FlagOr(flags, "wal", "");
+  const double watch_seconds =
+      std::atof(FlagOr(flags, "reload-watch", "0").c_str());
+  if (!wal_path.empty() && watch_seconds > 0) {
+    return Fail(Status::InvalidArgument(
+        "--reload-watch cannot be combined with --wal (a reload would "
+        "drop the ingested papers)"));
+  }
 
   // Block the shutdown signals before any thread spawns, so they are
   // delivered to the sigwait below, never to a worker.
@@ -166,7 +179,6 @@ int main(int argc, char** argv) {
   // server opens its socket, so the first query already sees the
   // caught-up generation).
   std::unique_ptr<IngestCoordinator> ingest;
-  const std::string wal_path = FlagOr(flags, "wal", "");
   if (!wal_path.empty()) {
     if (group_options.num_shards > 1) {
       return Fail(Status::FailedPrecondition(
@@ -258,9 +270,8 @@ int main(int argc, char** argv) {
 
   // --reload-watch S: poll the artifact files every S seconds and
   // hot-swap the generation when any mtime changes (the push-based
-  // /v1/admin/reload endpoint stays available either way).
-  const double watch_seconds =
-      std::atof(FlagOr(flags, "reload-watch", "0").c_str());
+  // /v1/admin/reload endpoint stays available either way; both are off
+  // under --wal).
   std::mutex watch_mutex;
   std::condition_variable watch_cv;
   bool watch_stop = false;

@@ -163,12 +163,16 @@ std::unique_ptr<ExpertSearchService> ExpertSearchService::ForEngineGroup(
     EngineGroup* group, ServiceConfig config, IngestCoordinator* ingest) {
   ServiceHooks hooks;
   hooks.info = [group] { return group->Info(); };
-  hooks.reload = [group](const std::string& dir) -> StatusOr<uint64_t> {
-    KPEF_RETURN_IF_ERROR(group->Reload(dir));
-    return group->generation();
-  };
   hooks.sample = [group] { group->SampleMetrics(); };
-  if (ingest != nullptr) {
+  if (ingest == nullptr) {
+    hooks.reload = [group](const std::string& dir) -> StatusOr<uint64_t> {
+      KPEF_RETURN_IF_ERROR(group->Reload(dir));
+      return group->generation();
+    };
+  } else {
+    // No reload hook while ingest is live: a reload would publish the
+    // base artifacts without the ingested papers, and the next ingest
+    // publish would silently undo it. Reload answers 503 instead.
     hooks.ingest = [ingest](const IngestBatch& batch) {
       return ingest->Apply(batch);
     };

@@ -37,7 +37,8 @@
 //         published; in-flight queries drain on the old one
 //     409 another reload is already in progress
 //     500 load failed (old generation keeps serving)
-//     503 service built without a reload hook
+//     503 service built without a reload hook (also while an ingest
+//         coordinator is wired: a reload would drop ingested papers)
 //
 // The service talks to the engine exclusively through a BatchExecuteFn,
 // so tests wire a fake engine; ExecuteFor() adapts a real engine or
@@ -144,7 +145,8 @@ class ExpertSearchService {
   /// hot-swaps artifacts, and /metrics samples the generation gauges.
   /// The group must outlive the service.
   /// `ingest` (optional) additionally enables POST /v1/admin/ingest and
-  /// the /healthz ingest fields; it must outlive the service.
+  /// the /healthz ingest fields, and disables reload (503); it must
+  /// outlive the service.
   static std::unique_ptr<ExpertSearchService> ForEngineGroup(
       EngineGroup* group, ServiceConfig config,
       IngestCoordinator* ingest = nullptr);

@@ -211,8 +211,12 @@ struct SharedIngest {
     return group.ok() ? std::move(group).value() : nullptr;
   }
 
+  /// A fresh (removed) log path per call, so a repeated in-process run
+  /// (e.g. --gtest_repeat) never replays the previous run's WAL.
   fs::path WalPath(const std::string& tag) const {
-    return root / ("wal_" + tag + ".log");
+    fs::path path = root / ("wal_" + tag + ".log");
+    fs::remove(path);
+    return path;
   }
 };
 

@@ -6,7 +6,8 @@
 // ingest publish, the new papers' authors become findable, /healthz
 // reports the ingest state, and the degraded paths (no coordinator,
 // malformed batches, concurrent ingest) answer 503/400/409 — never
-// crashing the serving path.
+// crashing the serving path. Reload is refused (503) while ingest is
+// live, since it would drop the ingested papers.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -253,6 +254,9 @@ struct Harness {
       IngestOptions ingest_options;
       ingest_options.wal_path =
           (s.root / ("serve_wal_" + wal_tag + ".log")).string();
+      // A fresh log per harness: a repeated in-process run (e.g.
+      // --gtest_repeat) would otherwise replay the previous run's WAL.
+      fs::remove(ingest_options.wal_path);
       ingest_options.merge_pending_edge_budget = merge_budget;
       auto created = IngestCoordinator::Create(
           group.get(), SharedArtifacts::Config(), ingest_options);
@@ -283,6 +287,24 @@ struct Harness {
 
 std::string FindExpertsBody(const std::string& query) {
   return "{\"query\":\"" + JsonEscape(query) + "\",\"n\":10}";
+}
+
+/// The "generation" field of a /healthz body (-1 when absent).
+long long HealthGeneration(const std::string& body) {
+  const std::string key = "\"generation\":";
+  const size_t at = body.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(body.c_str() + at + key.size());
+}
+
+/// True when `body` names at least one of `paper`'s authors.
+bool NamesAnAuthor(const std::string& body, const DripPaper& paper) {
+  for (const std::string& author : paper.authors) {
+    if (body.find("\"" + JsonEscape(author) + "\"") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // --- Tests ------------------------------------------------------------
@@ -365,14 +387,7 @@ TEST(ServeIngestTest, IngestUnderSustainedTrafficDropsNothing) {
                                  FindExpertsBody(probe.text)) &&
               ingest_client.ReadResponse(&found));
   ASSERT_EQ(found.status, 200);
-  bool author_found = false;
-  for (const std::string& author : probe.authors) {
-    if (found.body.find("\"" + JsonEscape(author) + "\"") !=
-        std::string::npos) {
-      author_found = true;
-    }
-  }
-  EXPECT_TRUE(author_found)
+  EXPECT_TRUE(NamesAnAuthor(found.body, probe))
       << "no author of the probe paper in: " << found.body;
 
   // /healthz reports the ingest state.
@@ -403,6 +418,44 @@ TEST(ServeIngestTest, WithoutCoordinatorAnswers503) {
                           "{\"papers\":[{\"text\":\"x\"}]}") &&
               client.ReadResponse(&response));
   EXPECT_EQ(response.status, 503);
+}
+
+// A reload publishes the base artifacts, so under live ingest it would
+// drop every ingested paper (and the next ingest publish would undo the
+// reload). The service therefore refuses it: 503, same generation, and
+// the ingested papers keep being served.
+TEST(ServeIngestTest, ReloadIsRefusedWhileIngestIsLive) {
+  SharedArtifacts& s = SharedArtifacts::Get();
+  Harness harness(/*with_ingest=*/true, "reload");
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::vector<DripPaper> batch(s.split.tail.begin(),
+                                     s.split.tail.begin() + 9);
+  ClientResponse ingested;
+  ASSERT_TRUE(client.Post("/v1/admin/ingest", IngestBody(batch)) &&
+              client.ReadResponse(&ingested));
+  ASSERT_EQ(ingested.status, 200) << ingested.body;
+  ClientResponse before;
+  ASSERT_TRUE(client.Get("/healthz") && client.ReadResponse(&before));
+  const long long generation = HealthGeneration(before.body);
+  ASSERT_GT(generation, 1) << before.body;
+
+  ClientResponse reload;
+  ASSERT_TRUE(client.Post("/v1/admin/reload", "{}") &&
+              client.ReadResponse(&reload));
+  EXPECT_EQ(reload.status, 503) << reload.body;
+
+  ClientResponse after;
+  ASSERT_TRUE(client.Get("/healthz") && client.ReadResponse(&after));
+  EXPECT_EQ(HealthGeneration(after.body), generation) << after.body;
+  const DripPaper& probe = batch.back();
+  ClientResponse found;
+  ASSERT_TRUE(client.Post("/v1/find_experts", FindExpertsBody(probe.text)) &&
+              client.ReadResponse(&found));
+  ASSERT_EQ(found.status, 200);
+  EXPECT_TRUE(NamesAnAuthor(found.body, probe))
+      << "no author of the ingested paper in: " << found.body;
 }
 
 TEST(ServeIngestTest, MalformedBatchesAnswer400AndKeepServing) {

@@ -147,53 +147,6 @@ TEST(Sq8KernelTest, ScalarAndDispatchedPathsAgreeBitForBit) {
   }
 }
 
-TEST(Sq8KernelTest, QuadKernelMatchesFourSingleCalls) {
-  // The shared-decode four-query kernel must be bit-identical, per
-  // query, to four independent sq8_asym_l2 calls — on every path. The
-  // batched search relies on this for its batched-equals-serial
-  // contract. Duplicate query pointers (how short groups pad) must
-  // also reproduce the single-call result.
-  Rng rng(23);
-  const DistanceKernel& scalar = ScalarKernel();
-  const DistanceKernel* avx2 = Avx2KernelOrNull();
-  for (size_t n : {1u, 8u, 9u, 64u, 128u, 333u}) {
-    std::vector<std::vector<float>> q(4, std::vector<float>(n));
-    std::vector<float> step(n);
-    std::vector<uint8_t> codes(n);
-    for (size_t i = 0; i < n; ++i) {
-      for (int k = 0; k < 4; ++k) {
-        q[k][i] = static_cast<float>(rng.Normal(0, 2));
-      }
-      step[i] = static_cast<float>(std::abs(rng.Normal(0, 0.05)));
-      codes[i] = static_cast<uint8_t>(rng.Uniform(256));
-    }
-    const float* qts[4] = {q[0].data(), q[1].data(), q[2].data(),
-                           q[3].data()};
-    const float* dup[4] = {q[0].data(), q[1].data(), q[1].data(),
-                           q[0].data()};
-    for (const DistanceKernel* k :
-         {&scalar, &ActiveKernel(), avx2}) {
-      if (k == nullptr) continue;
-      float quad[4];
-      k->sq8_asym_l2x4(qts, step.data(), codes.data(), n, quad);
-      for (int j = 0; j < 4; ++j) {
-        EXPECT_EQ(quad[j],
-                  k->sq8_asym_l2(qts[j], step.data(), codes.data(), n))
-            << k->name << " n=" << n << " q=" << j;
-        EXPECT_EQ(quad[j],
-                  scalar.sq8_asym_l2(qts[j], step.data(), codes.data(), n))
-            << k->name << " n=" << n << " q=" << j;
-      }
-      k->sq8_asym_l2x4(dup, step.data(), codes.data(), n, quad);
-      for (int j = 0; j < 4; ++j) {
-        EXPECT_EQ(quad[j],
-                  scalar.sq8_asym_l2(dup[j], step.data(), codes.data(), n))
-            << k->name << " dup n=" << n << " q=" << j;
-      }
-    }
-  }
-}
-
 TEST(Sq8KernelTest, MatchesDoublePrecisionReference) {
   Rng rng(22);
   const size_t n = 96;
@@ -273,13 +226,11 @@ TEST_F(Sq8IndexTest, RelabelPermutationKeepsExternalContract) {
 }
 
 TEST_F(Sq8IndexTest, BatchMatchesSerialForAnyPoolAndComposition) {
-  // The batched lockstep search must return byte-identical results to
-  // per-query Search, for every thread count and every way the batch
-  // splits into groups — including stats, so timing attribution aside
-  // the two paths are observably the same traversal. Groups hold
-  // ceil(batch / pool width) queries, so the pool widths and batch
-  // prefixes below cover group sizes from 1 (a batch no wider than the
-  // pool) up to the whole batch (one worker), with partial last groups.
+  // SearchBatch fans its queries over the pool, each running Search's
+  // greedy loop on its worker's reused arena. It must return
+  // byte-identical results and counters to per-query Search for every
+  // thread count and batch size: batches narrower and wider than the
+  // pool, and arenas reused across queries of different batches.
   Rng rng(31);
   constexpr size_t kBatch = 21;
   Matrix queries(kBatch, kDim);
