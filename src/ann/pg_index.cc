@@ -711,11 +711,17 @@ std::vector<Neighbor> PGIndex::Search(std::span<const float> query,
                                       SearchStats* stats) const {
   KPEF_TRACE_SPAN("pgindex.search");
   const AlignedVector padded = PadToAligned(query);
+  return SearchPadded({padded.data(), padded.size()}, params, stats);
+}
+
+std::vector<Neighbor> PGIndex::SearchPadded(std::span<const float> padded,
+                                            const SearchParams& params,
+                                            SearchStats* stats) const {
   SearchStats local_stats;
   std::vector<Neighbor> result;
   Timer search_timer;
-  const size_t occupancy = GreedySearch({padded.data(), padded.size()}, params,
-                                        LocalArena(), &local_stats, &result);
+  const size_t occupancy =
+      GreedySearch(padded, params, LocalArena(), &local_stats, &result);
   local_stats.search_ms = search_timer.ElapsedMillis();
   // The greedy loop above accumulated into stack-local stats only;
   // concurrent searches over a shared (const) index merge here, once.
@@ -754,39 +760,18 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   }
   KPEF_CHECK(points_.rows() == 0 || queries.cols() == points_.cols())
       << "query dimensionality does not match the index";
-  std::vector<size_t> occupancy(batch, 0);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
-  const bool cancellable = cancel.CanBeCancelled();
-  // One task per query, each running Search's greedy loop on its
-  // worker's arena, so results and stats do not depend on the pool size
-  // or the batch's composition. Cancellation is checked as each query
-  // starts: a query either runs to completion or is skipped whole.
+  // One task per query, each running Search's own body on its worker's
+  // arena, so results and stats do not depend on the pool size or the
+  // batch's composition. Cancellation is checked as each query starts:
+  // a query either runs to completion or is skipped whole.
   ParallelFor(p, batch, [&](size_t q) {
-    if (cancellable && cancel.IsCancelled()) {
+    if (cancel.IsCancelled()) {
       local_stats[q].cancelled = true;
       return;
     }
-    Timer search_timer;
-    occupancy[q] = GreedySearch(queries.PaddedRow(q), params, LocalArena(),
-                                &local_stats[q], &results[q]);
-    local_stats[q].search_ms = search_timer.ElapsedMillis();
+    results[q] = SearchPadded(queries.PaddedRow(q), params, &local_stats[q]);
   });
-  // Merge per-query stats through the registry once for the whole batch.
-  uint64_t total_fp32 = 0, total_sq8 = 0, total_rerank = 0;
-  for (const SearchStats& s : local_stats) {
-    total_fp32 += s.distance_computations;
-    total_sq8 += s.sq8_distance_computations;
-    total_rerank += s.rerank_candidates;
-  }
-  KPEF_COUNTER_ADD(obs::kPgindexSearchesTotal, batch);
-  KPEF_COUNTER_ADD(obs::kPgindexBatchSearchesTotal, 1);
-  KPEF_COUNTER_ADD(obs::kPgindexDistanceComputations, total_fp32);
-  KPEF_COUNTER_ADD(obs::kPgindexSq8DistanceComputations, total_sq8);
-  KPEF_COUNTER_ADD(obs::kPgindexRerankCandidates, total_rerank);
-  for (size_t q = 0; q < batch; ++q) {
-    KPEF_HISTOGRAM_OBSERVE(obs::kPgindexSearchHops, local_stats[q].hops);
-    KPEF_HISTOGRAM_OBSERVE(obs::kPgindexCandidatePoolOccupancy, occupancy[q]);
-  }
   if (stats) *stats = std::move(local_stats);
   return results;
 }

@@ -13,9 +13,9 @@
 //    scores 64-byte-aligned code rows with the dispatched asymmetric
 //    int8 kernel, then exact-reranks the top rerank_factor * m
 //    candidates in fp32 so recall stays contractual;
-//  - SearchBatch fans the batch's queries over a thread pool, one
+//  - SearchBatch is a ParallelFor over Search's per-query body: one
 //    greedy search per query on its worker's reused arena (no per-query
-//    allocation).
+//    allocation). The engine itself calls Search, once per query task.
 
 #ifndef KPEF_ANN_PG_INDEX_H_
 #define KPEF_ANN_PG_INDEX_H_
@@ -130,7 +130,7 @@ class PGIndex {
   /// greedy search as Search, so results and counters are identical to
   /// calling Search per row for any pool size and any batch
   /// composition. Per-query stats land in `*stats` (resized to the
-  /// batch) and the metrics registry is updated once per batch. A
+  /// batch) and each query updates the metrics registry as Search does. A
   /// non-null `cancel` token is checked as each query starts: queries
   /// that start after the token fired are skipped (empty result,
   /// SearchStats::cancelled set), so an expired deadline yields partial
@@ -238,6 +238,12 @@ class PGIndex {
                       std::vector<std::vector<int32_t>>&& ext_adjacency,
                       int32_t navigating_external, bool quantize,
                       const Sq8Codes* ext_codes);
+
+  /// Search's body for an already padded query (SearchBatch's rows):
+  /// the timed greedy search plus its metrics-registry update.
+  std::vector<Neighbor> SearchPadded(std::span<const float> padded,
+                                     const SearchParams& params,
+                                     SearchStats* stats) const;
 
   /// One greedy best-first search (§IV-B) for the padded `query`:
   /// writes the top-m to `*out`, adds its counters to `*stats`, and

@@ -18,14 +18,16 @@ namespace kpef {
 
 namespace {
 
-// True when query q's own deadline (BatchQueryOptions::deadlines) has
-// passed.
-bool SlotExpired(const BatchQueryOptions& options, size_t q) {
-  return !options.deadlines.empty() &&
-         CancelToken::Clock::now() >= options.deadlines[q];
+// True when query q must skip its remaining stages: the call's token
+// fired or q's own deadline (BatchQueryOptions::deadlines) passed.
+bool Stopped(const BatchQueryOptions& options, size_t q,
+             const CancelToken& cancel) {
+  return cancel.IsCancelled() ||
+         (!options.deadlines.empty() &&
+          CancelToken::Clock::now() >= options.deadlines[q]);
 }
 
-// Query q's request-trace key (0 = untraced); each phase installs it as
+// Query q's request-trace key (0 = untraced); its task installs it as
 // the thread's context so its spans land in the right request.
 uint64_t TraceKey(const BatchQueryOptions& options, size_t q) {
   return q < options.trace_keys.size() ? options.trace_keys[q] : 0;
@@ -150,46 +152,16 @@ ExpertFindingEngine::LoadFromArtifacts(const Dataset* dataset,
                                        const Corpus* corpus,
                                        const EngineConfig& config,
                                        const std::string& dir) {
-  auto engine = std::unique_ptr<ExpertFindingEngine>(
-      new ExpertFindingEngine(dataset, corpus, config));
   KPEF_ASSIGN_OR_RETURN(DocumentEncoder encoder,
                         LoadEncoder(dir + "/encoder.bin"));
-  if (encoder.vocab_size() != corpus->vocabulary().size()) {
-    return Status::FailedPrecondition(
-        "encoder vocabulary does not match the corpus");
-  }
-  engine->encoder_ = std::make_unique<DocumentEncoder>(std::move(encoder));
-  KPEF_ASSIGN_OR_RETURN(engine->embeddings_,
-                        LoadMatrix(dir + "/embeddings.bin"));
-  if (engine->embeddings_.rows() != corpus->NumDocuments()) {
-    return Status::FailedPrecondition(
-        "embedding count does not match the corpus");
-  }
-  // Cross-check every artifact's dimensionality: a mismatched set (e.g.
-  // an encoder.bin from a different build next to stale embeddings)
-  // would otherwise load fine and serve garbage distances.
-  if (engine->encoder_->dim() != engine->embeddings_.cols()) {
-    return Status::FailedPrecondition(
-        "encoder dimension does not match the embeddings");
-  }
+  KPEF_ASSIGN_OR_RETURN(Matrix embeddings, LoadMatrix(dir + "/embeddings.bin"));
+  std::unique_ptr<PGIndex> index;
   if (config.use_pg_index) {
-    KPEF_ASSIGN_OR_RETURN(PGIndex index, PGIndex::Load(dir + "/pgindex.bin"));
-    if (index.NumPoints() != engine->embeddings_.rows()) {
-      return Status::FailedPrecondition(
-          "index size does not match the embeddings");
-    }
-    if (index.points().cols() != engine->embeddings_.cols()) {
-      return Status::FailedPrecondition(
-          "index dimension does not match the embeddings");
-    }
-    // Whether the index is quantized follows the artifact; the rerank
-    // depth is a serving-time knob, so the config wins over the saved
-    // default.
-    index.set_rerank_factor(config.pg_index.rerank_factor);
-    engine->index_ = std::make_unique<PGIndex>(std::move(index));
+    KPEF_ASSIGN_OR_RETURN(PGIndex loaded, PGIndex::Load(dir + "/pgindex.bin"));
+    index = std::make_unique<PGIndex>(std::move(loaded));
   }
-  engine->artifact_dir_ = dir;
-  return engine;
+  return FromParts(dataset, corpus, config, std::move(encoder),
+                   std::move(embeddings), std::move(index), dir);
 }
 
 StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
@@ -206,6 +178,9 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
     return Status::FailedPrecondition(
         "embedding count does not match the corpus");
   }
+  // Cross-check every artifact's dimensionality: a mismatched set (e.g.
+  // an encoder.bin from a different build next to stale embeddings)
+  // would otherwise load fine and serve garbage distances.
   if (encoder.dim() != embeddings.cols()) {
     return Status::FailedPrecondition(
         "encoder dimension does not match the embeddings");
@@ -219,6 +194,9 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
       return Status::FailedPrecondition(
           "index dimension does not match the embeddings");
     }
+    // Whether the index is quantized follows the artifact; the rerank
+    // depth is a serving-time knob, so the config wins over the saved
+    // default.
     index->set_rerank_factor(config.pg_index.rerank_factor);
   }
   engine->encoder_ = std::make_unique<DocumentEncoder>(std::move(encoder));
@@ -246,16 +224,15 @@ EngineInfo ExpertFindingEngine::Info() const {
 std::vector<NodeId> ExpertFindingEngine::RetrievePapers(
     const std::string& query_text, size_t m, QueryStats* stats) {
   KPEF_TRACE_SPAN("engine.retrieve_papers");
-  std::vector<QueryStats> local(1);
-  std::vector<char> retrieved(1, 0);
-  const std::vector<std::vector<Neighbor>> neighbors =
-      RetrieveBatch({query_text}, m, BatchQueryOptions(),
-                    ThreadPool::Default(), CancelToken(), &local, &retrieved);
+  QueryStats local;
+  const std::vector<Neighbor> neighbors =
+      *RetrieveQuery(query_text, m, BatchQueryOptions(), 0, CancelToken(),
+                     &local);
   const std::vector<NodeId>& papers = dataset_->Papers();
   std::vector<NodeId> result;
-  result.reserve(neighbors[0].size());
-  for (const Neighbor& nb : neighbors[0]) result.push_back(papers[nb.id]);
-  if (stats) *stats = local[0];
+  result.reserve(neighbors.size());
+  for (const Neighbor& nb : neighbors) result.push_back(papers[nb.id]);
+  if (stats) *stats = local;
   return result;
 }
 
@@ -285,117 +262,36 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   return FindExpertsBatch(query_texts, n, options, stats);
 }
 
-std::vector<std::vector<Neighbor>> ExpertFindingEngine::RetrieveBatch(
-    const std::vector<std::string>& query_texts, size_t m,
-    const BatchQueryOptions& options, ThreadPool& workers,
-    const CancelToken& cancel, std::vector<QueryStats>* stats,
-    std::vector<char>* retrieved) const {
-  const size_t batch = query_texts.size();
-  const bool cancellable = cancel.CanBeCancelled();
-  const bool has_slot_deadlines = !options.deadlines.empty();
-
-  // Encode all queries into one padded matrix (PG-Index consumes the
-  // rows in place, no per-query copies). Each phase below records which
-  // queries it completed; the cancel token latches, so a query whose
-  // phase ran is known to have run on real inputs.
-  Matrix queries(batch, encoder_->dim());
-  std::vector<char> encoded(batch, 0);
-  ParallelFor(
-      workers, batch,
-      [&](size_t q) {
-        if (SlotExpired(options, q)) return;
-        obs::ScopedTraceContext trace_scope(TraceKey(options, q));
-        KPEF_TRACE_SPAN("engine.encode");
-        Timer encode_timer;
-        const std::vector<float> v =
-            encoder_->Encode(corpus_->EncodeQuery(query_texts[q]));
-        std::copy(v.begin(), v.end(), queries.Row(q).begin());
-        // Encoding counts toward retrieval time.
-        (*stats)[q].encode_ms = encode_timer.ElapsedMillis();
-        (*stats)[q].retrieval_ms = (*stats)[q].encode_ms;
-        encoded[q] = 1;
-      },
-      cancel);
-
-  // Retrieval: one batched index search (or a brute-force fan-out).
-  // Per-query retrieval time comes from the per-query SearchStats, so
-  // it is a real wall-clock figure comparable to ranking_ms (the batch
-  // searches overlap, so a batch-average would smear them).
-  const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
-  std::vector<std::vector<Neighbor>> neighbors(batch);
-  if (options.search || index_) {
-    // Queries whose slot deadline expired between encode and here are
-    // compacted out of the search matrix, so an already-504'd request
-    // stops costing traversal work.
-    std::vector<size_t> live;
-    live.reserve(batch);
-    for (size_t q = 0; q < batch; ++q) {
-      if (encoded[q] && !SlotExpired(options, q)) live.push_back(q);
-    }
-    // Bound the batched search by the latest live slot deadline — the
-    // call must not outlive every remaining budget even when the caller
-    // passed no whole-call token (mixed-deadline batches).
-    CancelToken search_cancel = cancel;
-    if (has_slot_deadlines && !live.empty()) {
-      auto latest = CancelToken::Clock::time_point::min();
-      for (const size_t q : live) {
-        latest = std::max(latest, options.deadlines[q]);
-      }
-      if (latest != CancelToken::Clock::time_point::max()) {
-        search_cancel = CancelToken::WithDeadline(latest, cancel);
-      }
-    }
-    const Matrix* search_input = &queries;
-    Matrix compacted;
-    if (live.size() != batch) {
-      compacted = Matrix(live.size(), encoder_->dim());
-      for (size_t i = 0; i < live.size(); ++i) {
-        const auto row = queries.Row(live[i]);
-        std::copy(row.begin(), row.end(), compacted.Row(i).begin());
-      }
-      search_input = &compacted;
-    }
-    std::vector<PGIndex::SearchStats> search_stats;
-    const uint64_t search_start_ns = obs::Tracer::Global().NowNanos();
-    std::vector<std::vector<Neighbor>> found =
-        options.search
-            ? options.search(*search_input, m, ef, &search_stats, workers,
-                             search_cancel)
-            : index_->SearchBatch(*search_input, m, ef, &search_stats,
-                                  &workers, search_cancel);
-    for (size_t i = 0; i < live.size(); ++i) {
-      const size_t q = live[i];
-      if (i < found.size()) neighbors[q] = std::move(found[i]);
-      if (i >= search_stats.size()) continue;
-      (*stats)[q].distance_computations =
-          search_stats[i].distance_computations +
-          search_stats[i].sq8_distance_computations;
-      (*stats)[q].retrieval_ms += search_stats[i].search_ms;
-      (*retrieved)[q] = !search_stats[i].cancelled;
-      // The index layer stays trace-free; attribute each query's share
-      // of the batched search as a manual span anchored at dispatch.
-      obs::RecordSpan(
-          TraceKey(options, q), "engine.search", search_start_ns,
-          static_cast<uint64_t>(search_stats[i].search_ms * 1e6));
-    }
-  } else {
-    ParallelFor(
-        workers, batch,
-        [&](size_t q) {
-          if (!encoded[q] || SlotExpired(options, q) ||
-              (cancellable && cancel.IsCancelled())) {
-            return;
-          }
-          obs::ScopedTraceContext trace_scope(TraceKey(options, q));
-          KPEF_TRACE_SPAN("engine.search");
-          Timer search_timer;
-          neighbors[q] = BruteForceSearch(embeddings_, queries.Row(q), m);
-          (*stats)[q].distance_computations = embeddings_.rows();
-          (*stats)[q].retrieval_ms += search_timer.ElapsedMillis();
-          (*retrieved)[q] = 1;
-        },
-        cancel);
+std::optional<std::vector<Neighbor>> ExpertFindingEngine::RetrieveQuery(
+    const std::string& query_text, size_t m, const BatchQueryOptions& options,
+    size_t q, const CancelToken& cancel, QueryStats* stats) const {
+  if (Stopped(options, q, cancel)) return std::nullopt;
+  std::vector<float> query;
+  {
+    KPEF_TRACE_SPAN("engine.encode");
+    Timer encode_timer;
+    query = encoder_->Encode(corpus_->EncodeQuery(query_text));
+    // Encoding counts toward retrieval time.
+    stats->encode_ms = encode_timer.ElapsedMillis();
+    stats->retrieval_ms = stats->encode_ms;
   }
+  if (Stopped(options, q, cancel)) return std::nullopt;
+  KPEF_TRACE_SPAN("engine.search");
+  Timer search_timer;
+  const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
+  PGIndex::SearchStats search_stats;
+  std::vector<Neighbor> neighbors;
+  if (options.search) {
+    neighbors = options.search(query, m, ef, &search_stats);
+  } else if (index_) {
+    neighbors = index_->Search(query, m, ef, &search_stats);
+  } else {
+    neighbors = BruteForceSearch(embeddings_, query, m);
+    search_stats.distance_computations = embeddings_.rows();
+  }
+  stats->distance_computations = search_stats.distance_computations +
+                                 search_stats.sq8_distance_computations;
+  stats->retrieval_ms += search_timer.ElapsedMillis();
   return neighbors;
 }
 
@@ -406,7 +302,8 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   Timer batch_timer;
   const size_t batch = query_texts.size();
   std::vector<std::vector<ExpertScore>> results(batch);
-  std::vector<QueryStats> local(batch);
+  // A query stays flagged unless its task finishes every stage.
+  std::vector<QueryStats> local(batch, QueryStats{.deadline_exceeded = true});
   if (batch == 0) {
     if (stats) stats->clear();
     return results;
@@ -417,33 +314,26 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   if (options.deadline_ms > 0.0) {
     cancel = CancelToken::AfterMillis(options.deadline_ms, options.cancel);
   }
-  const bool cancellable = cancel.CanBeCancelled();
-  // Per-slot deadlines: a query whose own budget expired is skipped by
-  // every later phase (and compacted out of the batched search),
-  // independent of the whole-call token.
   KPEF_CHECK(options.deadlines.empty() || options.deadlines.size() == batch)
       << "BatchQueryOptions::deadlines must match the query list";
 
-  std::vector<char> retrieved(batch, 0);
-  const std::vector<std::vector<Neighbor>> neighbors = RetrieveBatch(
-      query_texts, config_.top_m, options, workers, cancel, &local, &retrieved);
-
-  // Ranking: independent per query over the shared (read-only) graph.
+  // One task per query: encode -> search -> rank. Each stage first checks
+  // the query's own deadline and the call's token, so an expired query
+  // stops costing work without waiting on, or holding back, its
+  // batchmates. Ranking reads the shared (read-only) graph.
   const std::vector<NodeId>& papers = dataset_->Papers();
-  std::vector<char> ranked(batch, 0);
   ParallelFor(
       workers, batch,
       [&](size_t q) {
-        if (!retrieved[q] || SlotExpired(options, q) ||
-            (cancellable && cancel.IsCancelled())) {
-          return;
-        }
         obs::ScopedTraceContext trace_scope(TraceKey(options, q));
+        const std::optional<std::vector<Neighbor>> neighbors = RetrieveQuery(
+            query_texts[q], config_.top_m, options, q, cancel, &local[q]);
+        if (!neighbors || Stopped(options, q, cancel)) return;
         KPEF_TRACE_SPAN("engine.ranking");
         Timer ranking_timer;
         std::vector<NodeId> top_papers;
-        top_papers.reserve(neighbors[q].size());
-        for (const Neighbor& nb : neighbors[q]) {
+        top_papers.reserve(neighbors->size());
+        for (const Neighbor& nb : *neighbors) {
           top_papers.push_back(papers[nb.id]);
         }
         TopNStats top_stats;
@@ -452,17 +342,13 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
                         config_.contribution_weighting, n, &top_stats);
         local[q].ranking_ms = ranking_timer.ElapsedMillis();
         local[q].ranking_entries_accessed = top_stats.entries_accessed;
-        ranked[q] = 1;
+        local[q].deadline_exceeded = false;
       },
       cancel);
 
-  uint64_t exceeded = 0;
-  for (size_t q = 0; q < batch; ++q) {
-    if (!ranked[q]) {
-      local[q].deadline_exceeded = true;
-      ++exceeded;
-    }
-  }
+  const uint64_t exceeded =
+      std::count_if(local.begin(), local.end(),
+                    [](const QueryStats& s) { return s.deadline_exceeded; });
   if (exceeded > 0) {
     KPEF_COUNTER_ADD(obs::kEngineQueriesDeadlineExceeded, exceeded);
   }

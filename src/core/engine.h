@@ -10,8 +10,10 @@
 #ifndef KPEF_CORE_ENGINE_H_
 #define KPEF_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,22 +120,10 @@ struct EngineInfo {
   std::string artifact_dir;
   /// Queries answered by the serving generation since it was published.
   uint64_t generation_queries = 0;
-
-  // --- Streaming-ingest state (IngestCoordinator; zero when the process
-  // serves a static snapshot).
-  /// Ingest records applied since startup (WAL replay + live batches).
-  uint64_t ingest_records = 0;
-  /// Byte offset of the last durable WAL record (replay position).
-  uint64_t ingest_wal_bytes = 0;
-  /// Graph + index delta edges not yet merged into the base CSRs.
-  uint64_t ingest_pending_delta_edges = 0;
-  /// Generation id published by the last delta merge (0 = never merged).
-  uint64_t ingest_last_merge_generation = 0;
 };
 
-/// Per-query online statistics. Both timing fields are real per-query
-/// wall-clock times (the retrieval time comes from the per-query
-/// SearchStats inside SearchBatch), so they are comparable.
+/// Per-query online statistics. Both timing fields are the query's own
+/// wall-clock times (its task runs every stage), so they are comparable.
 struct QueryStats {
   double retrieval_ms = 0.0;
   /// Query-encoding share of retrieval_ms (retrieval_ms = encode +
@@ -152,25 +142,22 @@ struct QueryStats {
 };
 
 /// Replaces the engine's own retrieval (index or brute-force scan) in
-/// FindExpertsBatch — the seam EngineGroup uses to scatter the search
-/// across per-shard indexes while sharing the engine's encode, deadline,
-/// and ranking phases. Receives the encoded rows still live at the
-/// search boundary, the retrieval depth `m`, the candidate-pool `ef`,
-/// the batch pool, and the bounded cancel token. Must return one
-/// neighbor list per query row, ascending by (distance, id), with ids
-/// indexing the engine's paper rows, and resize `*stats` to the batch
-/// (SearchStats::cancelled marks rows it skipped).
-using BatchSearchFn = std::function<std::vector<std::vector<Neighbor>>(
-    const Matrix& queries, size_t m, size_t ef,
-    std::vector<PGIndex::SearchStats>* stats, ThreadPool& pool,
-    const CancelToken& cancel)>;
+/// FindExpertsBatch — the seam EngineGroup uses to scatter one query's
+/// search across per-shard indexes while sharing the engine's encode,
+/// deadline, and ranking stages. Receives the encoded query, the
+/// retrieval depth `m` and the candidate-pool `ef`; must return the
+/// query's top-m neighbors ascending by (distance, id), with ids
+/// indexing the engine's paper rows, and fill `*stats` (non-null).
+using BatchSearchFn = std::function<std::vector<Neighbor>(
+    std::span<const float> query, size_t m, size_t ef,
+    PGIndex::SearchStats* stats)>;
 
 /// Per-call knobs for FindExpertsBatch beyond the query list itself.
 struct BatchQueryOptions {
   /// Pool the batch fans out over (nullptr = ThreadPool::Default()).
   ThreadPool* pool = nullptr;
   /// Soft wall-clock budget for the whole call, in milliseconds
-  /// (<= 0 = none). Checked at per-query phase boundaries: queries
+  /// (<= 0 = none). Checked before each stage of every query: queries
   /// finished before expiry return normally, the rest come back empty
   /// with QueryStats::deadline_exceeded set. The call never wedges.
   double deadline_ms = 0.0;
@@ -178,16 +165,14 @@ struct BatchQueryOptions {
   /// first wins). A null token never fires.
   CancelToken cancel;
   /// Per-query absolute deadlines (time_point::max() = none for that
-  /// slot). When non-empty, must match the query list's size. Checked at
-  /// phase boundaries: an expired query is skipped by later phases
-  /// (compacted out of the batched search) and comes back empty with
-  /// QueryStats::deadline_exceeded set, so one tight budget never keeps
-  /// consuming engine time for a result nobody will read. The batched
-  /// search itself is additionally bounded by the latest live slot
-  /// deadline, so the call never outlives every budget.
+  /// slot). When non-empty, must match the query list's size. Checked
+  /// before each of the query's stages: an expired query skips the rest
+  /// and comes back empty with QueryStats::deadline_exceeded set, so one
+  /// tight budget never keeps consuming engine time for a result nobody
+  /// will read, and never holds back its batchmates.
   std::vector<CancelToken::Clock::time_point> deadlines;
-  /// Retrieval override for EngineGroup's shard scatter (see
-  /// BatchSearchFn). Null = the engine's own index / brute-force path.
+  /// Per-query retrieval override for EngineGroup's shard scatter (see
+  /// BatchSearchFn). Null = the engine's own index / brute-force search.
   BatchSearchFn search;
   /// Per-query request-trace keys (obs::Tracer::BeginTrace). When
   /// non-empty, must match the query list's size; query q's encode /
@@ -211,7 +196,9 @@ class ExpertFindingEngine : public RetrievalModel {
   Status SaveArtifacts(const std::string& dir) const;
 
   /// Reconstructs a serving engine from artifacts written by
-  /// SaveArtifacts, skipping sampling and training entirely. The dataset
+  /// SaveArtifacts, skipping sampling and training entirely: reads
+  /// encoder.bin, embeddings.bin and (when config.use_pg_index)
+  /// pgindex.bin, then assembles them through FromParts. The dataset
   /// and corpus must be the ones the artifacts were built from.
   static StatusOr<std::unique_ptr<ExpertFindingEngine>> LoadFromArtifacts(
       const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
@@ -220,9 +207,9 @@ class ExpertFindingEngine : public RetrievalModel {
   /// Assembles a serving engine directly from in-memory parts — the
   /// streaming-ingest path, where the coordinator extends a loaded
   /// encoder/embedding/index set with appended rows and publishes the
-  /// result as a new generation without touching disk. Cross-checks
-  /// mirror LoadFromArtifacts: encoder vocab == corpus vocab, embedding
-  /// rows == corpus documents, index (when present) matching the
+  /// result as a new generation without touching disk. Cross-checks:
+  /// encoder vocab == corpus vocab, embedding rows == corpus documents,
+  /// encoder dim == embedding dim, index (when present) matching the
   /// embedding shape. The dataset and corpus must outlive the engine.
   static StatusOr<std::unique_ptr<ExpertFindingEngine>> FromParts(
       const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
@@ -239,10 +226,9 @@ class ExpertFindingEngine : public RetrievalModel {
   std::vector<ExpertScore> FindExpertsWithStats(const std::string& query_text,
                                                 size_t n, QueryStats* stats);
 
-  /// Answers every query in one call: encodes the queries across the pool
-  /// (nullptr = ThreadPool::Default()), retrieves the top-m papers of all
-  /// of them in one PGIndex::SearchBatch (one greedy search per query,
-  /// fanned over the pool), and ranks each query's papers with
+  /// Answers every query in one call: one pool task per query (nullptr =
+  /// ThreadPool::Default()) encodes it, retrieves its top-m papers (one
+  /// greedy PG-Index search, or a brute-force scan), and ranks them with
   /// RankExperts.
   /// result[q] does not depend on the batch it rides in; per-query stats
   /// land in `*stats` (resized to the batch).
@@ -260,8 +246,8 @@ class ExpertFindingEngine : public RetrievalModel {
       std::vector<QueryStats>* stats = nullptr);
 
   /// Top-m semantically similar papers for a query (§IV-B), best first —
-  /// the retrieval half of FindExperts (a batch of one through the same
-  /// encode + search phases), for callers that rank the papers
+  /// the retrieval half of FindExperts (the same per-query encode +
+  /// search FindExpertsBatch runs), for callers that rank the papers
   /// themselves (explain, Figure 7's TA variants).
   std::vector<NodeId> RetrievePapers(const std::string& query_text, size_t m,
                                      QueryStats* stats = nullptr);
@@ -285,16 +271,16 @@ class ExpertFindingEngine : public RetrievalModel {
                       EngineConfig config)
       : dataset_(dataset), corpus_(corpus), config_(std::move(config)) {}
 
-  /// Encode + retrieval phases shared by FindExpertsBatch and
-  /// RetrievePapers: each query's top-m paper rows, ascending by
-  /// (distance, row). Fills the timing and distance fields of `*stats`
-  /// and sets (*retrieved)[q] for each query the deadline did not
-  /// overtake (both pre-sized to the batch).
-  std::vector<std::vector<Neighbor>> RetrieveBatch(
-      const std::vector<std::string>& query_texts, size_t m,
-      const BatchQueryOptions& options, ThreadPool& workers,
-      const CancelToken& cancel, std::vector<QueryStats>* stats,
-      std::vector<char>* retrieved) const;
+  /// Encode + search for query `q` of a batch, shared by
+  /// FindExpertsBatch's per-query task and RetrievePapers: its top-m
+  /// paper rows, ascending by (distance, row), through options.search or
+  /// the engine's own index / brute-force scan. Checks q's slot deadline
+  /// and `cancel` before each stage and returns nullopt once either
+  /// fired. Fills the timing and distance fields of `*stats`.
+  std::optional<std::vector<Neighbor>> RetrieveQuery(
+      const std::string& query_text, size_t m,
+      const BatchQueryOptions& options, size_t q, const CancelToken& cancel,
+      QueryStats* stats) const;
 
   const Dataset* dataset_;
   const Corpus* corpus_;

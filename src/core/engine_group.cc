@@ -9,7 +9,6 @@
 
 #include "ann/brute_force.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
@@ -18,92 +17,41 @@ namespace kpef {
 
 namespace {
 
-/// Scatter one encoded query batch across the generation's shards and
-/// merge per-shard neighbors into the global top-m by (distance, global
+/// Scatter one encoded query across the generation's shards and merge
+/// the per-shard neighbors into the global top-m by (distance, global
 /// row). Exactness: each shard returns its local top-m under the same
 /// distance kernel on bit-identical rows, and the global top-m is a
 /// subset of the union of shard-local top-m lists, so sorting the union
 /// by Neighbor's (distance, id) order and truncating reproduces the
 /// single-engine result exactly whenever the per-shard retrieval is
-/// exact. Stats: counters sum across shards; search_ms takes the max
-/// (shards overlap in time on a multi-core pool).
-std::vector<std::vector<Neighbor>> ScatterSearch(
-    const EngineGroup::Generation& gen, const Matrix& queries, size_t m,
-    size_t ef, std::vector<PGIndex::SearchStats>* stats, ThreadPool& pool,
-    const CancelToken& cancel) {
-  const size_t nq = queries.rows();
-  const size_t ns = gen.shards.size();
-  std::vector<std::vector<std::vector<Neighbor>>> found(ns);
-  std::vector<std::vector<PGIndex::SearchStats>> shard_stats(ns);
-  // Nested ParallelFor is safe on this pool (helping joins): each shard
-  // task runs its own SearchBatch fan-out on the same workers.
-  ParallelFor(
-      pool, ns,
-      [&](size_t s) {
-        const EngineGroup::Shard& shard = gen.shards[s];
-        if (shard.index) {
-          found[s] = shard.index->SearchBatch(queries, m, ef, &shard_stats[s],
-                                              &pool, cancel);
-        } else {
-          found[s].resize(nq);
-          shard_stats[s].resize(nq);
-          const bool cancellable = cancel.CanBeCancelled();
-          std::vector<char> done(nq, 0);
-          ParallelFor(
-              pool, nq,
-              [&](size_t q) {
-                if (cancellable && cancel.IsCancelled()) return;
-                Timer timer;
-                found[s][q] =
-                    BruteForceSearch(shard.embeddings, queries.Row(q), m);
-                shard_stats[s][q].distance_computations =
-                    shard.embeddings.rows();
-                shard_stats[s][q].search_ms = timer.ElapsedMillis();
-                done[q] = 1;
-              },
-              cancel);
-          for (size_t q = 0; q < nq; ++q) {
-            shard_stats[s][q].cancelled = !done[q];
-          }
-        }
-      },
-      cancel);
-
-  std::vector<std::vector<Neighbor>> merged(nq);
-  if (stats) stats->assign(nq, PGIndex::SearchStats{});
-  ParallelFor(
-      pool, nq,
-      [&](size_t q) {
-        std::vector<Neighbor> all;
-        all.reserve(ns * m);
-        PGIndex::SearchStats agg;
-        for (size_t s = 0; s < ns; ++s) {
-          const auto& st =
-              q < shard_stats[s].size() ? shard_stats[s][q]
-                                        : PGIndex::SearchStats{};
-          // A shard the token skipped leaves this query's global result
-          // incomplete; surface that as cancelled rather than serving a
-          // silently narrower corpus.
-          agg.cancelled = agg.cancelled || st.cancelled ||
-                          q >= found[s].size();
-          agg.distance_computations += st.distance_computations;
-          agg.sq8_distance_computations += st.sq8_distance_computations;
-          agg.rerank_candidates += st.rerank_candidates;
-          agg.hops += st.hops;
-          agg.search_ms = std::max(agg.search_ms, st.search_ms);
-          if (q >= found[s].size()) continue;
-          const std::vector<int32_t>& rows = gen.shards[s].rows;
-          for (const Neighbor& nb : found[s][q]) {
-            all.push_back(Neighbor{rows[nb.id], nb.distance});
-          }
-        }
-        std::sort(all.begin(), all.end());
-        if (all.size() > m) all.resize(m);
-        if (agg.cancelled) all.clear();
-        merged[q] = std::move(all);
-        if (stats) (*stats)[q] = agg;
-      },
-      cancel);
+/// exact. Stats sum across the shards, which run one after another.
+std::vector<Neighbor> ScatterSearch(const EngineGroup::Generation& gen,
+                                    std::span<const float> query, size_t m,
+                                    size_t ef, PGIndex::SearchStats* stats) {
+  std::vector<Neighbor> merged;
+  merged.reserve(gen.shards.size() * m);
+  PGIndex::SearchStats total;
+  for (const EngineGroup::Shard& shard : gen.shards) {
+    PGIndex::SearchStats st;
+    std::vector<Neighbor> found;
+    if (shard.index) {
+      found = shard.index->Search(query, m, ef, &st);
+    } else {
+      found = BruteForceSearch(shard.embeddings, query, m);
+      st.distance_computations = shard.embeddings.rows();
+    }
+    total.distance_computations += st.distance_computations;
+    total.sq8_distance_computations += st.sq8_distance_computations;
+    total.rerank_candidates += st.rerank_candidates;
+    total.hops += st.hops;
+    total.search_ms += st.search_ms;
+    for (const Neighbor& nb : found) {
+      merged.push_back(Neighbor{shard.rows[nb.id], nb.distance});
+    }
+  }
+  std::sort(merged.begin(), merged.end());
+  if (merged.size() > m) merged.resize(m);
+  *stats = total;
   return merged;
 }
 
@@ -232,10 +180,9 @@ std::vector<std::vector<ExpertScore>> EngineGroup::FindExpertsBatch(
   } else {
     BatchQueryOptions scatter = options;
     const Generation* raw = gen.get();
-    scatter.search = [raw](const Matrix& queries, size_t m, size_t ef,
-                           std::vector<PGIndex::SearchStats>* search_stats,
-                           ThreadPool& pool, const CancelToken& cancel) {
-      return ScatterSearch(*raw, queries, m, ef, search_stats, pool, cancel);
+    scatter.search = [raw](std::span<const float> query, size_t m, size_t ef,
+                           PGIndex::SearchStats* search_stats) {
+      return ScatterSearch(*raw, query, m, ef, search_stats);
     };
     results = gen->engine->FindExpertsBatch(query_texts, n, scatter, stats);
   }
@@ -267,10 +214,6 @@ EngineInfo EngineGroup::Info() const {
     info.quantized_index =
         info.has_index && gen->shards.front().index->quantized();
   }
-  info.ingest_records = gen->ingest_records;
-  info.ingest_wal_bytes = gen->ingest_wal_bytes;
-  info.ingest_pending_delta_edges = gen->ingest_pending_delta_edges;
-  info.ingest_last_merge_generation = gen->ingest_last_merge_generation;
   return info;
 }
 

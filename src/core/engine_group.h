@@ -3,10 +3,10 @@
 //
 // Sharding: the paper corpus is partitioned round-robin over N shards
 // (global row r lives in shard r % N), each shard carrying its own
-// PG-Index (or brute-force row block). A batch query encodes once, the
-// retrieval scatters PGIndex::SearchBatch across the shards on the
-// shared ThreadPool, and the per-shard neighbor lists are k-way merged
-// by (distance, global row) into the global top-m *before* ranking —
+// PG-Index (or brute-force row block). Each query of a batch runs in its
+// own pool task (ExpertFindingEngine::FindExpertsBatch): it encodes
+// once, searches every shard in turn, and merges the per-shard neighbor
+// lists by (distance, global row) into the global top-m *before* ranking —
 // the expert ranking then sees exactly the retrieval a single engine
 // would have produced, so the sharded top-n is bit-identical to the
 // single-engine path (equivalence contract; proof sketch in DESIGN.md
@@ -76,11 +76,6 @@ class EngineGroup {
     // Per-generation serving tallies (relaxed; exported as gauges).
     mutable std::atomic<uint64_t> queries{0};
     mutable std::atomic<uint64_t> latency_us{0};
-    /// Snapshot of the publisher's ingest state (EngineInfo passthrough).
-    uint64_t ingest_records = 0;
-    uint64_t ingest_wal_bytes = 0;
-    uint64_t ingest_pending_delta_edges = 0;
-    uint64_t ingest_last_merge_generation = 0;
   };
 
   /// Loads generation 1 from `dir` (artifacts written by SaveArtifacts /

@@ -312,10 +312,6 @@ StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
   generation->owned_corpus = corpus;
   generation->engine = std::move(engine);
   generation->load_seconds = timer.ElapsedSeconds();
-  generation->ingest_records = stats_.records_applied;
-  generation->ingest_wal_bytes = stats_.wal_bytes;
-  generation->ingest_pending_delta_edges = stats_.pending_delta_edges;
-  generation->ingest_last_merge_generation = stats_.last_merge_generation;
   KPEF_ASSIGN_OR_RETURN(const uint64_t id,
                         group_->PublishExternal(std::move(generation)));
   if (merged_since_publish_) {

@@ -42,8 +42,8 @@ void WarmPipelineMetrics() {
         kSamplingRandomNegativesTotal, kSamplingSeedsParallel,
         kTrainerEpochsTotal, kPgindexBuildsTotal, kPgindexNndescentIterations,
         kPgindexBuildDistanceComputations, kPgindexSearchesTotal,
-        kPgindexBatchSearchesTotal, kPgindexDistanceComputations,
-        kPgindexSq8DistanceComputations, kPgindexRerankCandidates,
+        kPgindexDistanceComputations, kPgindexSq8DistanceComputations,
+        kPgindexRerankCandidates,
         kTaQueriesTotal, kTaEntriesAccessed, kTaEarlyTerminationTotal,
         kRankingFullScansTotal, kRankingFullScanEntriesAccessed,
         kPoolTasksCancelled, kPoolWaitHelpRuns, kEngineBuildsTotal,

@@ -63,9 +63,6 @@ inline constexpr char kPgindexBuildDistanceComputations[] =
 
 // --- PG-Index greedy search (§IV-B).
 inline constexpr char kPgindexSearchesTotal[] = "pgindex.searches_total";
-/// SearchBatch calls (each also counts its queries in searches_total).
-inline constexpr char kPgindexBatchSearchesTotal[] =
-    "pgindex.batch_searches_total";
 inline constexpr char kPgindexDistanceComputations[] =
     "pgindex.distance_computations";
 /// SQ8 asymmetric distance evaluations (quantized traversal).

@@ -102,8 +102,8 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   // batch, clamped to max_top_n so one oversized request cannot inflate
   // ranking work for every rider; per-request lists are truncated
   // afterwards (ranking is exact, so the top-n' of a top-n list with
-  // n' <= n is the same list). Deadlines propagate per slot: the engine skips a
-  // query at its next phase boundary once that query's own budget
+  // n' <= n is the same list). Deadlines propagate per slot: the engine
+  // skips a query's remaining stages once that query's own budget
   // expires, and the whole call is additionally bounded by the LATEST
   // live deadline when every request carries one.
   size_t top_n = 0;

@@ -25,8 +25,8 @@
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
 // generation with zero downtime, and --reload-watch S polls the model
 // dir every S seconds and reloads automatically when an artifact file's
-// mtime changes. --threads N sizes the serving pool the micro-batcher
-// fans SearchBatch over (0 = hardware concurrency).
+// mtime changes. --threads N sizes the serving pool each batch's
+// per-query tasks run on (0 = hardware concurrency).
 //
 // Every flag takes one value; an unknown flag, a flag without a value,
 // or a stray argument exits 1 naming it.
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ingest_stats.wal_bytes));
   }
 
-  // The pool the micro-batcher hands to FindExpertsBatch: SearchBatch
-  // and the encode/ranking phases all fan out over it (ROADMAP item —
+  // The pool the micro-batcher hands to FindExpertsBatch: each query's
+  // encode -> search -> rank task runs on it (ROADMAP item —
   // previously the batcher left BatchQueryOptions::pool null and the
   // engine silently fell back to its default pool).
   ThreadPool serving_pool(static_cast<size_t>(

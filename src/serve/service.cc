@@ -223,28 +223,18 @@ void ExpertSearchService::Handle(const HttpRequest& request,
     response.body.append(std::to_string(info.generation_queries));
     response.body.append(",\"artifact_dir\":");
     AppendJsonString(info.artifact_dir, &response.body);
-    // Streaming-ingest state: live coordinator numbers when the hook is
-    // wired, the generation's publish-time snapshot otherwise (all
-    // zeros on a static deployment).
-    uint64_t ingest_records = info.ingest_records;
-    uint64_t ingest_wal_bytes = info.ingest_wal_bytes;
-    uint64_t ingest_pending = info.ingest_pending_delta_edges;
-    uint64_t ingest_merge_gen = info.ingest_last_merge_generation;
-    if (hooks_.ingest_stats) {
-      const IngestStats ingest = hooks_.ingest_stats();
-      ingest_records = ingest.records_applied;
-      ingest_wal_bytes = ingest.wal_bytes;
-      ingest_pending = ingest.pending_delta_edges;
-      ingest_merge_gen = ingest.last_merge_generation;
-    }
+    // Streaming-ingest state: the live coordinator numbers when the
+    // hook is wired, all zeros on a static deployment.
+    const IngestStats ingest =
+        hooks_.ingest_stats ? hooks_.ingest_stats() : IngestStats();
     response.body.append(",\"ingest_records\":");
-    response.body.append(std::to_string(ingest_records));
+    response.body.append(std::to_string(ingest.records_applied));
     response.body.append(",\"ingest_wal_bytes\":");
-    response.body.append(std::to_string(ingest_wal_bytes));
+    response.body.append(std::to_string(ingest.wal_bytes));
     response.body.append(",\"ingest_pending_delta_edges\":");
-    response.body.append(std::to_string(ingest_pending));
+    response.body.append(std::to_string(ingest.pending_delta_edges));
     response.body.append(",\"ingest_last_merge_generation\":");
-    response.body.append(std::to_string(ingest_merge_gen));
+    response.body.append(std::to_string(ingest.last_merge_generation));
     response.body.append(",\"git\":");
     AppendJsonString(
         info.git_hash.empty() ? BuildGitHash() : info.git_hash.c_str(),
@@ -395,8 +385,12 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
       reject("\"n\" must be a positive integer");
       return;
     }
-    batch_request.top_n = std::min<size_t>(
-        static_cast<size_t>(n->number_value), config_.max_top_n);
+    // Clamp before the cast: a double past size_t's range (e.g. 1e300)
+    // has no size_t value.
+    batch_request.top_n =
+        n->number_value >= static_cast<double>(config_.max_top_n)
+            ? config_.max_top_n
+            : static_cast<size_t>(n->number_value);
   }
   double deadline_ms = config_.default_deadline_ms;
   if (const JsonValue* d = doc.Find("deadline_ms")) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -102,32 +103,54 @@ TEST_F(EngineTest, FindExpertsReturnsRankedAuthors) {
 }
 
 // The batched path fans queries across a pool but must return exactly
-// what the serial per-query path returns (same index walk, same ranking).
+// what the serial per-query path returns: each query runs its own
+// encode -> search -> rank task, so neither the pool width nor the batch
+// a query rides in may change its answer or its counters.
 TEST_F(EngineTest, FindExpertsBatchMatchesSerial) {
   Shared& s = shared();
   std::vector<std::string> texts;
   for (const Query& q : s.queries.queries) texts.push_back(q.text);
-  ThreadPool pool(4);
-  std::vector<QueryStats> batch_stats;
-  const auto batched = s.engine->FindExpertsBatch(texts, 8, &batch_stats,
-                                                  &pool);
-  ASSERT_EQ(batched.size(), texts.size());
-  ASSERT_EQ(batch_stats.size(), texts.size());
+  std::vector<std::vector<ExpertScore>> serial;
+  std::vector<QueryStats> serial_stats(texts.size());
   for (size_t q = 0; q < texts.size(); ++q) {
-    QueryStats single_stats;
-    const auto single =
-        s.engine->FindExpertsWithStats(texts[q], 8, &single_stats);
-    ASSERT_EQ(batched[q].size(), single.size()) << "query " << q;
-    for (size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[q][i].author, single[i].author)
-          << "query " << q << " rank " << i;
-      EXPECT_DOUBLE_EQ(batched[q][i].score, single[i].score)
-          << "query " << q << " rank " << i;
+    serial.push_back(
+        s.engine->FindExpertsWithStats(texts[q], 8, &serial_stats[q]));
+  }
+  for (const size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    for (const size_t batch_size : {size_t{1}, size_t{3}, texts.size()}) {
+      for (size_t start = 0; start < texts.size(); start += batch_size) {
+        const size_t end = std::min(texts.size(), start + batch_size);
+        const std::vector<std::string> part(texts.begin() + start,
+                                            texts.begin() + end);
+        std::vector<QueryStats> stats;
+        const auto batched = s.engine->FindExpertsBatch(part, 8, &stats, &pool);
+        ASSERT_EQ(batched.size(), part.size());
+        ASSERT_EQ(stats.size(), part.size());
+        for (size_t i = 0; i < part.size(); ++i) {
+          const size_t q = start + i;
+          const std::string label = "pool " + std::to_string(threads) +
+                                    " batch " + std::to_string(batch_size) +
+                                    " query " + std::to_string(q);
+          ASSERT_EQ(batched[i].size(), serial[q].size()) << label;
+          for (size_t r = 0; r < serial[q].size(); ++r) {
+            EXPECT_EQ(batched[i][r].author, serial[q][r].author)
+                << label << " rank " << r;
+            EXPECT_EQ(batched[i][r].score, serial[q][r].score)
+                << label << " rank " << r;
+          }
+          EXPECT_EQ(stats[i].distance_computations,
+                    serial_stats[q].distance_computations)
+              << label;
+          EXPECT_EQ(stats[i].ranking_entries_accessed,
+                    serial_stats[q].ranking_entries_accessed)
+              << label;
+          EXPECT_FALSE(stats[i].deadline_exceeded) << label;
+          EXPECT_GT(stats[i].retrieval_ms, 0.0) << label;
+          EXPECT_GE(stats[i].retrieval_ms, stats[i].encode_ms) << label;
+        }
+      }
     }
-    EXPECT_EQ(batch_stats[q].distance_computations,
-              single_stats.distance_computations);
-    EXPECT_EQ(batch_stats[q].ranking_entries_accessed,
-              single_stats.ranking_entries_accessed);
   }
 }
 
@@ -183,7 +206,7 @@ TEST_F(EngineTest, TinyDeadlineFlagsOvertakenQueriesOnly) {
   ThreadPool pool(4);
   BatchQueryOptions options;
   options.pool = &pool;
-  options.deadline_ms = 1e-6;  // fires before the first phase boundary
+  options.deadline_ms = 1e-6;  // fires before the first stage check
   std::vector<QueryStats> stats;
   const auto results = s.engine->FindExpertsBatch(texts, 8, options, &stats);
   ASSERT_EQ(results.size(), texts.size());

@@ -540,8 +540,8 @@ TEST(MicroBatcherTest, ZeroMaxTopNDisablesTheCap) {
 }
 
 // ROADMAP leftover (PR 7 → PR 8): the batcher must hand its configured
-// pool to the engine, so SearchBatch actually fans out over it instead
-// of silently falling back to the engine's default pool.
+// pool to the engine, so the per-query tasks actually fan out over it
+// instead of silently falling back to the engine's default pool.
 TEST(MicroBatcherTest, ConfiguredPoolReachesBatchQueryOptions) {
   FakeEngine engine;
   ThreadPool pool(2);

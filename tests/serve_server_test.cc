@@ -310,6 +310,33 @@ TEST(ServeServerTest, FindExpertsHappyPath) {
   EXPECT_EQ(count, 3u);
 }
 
+// "n" past size_t's range must clamp to max_top_n, not wrap through an
+// out-of-range double -> size_t cast into zero experts.
+TEST(ServeServerTest, HugeNClampsToMaxTopN) {
+  ServiceConfig config = FastConfig();
+  config.max_top_n = 7;
+  Harness harness(config);
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  auto experts_for = [&client](const std::string& body) {
+    EXPECT_TRUE(client.Post("/v1/find_experts", body));
+    ClientResponse response;
+    EXPECT_TRUE(client.ReadResponse(&response));
+    EXPECT_EQ(response.status, 200) << body;
+    size_t count = 0;
+    for (size_t pos = 0;
+         (pos = response.body.find("\"id\":", pos)) != std::string::npos;
+         ++pos) {
+      ++count;
+    }
+    return count;
+  };
+  const size_t at_cap = experts_for(R"({"query":"x","n":7})");
+  EXPECT_EQ(at_cap, 7u);
+  EXPECT_EQ(experts_for(R"({"query":"x","n":2e19})"), at_cap);
+  EXPECT_EQ(experts_for(R"({"query":"x","n":1e300})"), at_cap);
+}
+
 TEST(ServeServerTest, UnknownRoutesAndMethods) {
   Harness harness(FastConfig());
   TestClient client(harness.port());
