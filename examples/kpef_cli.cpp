@@ -154,10 +154,13 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
   std::printf("built pipeline in %.1fs (%zu triples, %zu index edges)\n",
               timer.ElapsedSeconds(), report.sampling.triples.size(),
               report.index.edges_final);
-  std::printf("trained %zu triples at %.0f triples/s (%zu worker%s, %s)\n",
-              report.training.num_triples, report.training.triples_per_sec,
-              report.training.workers, report.training.workers == 1 ? "" : "s",
-              report.training.deterministic ? "deterministic" : "hogwild");
+  std::printf(
+      "trained %zu triples at %.0f triples/s, merge %.2fs (%zu worker%s, "
+      "%s)\n",
+      report.training.num_triples, report.training.triples_per_sec,
+      report.training.merge_seconds, report.training.workers,
+      report.training.workers == 1 ? "" : "s",
+      report.training.deterministic ? "deterministic" : "hogwild");
 
   Status s = SaveEncoder((*engine)->encoder(), model_dir + "/encoder.bin");
   if (!s.ok()) return Fail(s);

@@ -20,29 +20,28 @@ float Adam::StepSize(int64_t t) const {
 }
 
 void Adam::UpdateSlice(float* params, const float* grads, size_t count,
-                       size_t state_offset) {
-  const int64_t t = step();
-  KPEF_CHECK(t > 0) << "call BeginStep() before updates";
+                       size_t state_offset, float step_size) {
+  KPEF_CHECK(step() > 0) << "call BeginStep() before updates";
   KPEF_CHECK(state_offset + count <= m_.size());
   kernel_->adam_update(params, grads, m_.data() + state_offset,
                        v_.data() + state_offset,
                        static_cast<float>(config_.beta1),
-                       static_cast<float>(config_.beta2), StepSize(t),
+                       static_cast<float>(config_.beta2), step_size,
                        static_cast<float>(config_.epsilon), count);
 }
 
 void Adam::UpdateDense(std::span<float> params, std::span<const float> grads,
-                       size_t offset) {
+                       float step_size, size_t offset) {
   KPEF_CHECK(params.size() == grads.size());
-  UpdateSlice(params.data(), grads.data(), grads.size(), offset);
+  UpdateSlice(params.data(), grads.data(), grads.size(), offset, step_size);
 }
 
 void Adam::UpdateRow(Matrix& params, size_t row, std::span<const float> grads,
-                     size_t block_offset) {
+                     size_t block_offset, float step_size) {
   auto row_span = params.Row(row);
   KPEF_CHECK(row_span.size() == grads.size());
   UpdateSlice(row_span.data(), grads.data(), grads.size(),
-              block_offset + row * params.cols());
+              block_offset + row * params.cols(), step_size);
 }
 
 }  // namespace kpef

@@ -3,19 +3,22 @@
 // The moment/parameter update runs entirely in float32 through the
 // DistanceKernel::adam_update entry (embed/vector_ops.h), so the scalar
 // and AVX2 paths are bit-identical and the whole optimizer vectorizes.
-// Only the bias-corrected step size is computed in double (once per
-// step) before being folded to float.
+// Only the bias-corrected step size is computed in double: BeginStep()
+// folds it to float once per step and every update of that step takes
+// it as an argument, so a step over hundreds of rows pays for the two
+// std::pow calls once.
 //
-// ## Thread safety (HogWild)
+// ## Thread safety
 //
-// The step counter is atomic, so concurrent workers may BeginStep() and
-// issue UpdateDense/UpdateRow against the *same* Adam instance without
-// locks. The float moment and parameter writes themselves are then
-// intentionally racy — the lock-free HogWild contract of the triplet
-// trainer (DESIGN.md §15): races touch only m/v cells and parameter
-// floats, never sizes or pointers, and a lost update is equivalent to a
-// slightly delayed gradient. Deterministic callers simply keep all
-// updates on one thread, as before.
+// Adam state is per parameter, so updates of *distinct* rows within one
+// step may run concurrently and in any order without changing a bit —
+// the deterministic trainer's row-parallel merge+Adam fan-out relies on
+// this (DESIGN.md §15). The step counter is atomic, so HogWild workers
+// may also BeginStep() and update the *same* rows of one Adam instance
+// without locks. Those float moment and parameter writes are then
+// intentionally racy: races touch only m/v cells and parameter floats,
+// never sizes or pointers, and a lost update is equivalent to a
+// slightly delayed gradient.
 
 #ifndef KPEF_EMBED_ADAM_H_
 #define KPEF_EMBED_ADAM_H_
@@ -43,9 +46,10 @@ struct AdamConfig {
 /// Adam state for one flat parameter block of fixed size.
 ///
 /// Usage per optimizer step: call BeginStep() once (advances the bias-
-/// correction step t), then UpdateDense / UpdateRow for the block's
-/// gradients. Sparse rows only advance their own moments, so untouched
-/// rows pay no cost (lazy Adam).
+/// correction step t and returns its folded step size), then UpdateDense
+/// / UpdateRow for the block's gradients with that step size. Sparse
+/// rows only advance their own moments, so untouched rows pay no cost
+/// (lazy Adam).
 class Adam {
  public:
   /// `kernel` routes the fused moment/parameter update (nullptr =
@@ -54,21 +58,21 @@ class Adam {
   Adam(size_t num_params, AdamConfig config,
        const DistanceKernel* kernel = nullptr);
 
-  /// Advances the bias-correction step and returns its new value.
-  /// Atomic: HogWild workers each begin their own steps against the
-  /// shared moment arrays.
-  int64_t BeginStep() {
-    return step_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// Advances the bias-correction step t and returns StepSize(t), the
+  /// value every update of this step takes. Atomic: HogWild workers each
+  /// begin their own steps against the shared moment arrays.
+  float BeginStep() {
+    return StepSize(step_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
 
   /// Dense update of params[offset .. offset+grads.size()).
   void UpdateDense(std::span<float> params, std::span<const float> grads,
-                   size_t offset = 0);
+                   float step_size, size_t offset = 0);
 
   /// Sparse update of one row of a parameter matrix whose storage begins
   /// at `block_offset` within this optimizer's state.
   void UpdateRow(Matrix& params, size_t row, std::span<const float> grads,
-                 size_t block_offset);
+                 size_t block_offset, float step_size);
 
   int64_t step() const { return step_.load(std::memory_order_relaxed); }
   const AdamConfig& config() const { return config_; }
@@ -79,7 +83,7 @@ class Adam {
 
  private:
   void UpdateSlice(float* params, const float* grads, size_t count,
-                   size_t state_offset);
+                   size_t state_offset, float step_size);
 
   AdamConfig config_;
   const DistanceKernel* kernel_;

@@ -11,7 +11,18 @@
 
 namespace kpef {
 
-void EncoderGradients::Reset(size_t dim) {
+void TokenGradients::Reset(size_t vocab_size, size_t dim) {
+  for (TokenId t : touched_) slot_[static_cast<size_t>(t)] = -1;
+  std::fill_n(rows_.begin(), touched_.size() * dim_, 0.0f);
+  touched_.clear();
+  if (dim != dim_) {
+    rows_.clear();
+    dim_ = dim;
+  }
+  if (slot_.size() != vocab_size) slot_.assign(vocab_size, -1);
+}
+
+void EncoderGradients::Reset(size_t vocab_size, size_t dim) {
   if (d_projection.rows() != dim) {
     d_projection = Matrix(dim, dim);
     d_bias.assign(dim, 0.0f);
@@ -19,7 +30,7 @@ void EncoderGradients::Reset(size_t dim) {
     d_projection.Fill(0.0f);
     std::fill(d_bias.begin(), d_bias.end(), 0.0f);
   }
-  d_tokens.clear();
+  d_tokens.Reset(vocab_size, dim);
   scratch_grad_projected.resize(dim);
   scratch_grad_pooled.resize(dim);
 }
@@ -167,11 +178,6 @@ void DocumentEncoder::Backward(const ForwardCache& cache,
     k.axpy(grad_projected[i], projection_.Row(i).data(), grad_pooled.data(),
            d);
   }
-  auto token_grad = [&](TokenId t) -> std::vector<float>& {
-    auto [it, inserted] = grads.d_tokens.try_emplace(t);
-    if (inserted) it->second.assign(d, 0.0f);
-    return it->second;
-  };
   if (config_.pooling == Pooling::kMean ||
       config_.pooling == Pooling::kWeightedMean) {
     const bool weighted = config_.pooling == Pooling::kWeightedMean;
@@ -185,13 +191,13 @@ void DocumentEncoder::Backward(const ForwardCache& cache,
     const float inv = 1.0f / total;
     for (TokenId t : cache.tokens) {
       const float w = weighted ? token_weights_[t] : 1.0f;
-      k.axpy(w * inv, grad_pooled.data(), token_grad(t).data(), d);
+      k.axpy(w * inv, grad_pooled.data(), grads.d_tokens.Touch(t).data(), d);
     }
   } else {
     // Max pooling routes each dimension's gradient to the winning token.
     for (size_t k2 = 0; k2 < d; ++k2) {
       const TokenId t = cache.tokens[cache.argmax[k2]];
-      token_grad(t)[k2] += grad_pooled[k2];
+      grads.d_tokens.Touch(t)[k2] += grad_pooled[k2];
     }
   }
 }

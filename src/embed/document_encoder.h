@@ -8,8 +8,8 @@
 #ifndef KPEF_EMBED_DOCUMENT_ENCODER_H_
 #define KPEF_EMBED_DOCUMENT_ENCODER_H_
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,6 +39,50 @@ struct EncoderConfig {
   bool normalize_output = true;
 };
 
+/// Sparse token-gradient rows, reused across batches.
+///
+/// A vocab-sized slot index maps each token to its compact row (-1 =
+/// untouched); `touched()` lists the tokens in first-touch order and
+/// Row(i) belongs to touched()[i]. Storage is 4·V + 4·d·|touched| bytes
+/// (never V x d), and Reset zeroes only the rows it hands back, so once
+/// the row buffer has grown to a batch's working set nothing allocates.
+class TokenGradients {
+ public:
+  /// Forgets every touched token, zeroing its row, and sizes the index
+  /// for `vocab_size` tokens of width `dim`.
+  void Reset(size_t vocab_size, size_t dim);
+
+  /// Row of `token`, zero on first touch. Valid until the next Touch.
+  std::span<float> Touch(TokenId token) {
+    int32_t& slot = slot_[static_cast<size_t>(token)];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(touched_.size());
+      touched_.push_back(token);
+      const size_t needed = touched_.size() * dim_;
+      if (rows_.size() < needed) rows_.resize(needed, 0.0f);
+    }
+    return Row(static_cast<size_t>(slot));
+  }
+
+  /// Row of `token`, or an empty span when it was not touched.
+  std::span<const float> Find(TokenId token) const {
+    const int32_t slot = slot_[static_cast<size_t>(token)];
+    if (slot < 0) return {};
+    return {rows_.data() + static_cast<size_t>(slot) * dim_, dim_};
+  }
+
+  /// The i-th touched row (i < touched().size()).
+  std::span<float> Row(size_t i) { return {rows_.data() + i * dim_, dim_}; }
+
+  const std::vector<TokenId>& touched() const { return touched_; }
+
+ private:
+  size_t dim_ = 0;
+  std::vector<int32_t> slot_;    // V: row index, or -1
+  std::vector<TokenId> touched_;
+  std::vector<float> rows_;      // touched rows, then zeroed spare rows
+};
+
 /// Accumulated parameter gradients for one (mini-)batch.
 ///
 /// The projection gradients are dense; token gradients are kept sparse
@@ -46,9 +90,9 @@ struct EncoderConfig {
 struct EncoderGradients {
   Matrix d_projection;        // dim x dim
   std::vector<float> d_bias;  // dim
-  std::unordered_map<TokenId, std::vector<float>> d_tokens;
+  TokenGradients d_tokens;
 
-  void Reset(size_t dim);
+  void Reset(size_t vocab_size, size_t dim);
 
   /// Backward() scratch, reused across calls so the trainer's hot loop
   /// allocates nothing per triple. Not part of the accumulated result.

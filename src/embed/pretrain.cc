@@ -16,19 +16,22 @@ uint64_t PairKey(TokenId i, TokenId j) {
          static_cast<uint32_t>(j);
 }
 
+// One co-occurring pair with the per-pair constants of the GloVe
+// objective, computed once rather than in every epoch.
 struct CoocEntry {
   TokenId i;
   TokenId j;
-  float count;
+  double log_count;  // log X_ij
+  double weight;     // f(X_ij) = min(1, (X_ij / x_max)^alpha)
 };
 
 std::vector<CoocEntry> BuildCooccurrence(const Corpus& corpus,
-                                         size_t window) {
+                                         const PretrainConfig& config) {
   std::unordered_map<uint64_t, float> counts;
   for (size_t d = 0; d < corpus.NumDocuments(); ++d) {
     const auto& doc = corpus.Document(d);
     for (size_t a = 0; a < doc.size(); ++a) {
-      const size_t end = std::min(doc.size(), a + 1 + window);
+      const size_t end = std::min(doc.size(), a + 1 + config.window);
       for (size_t b = a + 1; b < end; ++b) {
         if (doc[a] == doc[b]) continue;
         const float w = 1.0f / static_cast<float>(b - a);
@@ -42,8 +45,11 @@ std::vector<CoocEntry> BuildCooccurrence(const Corpus& corpus,
   std::vector<CoocEntry> entries;
   entries.reserve(counts.size());
   for (const auto& [key, count] : counts) {
-    entries.push_back({static_cast<TokenId>(key >> 32),
-                       static_cast<TokenId>(key & 0xFFFFFFFFu), count});
+    entries.push_back(
+        {static_cast<TokenId>(key >> 32),
+         static_cast<TokenId>(key & 0xFFFFFFFFu),
+         std::log(static_cast<double>(count)),
+         std::min(1.0, std::pow(count / config.x_max, config.alpha))});
   }
   return entries;
 }
@@ -56,7 +62,7 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
   const size_t dim = config.dim;
   Rng rng(config.seed);
 
-  std::vector<CoocEntry> entries = BuildCooccurrence(corpus, config.window);
+  std::vector<CoocEntry> entries = BuildCooccurrence(corpus, config);
 
   // Word and context factors plus biases, AdaGrad accumulators start at 1.
   Matrix w(vocab, dim), wt(vocab, dim);
@@ -85,12 +91,9 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
       auto wj = wt.Row(e.j);
       double dot = 0.0;
       for (size_t k = 0; k < dim; ++k) dot += static_cast<double>(wi[k]) * wj[k];
-      const double diff =
-          dot + bias[e.i] + bias_t[e.j] - std::log(static_cast<double>(e.count));
-      const double weight =
-          std::min(1.0, std::pow(e.count / config.x_max, config.alpha));
-      loss += 0.5 * weight * diff * diff;
-      const float grad_common = static_cast<float>(weight * diff);
+      const double diff = dot + bias[e.i] + bias_t[e.j] - e.log_count;
+      loss += 0.5 * e.weight * diff * diff;
+      const float grad_common = static_cast<float>(e.weight * diff);
       for (size_t k = 0; k < dim; ++k) {
         const float gi = grad_common * wj[k];
         const float gj = grad_common * wi[k];

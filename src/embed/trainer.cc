@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <thread>
 
 #include "common/logging.h"
@@ -55,15 +56,16 @@ class TrainRun {
         kernel_(kernel),
         adam_(adam),
         d_(encoder->dim()),
+        vocab_(encoder->vocab_size()),
         proj_offset_(encoder->vocab_size() * encoder->dim()),
         bias_offset_(proj_offset_ + encoder->dim() * encoder->dim()) {}
 
   /// Deterministic schedule: fixed micro-chunks per batch, disjoint
-  /// per-chunk gradients, serial merge in chunk order, one Adam step.
+  /// per-chunk gradients, then one row-parallel merge+Adam fan-out.
   /// Byte-identical results for any pool size (including pool==nullptr).
   double DeterministicEpoch(const std::vector<uint32_t>& order,
                             std::vector<Workspace>& ws, ThreadPool* pool,
-                            size_t* epoch_active) {
+                            size_t* epoch_active, double* merge_seconds) {
     constexpr size_t kChunk = TripletTrainer::kDeterministicChunk;
     double epoch_loss = 0.0;
     const size_t n = order.size();
@@ -73,7 +75,7 @@ class TrainRun {
       KPEF_CHECK(chunks <= ws.size());
       auto run_chunk = [&](size_t c) {
         Workspace& w = ws[c];
-        w.grads.Reset(d_);
+        w.grads.Reset(vocab_, d_);
         w.loss_sum = 0.0;
         w.active = 0;
         const size_t cbegin = start + c * kChunk;
@@ -87,9 +89,6 @@ class TrainRun {
       } else {
         for (size_t c = 0; c < chunks; ++c) run_chunk(c);
       }
-      // Serial merge in chunk order: float addition over a fixed order is
-      // deterministic, so the merged gradient — and every parameter bit
-      // downstream — is independent of how chunks were scheduled.
       size_t batch_active = 0;
       for (size_t c = 0; c < chunks; ++c) {
         epoch_loss += ws[c].loss_sum;
@@ -97,9 +96,9 @@ class TrainRun {
       }
       if (batch_active == 0) continue;
       *epoch_active += batch_active;
-      EncoderGradients& merged = ws[0].grads;
-      for (size_t c = 1; c < chunks; ++c) MergeGrads(merged, ws[c].grads);
-      ApplyAdamStep(merged, end - start);
+      Timer merge_timer;
+      MergeAndStep(std::span<Workspace>(ws.data(), chunks), end - start, pool);
+      *merge_seconds += merge_timer.ElapsedSeconds();
     }
     return epoch_loss;
   }
@@ -127,13 +126,15 @@ class TrainRun {
            start += config_.batch_size) {
         const size_t bend =
             std::min(me.local_order.size(), start + config_.batch_size);
-        me.grads.Reset(d_);
+        me.grads.Reset(vocab_, d_);
         const size_t active_before = me.active;
         for (size_t i = start; i < bend; ++i) {
           ProcessTriple(me, triples_[me.local_order[i]]);
         }
         if (me.active == active_before) continue;
-        ApplyAdamStep(me.grads, bend - start);
+        // Races with other workers on the shared moments and parameters
+        // — benign by construction (embed/adam.h).
+        MergeAndStep(std::span<Workspace>(&me, 1), bend - start, nullptr);
       }
     });
     double epoch_loss = 0.0;
@@ -167,44 +168,69 @@ class TrainRun {
                        &kernel_);
   }
 
-  /// dst += src, in a fixed order (rows ascending; src's token map in its
-  /// iteration order, which is a pure function of its insertion sequence).
-  void MergeGrads(EncoderGradients& dst, const EncoderGradients& src) {
-    for (size_t r = 0; r < d_; ++r) {
-      kernel_.axpy(1.0f, src.d_projection.Row(r).data(),
-                   dst.d_projection.Row(r).data(), d_);
-    }
-    kernel_.axpy(1.0f, src.d_bias.data(), dst.d_bias.data(), d_);
-    for (const auto& [token, grad] : src.d_tokens) {
-      auto [it, inserted] = dst.d_tokens.try_emplace(token);
-      if (inserted) it->second.assign(d_, 0.0f);
-      kernel_.axpy(1.0f, grad.data(), it->second.data(), d_);
-    }
-  }
-
-  /// Averages the accumulated gradients over the batch and takes one Adam
-  /// step. In HogWild mode this races with other workers on the shared
-  /// moments and parameters — benign by construction (embed/adam.h).
-  void ApplyAdamStep(EncoderGradients& grads, size_t batch_size) {
-    const float inv = 1.0f / static_cast<float>(batch_size);
-    adam_.BeginStep();
+  /// Sums the chunks' gradients, averages them over the batch and takes
+  /// one Adam step, as one fan-out over rows: the union of touched token
+  /// rows, then the d projection rows, then the bias. Each row is summed
+  /// into chunk 0's buffer in chunk order — a token row from chunk 0's
+  /// value (zero if chunk 0 missed it) plus only the chunks that touched
+  /// it — so every float operation, down to the sign of zero, matches a
+  /// serial chunk-by-chunk merge. Adam state is per row, so the order in
+  /// which rows are updated changes no bit.
+  void MergeAndStep(std::span<Workspace> chunks, size_t batch_size,
+                    ThreadPool* pool) {
+    EncoderGradients& merged = chunks[0].grads;
+    size_t token_rows = 0;
     if (config_.train_token_embeddings) {
-      for (auto& [token, grad] : grads.d_tokens) {
-        kernel_.scale(inv, grad.data(), grad.size());
-        adam_.UpdateRow(encoder_->token_embeddings(),
-                        static_cast<size_t>(token), grad, /*block_offset=*/0);
+      // Serial pass: extend chunk 0's rows to the union, zero rows for
+      // tokens it missed, before the rows fan out.
+      for (size_t c = 1; c < chunks.size(); ++c) {
+        for (TokenId t : chunks[c].grads.d_tokens.touched()) {
+          merged.d_tokens.Touch(t);
+        }
       }
+      token_rows = merged.d_tokens.touched().size();
     }
-    // Projection rows share one dense Adam block starting at
-    // proj_offset; row r's state lives at proj_offset + r * d.
-    for (size_t r = 0; r < d_; ++r) {
-      auto row = grads.d_projection.Row(r);
-      kernel_.scale(inv, row.data(), row.size());
-      adam_.UpdateRow(encoder_->projection(), r, row, proj_offset_);
+    const float inv = 1.0f / static_cast<float>(batch_size);
+    const float step_size = adam_.BeginStep();
+    auto step_row = [&](size_t r) {
+      if (r < token_rows) {
+        const TokenId t = merged.d_tokens.touched()[r];
+        const std::span<float> row = merged.d_tokens.Row(r);
+        for (size_t c = 1; c < chunks.size(); ++c) {
+          const std::span<const float> src = chunks[c].grads.d_tokens.Find(t);
+          if (!src.empty()) kernel_.axpy(1.0f, src.data(), row.data(), d_);
+        }
+        kernel_.scale(inv, row.data(), d_);
+        adam_.UpdateRow(encoder_->token_embeddings(), static_cast<size_t>(t),
+                        row, /*block_offset=*/0, step_size);
+      } else if (r < token_rows + d_) {
+        // Projection rows share one dense Adam block starting at
+        // proj_offset; row p's state lives at proj_offset + p * d.
+        const size_t p = r - token_rows;
+        const std::span<float> row = merged.d_projection.Row(p);
+        for (size_t c = 1; c < chunks.size(); ++c) {
+          kernel_.axpy(1.0f, chunks[c].grads.d_projection.Row(p).data(),
+                       row.data(), d_);
+        }
+        kernel_.scale(inv, row.data(), d_);
+        adam_.UpdateRow(encoder_->projection(), p, row, proj_offset_,
+                        step_size);
+      } else {
+        std::vector<float>& bias = merged.d_bias;
+        for (size_t c = 1; c < chunks.size(); ++c) {
+          kernel_.axpy(1.0f, chunks[c].grads.d_bias.data(), bias.data(), d_);
+        }
+        kernel_.scale(inv, bias.data(), d_);
+        adam_.UpdateDense(std::span<float>(encoder_->bias()), bias, step_size,
+                          bias_offset_);
+      }
+    };
+    const size_t rows = token_rows + d_ + 1;
+    if (pool != nullptr) {
+      ParallelFor(*pool, rows, step_row);
+    } else {
+      for (size_t r = 0; r < rows; ++r) step_row(r);
     }
-    kernel_.scale(inv, grads.d_bias.data(), grads.d_bias.size());
-    adam_.UpdateDense(std::span<float>(encoder_->bias()), grads.d_bias,
-                      bias_offset_);
   }
 
   DocumentEncoder* encoder_;
@@ -214,6 +240,7 @@ class TrainRun {
   const DistanceKernel& kernel_;
   Adam& adam_;
   const size_t d_;
+  const size_t vocab_;
   const size_t proj_offset_;
   const size_t bias_offset_;
 };
@@ -275,7 +302,8 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
     size_t active = 0;
     const double epoch_loss =
         deterministic
-            ? run.DeterministicEpoch(order, workspaces, pool.get(), &active)
+            ? run.DeterministicEpoch(order, workspaces, pool.get(), &active,
+                                     &stats.merge_seconds)
             : run.HogwildEpoch(order, workspaces, *pool, epoch, &active);
     stats.epoch_loss.push_back(epoch_loss / n);
     stats.final_active_fraction = static_cast<double>(active) / n;
@@ -296,6 +324,7 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
   }
   KPEF_GAUGE_SET(obs::kTrainerActiveTriples, stats.final_active_fraction);
   KPEF_GAUGE_SET(obs::kTrainerWorkers, static_cast<double>(stats.workers));
+  KPEF_GAUGE_SET(obs::kTrainerMergeSeconds, stats.merge_seconds);
   return stats;
 }
 

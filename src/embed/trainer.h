@@ -6,11 +6,13 @@
 //  - **Deterministic** (TrainerConfig::deterministic, or whenever only one
 //    worker is resolved): each mini-batch is split into fixed micro-chunks
 //    of kDeterministicChunk triples; workers fill disjoint per-chunk
-//    gradient buffers, which are then merged *serially in chunk order*
-//    and applied by a single Adam step. Chunk boundaries and the merge
-//    order depend only on the shuffle (seeded) — never on the thread
-//    count — so the trained parameters are byte-identical for any
-//    `num_threads`, including 1.
+//    gradient buffers (reused across batches, so the hot loop allocates
+//    nothing). One row-parallel fan-out then sums each parameter row
+//    over the chunks *in chunk order*, averages it and takes its Adam
+//    step. Chunk boundaries and the per-row summation order depend only
+//    on the shuffle (seeded) — never on the thread count or on which
+//    worker owns a row — so the trained parameters are byte-identical
+//    for any `num_threads`, including 1.
 //
 //  - **HogWild** (the default for num_threads > 1): the shuffled triple
 //    stream is sliced across workers that read and write the *shared*
@@ -78,6 +80,9 @@ struct TrainStats {
   /// True when the run used the deterministic schedule (serial runs
   /// always do).
   bool deterministic = true;
+  /// Wall seconds spent in the deterministic schedule's per-batch
+  /// merge+Adam fan-out (0 under HogWild, whose workers step alone).
+  double merge_seconds = 0.0;
 };
 
 /// Runs triplet fine-tuning in place on `encoder`.

@@ -57,7 +57,7 @@ void WarmPipelineMetrics() {
   }
   for (const char* name :
        {kTrainerEpochLoss, kTrainerTriplesPerSec, kTrainerActiveTriples,
-        kTrainerWorkers, kProcessRssBytes,
+        kTrainerWorkers, kTrainerMergeSeconds, kProcessRssBytes,
         kProcessOpenFds, kProcessUptimeSeconds, kPoolQueueDepth,
         kPoolActiveWorkers, kPoolThreads, kServeGeneration, kServeShards,
         kServeGenerationQueries, kServeGenerationLatencyMsMean,
@@ -152,6 +152,9 @@ const char* PipelineMetricHelp(const std::string& name) {
            "Fraction of margin-active triples in the final epoch."},
           {kTrainerWorkers,
            "Worker threads the most recent Train() call used."},
+          {kTrainerMergeSeconds,
+           "Seconds the most recent Train() call spent merging chunk "
+           "gradients and stepping Adam (deterministic schedule)."},
       };
   auto it = help->find(name);
   return it == help->end() ? nullptr : it->second;

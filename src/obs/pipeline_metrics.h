@@ -53,6 +53,9 @@ inline constexpr char kTrainerTriplesPerSec[] = "trainer.triples_per_sec";
 inline constexpr char kTrainerActiveTriples[] = "trainer.active_triples";
 /// Gauge: worker threads the most recent Train() call used.
 inline constexpr char kTrainerWorkers[] = "trainer.workers";
+/// Gauge: wall seconds the most recent Train() call spent in the
+/// deterministic schedule's per-batch merge+Adam fan-out.
+inline constexpr char kTrainerMergeSeconds[] = "trainer.merge_seconds";
 
 // --- PG-Index build (Algorithm 2, §IV-A).
 inline constexpr char kPgindexBuildsTotal[] = "pgindex.builds_total";

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,8 +75,8 @@ TEST(AdamTest, MinimizesQuadratic) {
   std::vector<float> grads(4);
   for (int step = 0; step < 500; ++step) {
     for (int i = 0; i < 4; ++i) grads[i] = 2.0f * (params[i] - 3.0f);
-    adam.BeginStep();
-    adam.UpdateDense(params, grads);
+    const float step_size = adam.BeginStep();
+    adam.UpdateDense(params, grads, step_size);
   }
   for (float p : params) EXPECT_NEAR(p, 3.0f, 0.05f);
 }
@@ -83,8 +85,8 @@ TEST(AdamTest, SparseRowUpdatesOnlyTouchTargetRow) {
   Adam adam(6, {});
   Matrix params(3, 2, 1.0f);
   std::vector<float> grad = {1.0f, 1.0f};
-  adam.BeginStep();
-  adam.UpdateRow(params, 1, grad, 0);
+  const float step_size = adam.BeginStep();
+  adam.UpdateRow(params, 1, grad, 0, step_size);
   EXPECT_FLOAT_EQ(params.At(0, 0), 1.0f);
   EXPECT_LT(params.At(1, 0), 1.0f);
   EXPECT_FLOAT_EQ(params.At(2, 1), 1.0f);
@@ -213,7 +215,7 @@ TEST_P(EncoderTest, BackwardMatchesFiniteDifferences) {
     return total;
   };
   EncoderGradients grads;
-  grads.Reset(encoder_->dim());
+  grads.Reset(encoder_->vocab_size(), encoder_->dim());
   const auto cache = encoder_->Forward(doc);
   encoder_->Backward(cache, w, grads);
 
@@ -245,6 +247,8 @@ TEST_P(EncoderTest, BackwardMatchesFiniteDifferences) {
   }
   // Token embedding gradient for the first token of the doc.
   const TokenId token = doc[0];
+  const std::span<const float> token_grad = grads.d_tokens.Find(token);
+  ASSERT_EQ(token_grad.size(), encoder_->dim());
   for (size_t k = 0; k < encoder_->dim(); ++k) {
     float& param = encoder_->token_embeddings().Row(token)[k];
     const float saved = param;
@@ -253,8 +257,57 @@ TEST_P(EncoderTest, BackwardMatchesFiniteDifferences) {
     param = saved - eps;
     const float down = loss();
     param = saved;
-    ASSERT_TRUE(grads.d_tokens.count(token));
-    EXPECT_NEAR(grads.d_tokens.at(token)[k], (up - down) / (2 * eps), 2e-2f);
+    EXPECT_NEAR(token_grad[k], (up - down) / (2 * eps), 2e-2f);
+  }
+}
+
+TEST_P(EncoderTest, ReusedGradientsMatchFresh) {
+  // A workspace that already accumulated other documents must, after
+  // Reset, give exactly the gradients of a fresh one, and hand back only
+  // zeroed rows for tokens it has not touched since.
+  const size_t dim = encoder_->dim();
+  std::vector<float> w(dim);
+  Rng rng(17);
+  for (float& x : w) x = static_cast<float>(rng.Normal());
+  const auto target = encoder_->Forward(corpus_.Document(0));
+
+  EncoderGradients reused;
+  reused.Reset(encoder_->vocab_size(), dim);
+  // One single-token document per vocabulary entry touches every row
+  // under every pooling.
+  for (size_t t = 0; t < encoder_->vocab_size(); ++t) {
+    const std::vector<TokenId> doc = {static_cast<TokenId>(t)};
+    encoder_->Backward(encoder_->Forward(doc), w, reused);
+  }
+  const size_t first_touched = reused.d_tokens.touched().size();
+  EXPECT_EQ(first_touched, encoder_->vocab_size());
+  reused.Reset(encoder_->vocab_size(), dim);
+  EXPECT_TRUE(reused.d_tokens.touched().empty());
+  encoder_->Backward(target, w, reused);
+
+  EncoderGradients fresh;
+  fresh.Reset(encoder_->vocab_size(), dim);
+  encoder_->Backward(target, w, fresh);
+
+  EXPECT_EQ(reused.d_projection, fresh.d_projection);
+  EXPECT_EQ(reused.d_bias, fresh.d_bias);
+  ASSERT_EQ(reused.d_tokens.touched(), fresh.d_tokens.touched());
+  for (TokenId t : fresh.d_tokens.touched()) {
+    const auto a = reused.d_tokens.Find(t);
+    const auto b = fresh.d_tokens.Find(t);
+    ASSERT_EQ(a.size(), dim);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "token " << t;
+  }
+  // Every other token is untouched, and touching it now — reusing the
+  // rows the first round left behind — reads zero.
+  ASSERT_GT(first_touched, fresh.d_tokens.touched().size());
+  for (size_t t = 0; t < encoder_->vocab_size(); ++t) {
+    const auto token = static_cast<TokenId>(t);
+    if (!fresh.d_tokens.Find(token).empty()) continue;
+    EXPECT_TRUE(reused.d_tokens.Find(token).empty()) << "token " << t;
+    for (float v : reused.d_tokens.Touch(token)) {
+      EXPECT_EQ(v, 0.0f) << "token " << t;
+    }
   }
 }
 

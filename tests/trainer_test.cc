@@ -4,6 +4,7 @@
 // bitwise between scalar and AVX2.
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,79 @@ TEST(TrainerDeterminismTest, ByteIdenticalAcrossThreadCounts) {
     // Loss accumulation is also order-fixed, so the reported epoch
     // losses match exactly too.
     EXPECT_EQ(ref_stats.epoch_loss, stats.epoch_loss);
+  }
+}
+
+/// FNV-1a over the bytes of every trained parameter and the per-epoch
+/// losses: a fingerprint of one training run, bit for bit.
+uint64_t TrainedChecksum(const DocumentEncoder& encoder,
+                         const TrainStats& stats) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_matrix = [&](const Matrix& m) {
+    for (size_t r = 0; r < m.rows(); ++r) {
+      const auto row = m.Row(r);
+      mix(row.data(), row.size() * sizeof(float));
+    }
+  };
+  mix_matrix(encoder.token_embeddings());
+  mix_matrix(encoder.projection());
+  mix(encoder.bias().data(), encoder.bias().size() * sizeof(float));
+  mix(stats.epoch_loss.data(), stats.epoch_loss.size() * sizeof(double));
+  return h;
+}
+
+TEST(TrainerDeterminismTest, MatchesParentChecksum) {
+  // Pins the deterministic schedule's exact bits: any change to the
+  // per-chunk accumulation, the chunk-order merge or the Adam step shows
+  // up here. 57 triples with batch 20 give chunk widths 8,8,4 in full
+  // batches and 8,8,1 in the ragged last batch; dim 20 exercises the
+  // kernels' non-multiple-of-8 tails; weighted-mean pooling routes
+  // per-token weights through forward and backward. The constants are
+  // the bits of the serial-merge trainer the row-parallel merge
+  // replaced; changing them changes every trained model.
+  const TrainSetup setup = MakeClusteredSetup(19, 3);
+  ASSERT_EQ(setup.triples.size(), 57u);
+  std::vector<float> weights(setup.corpus.vocabulary().size());
+  for (size_t t = 0; t < weights.size(); ++t) {
+    weights[t] = 0.5f + 0.25f * static_cast<float>(t % 4);
+  }
+
+  struct Case {
+    bool train_tokens;
+    uint64_t checksum;
+  };
+  for (const Case& c : {Case{true, 0x87b95e6b1d477ef0ULL},
+                       Case{false, 0x0bce716a687e45a2ULL}}) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("train_tokens=" + std::to_string(c.train_tokens) +
+                   " threads=" + std::to_string(threads));
+      TrainerConfig config;
+      config.epochs = 3;
+      config.batch_size = 20;
+      config.adam.learning_rate = 5e-3;
+      config.deterministic = true;
+      config.train_token_embeddings = c.train_tokens;
+      config.num_threads = threads;
+
+      EncoderConfig encoder_config;
+      encoder_config.dim = 20;
+      encoder_config.pooling = Pooling::kWeightedMean;
+      DocumentEncoder encoder(setup.corpus.vocabulary().size(),
+                              encoder_config);
+      Rng init_rng(1);
+      encoder.InitializeRandomTokens(init_rng, 0.3f);
+      encoder.SetTokenWeights(weights);
+      const TrainStats stats = TrainCopy(setup, config, encoder);
+      EXPECT_EQ(TrainedChecksum(encoder, stats), c.checksum)
+          << std::hex << "0x" << TrainedChecksum(encoder, stats);
+    }
   }
 }
 
