@@ -1,7 +1,6 @@
 // Executor microbenchmarks: ParallelFor dispatch overhead, nested
 // fan-out (the helping-join path), TaskGroup submit/wait throughput
-// with concurrent callers, and the cost of carrying a live
-// CancelToken through a loop that never fires it.
+// with concurrent callers.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/thread_pool.h"
 
 namespace {
@@ -86,22 +84,6 @@ void BM_ConcurrentGroups(benchmark::State& state) {
                           callers * static_cast<int64_t>(kPerCaller));
 }
 BENCHMARK(BM_ConcurrentGroups)->Arg(2)->Arg(4)->Arg(8);
-
-// The cancellation tax: same flat loop, but each chunk polls a live
-// deadline token that never fires. Compare against BM_ParallelForFlat.
-void BM_ParallelForWithLiveToken(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    CancelToken token = CancelToken::AfterMillis(1e9);
-    std::atomic<uint64_t> total{0};
-    ParallelFor(
-        Pool(), n, [&](size_t i) { total.fetch_add(Work(i)); }, token);
-    benchmark::DoNotOptimize(total.load());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForWithLiveToken)->Arg(1 << 14)->Arg(1 << 18);
 
 }  // namespace
 

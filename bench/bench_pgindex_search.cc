@@ -14,7 +14,6 @@
 #include "obs/pipeline_metrics.h"
 
 #include "ann/brute_force.h"
-#include "ann/hnsw.h"
 #include "ann/pg_index.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -96,37 +95,6 @@ void BM_PGSearch(benchmark::State& state, int variant) {
   state.counters["hops"] = hops / static_cast<double>(samples);
 }
 
-const Hnsw& HnswIndex() {
-  static const Hnsw* index = [] {
-    HnswConfig config;
-    config.m = 10;
-    return new Hnsw(Hnsw::Build(Points(), config));
-  }();
-  return *index;
-}
-
-void BM_HnswSearch(benchmark::State& state) {
-  const Hnsw& index = HnswIndex();
-  const size_t ef = static_cast<size_t>(state.range(0));
-  size_t query_id = 0;
-  double recall = 0.0, dists = 0.0;
-  size_t samples = 0;
-  for (auto _ : state) {
-    const std::vector<float> q = QueryFor(query_id++ % 32);
-    Hnsw::SearchStats stats;
-    const auto result = index.Search(q, kTopK, ef, &stats);
-    benchmark::DoNotOptimize(result.data());
-    state.PauseTiming();
-    const auto exact = BruteForceSearch(Points(), q, kTopK);
-    recall += ComputeRecall(result, exact);
-    dists += static_cast<double>(stats.distance_computations);
-    ++samples;
-    state.ResumeTiming();
-  }
-  state.counters["recall"] = recall / static_cast<double>(samples);
-  state.counters["dist_comp"] = dists / static_cast<double>(samples);
-}
-
 void BM_PGSearchBatch(benchmark::State& state) {
   const PGIndex& index = IndexVariant(2);
   constexpr size_t kBatch = 32;
@@ -181,7 +149,6 @@ BENCHMARK_CAPTURE(BM_PGSearch, knn_only, 0)->Arg(10)->Arg(40)->Arg(100);
 BENCHMARK_CAPTURE(BM_PGSearch, with_extension, 1)->Arg(10)->Arg(40)->Arg(100);
 BENCHMARK_CAPTURE(BM_PGSearch, full_refined, 2)->Arg(10)->Arg(40)->Arg(100);
 BENCHMARK(BM_PGSearchBatch)->Arg(40)->Arg(100);
-BENCHMARK(BM_HnswSearch)->Arg(10)->Arg(40)->Arg(100);
 BENCHMARK(BM_BruteForce);
 BENCHMARK_CAPTURE(BM_IndexBuild, knn_only, 0)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_IndexBuild, full_refined, 2)

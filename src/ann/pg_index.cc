@@ -740,16 +740,13 @@ std::vector<Neighbor> PGIndex::SearchPadded(std::span<const float> padded,
 
 std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
     const Matrix& queries, size_t m, size_t ef,
-    std::vector<SearchStats>* stats, ThreadPool* pool,
-    const CancelToken& cancel) const {
-  return SearchBatch(queries, SearchParams{.m = m, .ef = ef}, stats, pool,
-                     cancel);
+    std::vector<SearchStats>* stats, ThreadPool* pool) const {
+  return SearchBatch(queries, SearchParams{.m = m, .ef = ef}, stats, pool);
 }
 
 std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
     const Matrix& queries, const SearchParams& params,
-    std::vector<SearchStats>* stats, ThreadPool* pool,
-    const CancelToken& cancel) const {
+    std::vector<SearchStats>* stats, ThreadPool* pool) const {
   KPEF_TRACE_SPAN("pgindex.search_batch");
   const size_t batch = queries.rows();
   std::vector<std::vector<Neighbor>> results(batch);
@@ -763,13 +760,8 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
   // One task per query, each running Search's own body on its worker's
   // arena, so results and stats do not depend on the pool size or the
-  // batch's composition. Cancellation is checked as each query starts:
-  // a query either runs to completion or is skipped whole.
+  // batch's composition.
   ParallelFor(p, batch, [&](size_t q) {
-    if (cancel.IsCancelled()) {
-      local_stats[q].cancelled = true;
-      return;
-    }
     results[q] = SearchPadded(queries.PaddedRow(q), params, &local_stats[q]);
   });
   if (stats) *stats = std::move(local_stats);

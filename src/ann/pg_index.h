@@ -29,7 +29,6 @@
 #include "ann/neighbor.h"
 #include "ann/nndescent.h"
 #include "ann/sq8.h"
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "embed/matrix.h"
 
@@ -95,9 +94,6 @@ class PGIndex {
     uint64_t hops = 0;
     /// Wall-clock time of this query's own greedy search.
     double search_ms = 0.0;
-    /// True when SearchBatch skipped this query because the cancel token
-    /// had fired; its result list is empty.
-    bool cancelled = false;
   };
 
   /// Per-call search knobs beyond the result count.
@@ -130,21 +126,17 @@ class PGIndex {
   /// greedy search as Search, so results and counters are identical to
   /// calling Search per row for any pool size and any batch
   /// composition. Per-query stats land in `*stats` (resized to the
-  /// batch) and each query updates the metrics registry as Search does. A
-  /// non-null `cancel` token is checked as each query starts: queries
-  /// that start after the token fired are skipped (empty result,
-  /// SearchStats::cancelled set), so an expired deadline yields partial
-  /// batch results instead of a wedged call.
+  /// batch) and each query updates the metrics registry as Search does.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, size_t m, size_t ef = 0,
-      std::vector<SearchStats>* stats = nullptr, ThreadPool* pool = nullptr,
-      const CancelToken& cancel = CancelToken()) const;
+      std::vector<SearchStats>* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
   /// SearchBatch with explicit per-call knobs.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, const SearchParams& params,
-      std::vector<SearchStats>* stats = nullptr, ThreadPool* pool = nullptr,
-      const CancelToken& cancel = CancelToken()) const;
+      std::vector<SearchStats>* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
   int32_t navigating_node() const { return navigating_node_; }
   size_t NumPoints() const { return points_.rows(); }

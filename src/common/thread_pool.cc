@@ -186,18 +186,11 @@ ThreadPool& ThreadPool::Default() {
 }
 
 void ParallelFor(ThreadPool& pool, size_t count,
-                 const std::function<void(size_t)>& fn,
-                 const CancelToken& cancel) {
+                 const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  const bool cancellable = cancel.CanBeCancelled();
   const size_t workers = pool.num_threads();
   if (workers <= 1 || count == 1) {
-    for (size_t i = 0; i < count; ++i) {
-      // Poll every 64 iterations: deadline tokens read the clock on
-      // each check, which would dominate cheap loop bodies.
-      if (cancellable && (i & 63) == 0 && cancel.IsCancelled()) return;
-      fn(i);
-    }
+    for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
   const size_t num_chunks = std::min(count, workers * 4);
@@ -205,17 +198,15 @@ void ParallelFor(ThreadPool& pool, size_t count,
   TaskGroup group(pool);
   for (size_t start = 0; start < count; start += chunk) {
     const size_t end = std::min(count, start + chunk);
-    group.Submit([&fn, &cancel, cancellable, start, end] {
-      if (cancellable && cancel.IsCancelled()) return;
+    group.Submit([&fn, start, end] {
       for (size_t i = start; i < end; ++i) fn(i);
     });
   }
   group.Wait();
 }
 
-void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                 const CancelToken& cancel) {
-  ParallelFor(ThreadPool::Default(), count, fn, cancel);
+void ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
+  ParallelFor(ThreadPool::Default(), count, fn);
 }
 
 void ParallelForChunks(ThreadPool& pool, size_t count,

@@ -19,6 +19,7 @@
 #ifndef KPEF_COMMON_THREAD_POOL_H_
 #define KPEF_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -28,8 +29,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/cancellation.h"
 
 namespace kpef {
 
@@ -173,17 +172,12 @@ class ThreadPool {
 /// from inside a pool task joins its own TaskGroup and helps instead of
 /// blocking a worker. If fn throws, the first exception is rethrown here
 /// after the loop's remaining chunks are cancelled; which indices ran is
-/// then unspecified. A non-null `cancel` token is checked at chunk
-/// boundaries: once it fires, remaining chunks are skipped and
-/// ParallelFor returns normally — the caller decides how to surface the
-/// partial coverage.
+/// then unspecified.
 void ParallelFor(ThreadPool& pool, size_t count,
-                 const std::function<void(size_t)>& fn,
-                 const CancelToken& cancel = CancelToken());
+                 const std::function<void(size_t)>& fn);
 
 /// ParallelFor over the default pool.
-void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                 const CancelToken& cancel = CancelToken());
+void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
 /// Runs fn(begin, end) over contiguous chunks covering [0, count), split
 /// across the pool (≈4 chunks per worker). Unlike ParallelFor's per-index

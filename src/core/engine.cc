@@ -18,13 +18,11 @@ namespace kpef {
 
 namespace {
 
-// True when query q must skip its remaining stages: the call's token
-// fired or q's own deadline (BatchQueryOptions::deadlines) passed.
-bool Stopped(const BatchQueryOptions& options, size_t q,
-             const CancelToken& cancel) {
-  return cancel.IsCancelled() ||
-         (!options.deadlines.empty() &&
-          CancelToken::Clock::now() >= options.deadlines[q]);
+// True when query q must skip its remaining stages: its own deadline
+// (BatchQueryOptions::deadlines) passed.
+bool Stopped(const BatchQueryOptions& options, size_t q) {
+  return !options.deadlines.empty() &&
+         std::chrono::steady_clock::now() >= options.deadlines[q];
 }
 
 // Query q's request-trace key (0 = untraced); its task installs it as
@@ -226,8 +224,7 @@ std::vector<NodeId> ExpertFindingEngine::RetrievePapers(
   KPEF_TRACE_SPAN("engine.retrieve_papers");
   QueryStats local;
   const std::vector<Neighbor> neighbors =
-      *RetrieveQuery(query_text, m, BatchQueryOptions(), 0, CancelToken(),
-                     &local);
+      *RetrieveQuery(query_text, m, BatchQueryOptions(), 0, &local);
   const std::vector<NodeId>& papers = dataset_->Papers();
   std::vector<NodeId> result;
   result.reserve(neighbors.size());
@@ -264,8 +261,8 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
 
 std::optional<std::vector<Neighbor>> ExpertFindingEngine::RetrieveQuery(
     const std::string& query_text, size_t m, const BatchQueryOptions& options,
-    size_t q, const CancelToken& cancel, QueryStats* stats) const {
-  if (Stopped(options, q, cancel)) return std::nullopt;
+    size_t q, QueryStats* stats) const {
+  if (Stopped(options, q)) return std::nullopt;
   std::vector<float> query;
   {
     KPEF_TRACE_SPAN("engine.encode");
@@ -275,7 +272,7 @@ std::optional<std::vector<Neighbor>> ExpertFindingEngine::RetrieveQuery(
     stats->encode_ms = encode_timer.ElapsedMillis();
     stats->retrieval_ms = stats->encode_ms;
   }
-  if (Stopped(options, q, cancel)) return std::nullopt;
+  if (Stopped(options, q)) return std::nullopt;
   KPEF_TRACE_SPAN("engine.search");
   Timer search_timer;
   const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
@@ -310,41 +307,31 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   }
   ThreadPool& workers =
       options.pool != nullptr ? *options.pool : ThreadPool::Default();
-  CancelToken cancel = options.cancel;
-  if (options.deadline_ms > 0.0) {
-    cancel = CancelToken::AfterMillis(options.deadline_ms, options.cancel);
-  }
   KPEF_CHECK(options.deadlines.empty() || options.deadlines.size() == batch)
       << "BatchQueryOptions::deadlines must match the query list";
 
   // One task per query: encode -> search -> rank. Each stage first checks
-  // the query's own deadline and the call's token, so an expired query
-  // stops costing work without waiting on, or holding back, its
-  // batchmates. Ranking reads the shared (read-only) graph.
+  // the query's own deadline, so an expired query stops costing work
+  // without waiting on, or holding back, its batchmates. Ranking reads
+  // the shared (read-only) graph.
   const std::vector<NodeId>& papers = dataset_->Papers();
-  ParallelFor(
-      workers, batch,
-      [&](size_t q) {
-        obs::ScopedTraceContext trace_scope(TraceKey(options, q));
-        const std::optional<std::vector<Neighbor>> neighbors = RetrieveQuery(
-            query_texts[q], config_.top_m, options, q, cancel, &local[q]);
-        if (!neighbors || Stopped(options, q, cancel)) return;
-        KPEF_TRACE_SPAN("engine.ranking");
-        Timer ranking_timer;
-        std::vector<NodeId> top_papers;
-        top_papers.reserve(neighbors->size());
-        for (const Neighbor& nb : *neighbors) {
-          top_papers.push_back(papers[nb.id]);
-        }
-        TopNStats top_stats;
-        results[q] =
-            RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
-                        config_.contribution_weighting, n, &top_stats);
-        local[q].ranking_ms = ranking_timer.ElapsedMillis();
-        local[q].ranking_entries_accessed = top_stats.entries_accessed;
-        local[q].deadline_exceeded = false;
-      },
-      cancel);
+  ParallelFor(workers, batch, [&](size_t q) {
+    obs::ScopedTraceContext trace_scope(TraceKey(options, q));
+    const std::optional<std::vector<Neighbor>> neighbors =
+        RetrieveQuery(query_texts[q], config_.top_m, options, q, &local[q]);
+    if (!neighbors || Stopped(options, q)) return;
+    KPEF_TRACE_SPAN("engine.ranking");
+    Timer ranking_timer;
+    std::vector<NodeId> top_papers;
+    top_papers.reserve(neighbors->size());
+    for (const Neighbor& nb : *neighbors) top_papers.push_back(papers[nb.id]);
+    TopNStats top_stats;
+    results[q] = RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
+                             config_.contribution_weighting, n, &top_stats);
+    local[q].ranking_ms = ranking_timer.ElapsedMillis();
+    local[q].ranking_entries_accessed = top_stats.entries_accessed;
+    local[q].deadline_exceeded = false;
+  });
 
   const uint64_t exceeded =
       std::count_if(local.begin(), local.end(),

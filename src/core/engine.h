@@ -10,6 +10,7 @@
 #ifndef KPEF_CORE_ENGINE_H_
 #define KPEF_CORE_ENGINE_H_
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "ann/pg_index.h"
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "embed/document_encoder.h"
@@ -135,8 +135,8 @@ struct QueryStats {
   uint64_t distance_computations = 0;
   /// S(a, p) entries the one-pass ranking summed.
   size_t ranking_entries_accessed = 0;
-  /// True when the batch deadline (or external cancel token) fired
-  /// before this query completed; its result list is empty and the
+  /// True when the query's own deadline (BatchQueryOptions::deadlines)
+  /// passed before it completed; its result list is empty and the
   /// timing fields cover only the phases that ran.
   bool deadline_exceeded = false;
 };
@@ -156,21 +156,13 @@ using BatchSearchFn = std::function<std::vector<Neighbor>(
 struct BatchQueryOptions {
   /// Pool the batch fans out over (nullptr = ThreadPool::Default()).
   ThreadPool* pool = nullptr;
-  /// Soft wall-clock budget for the whole call, in milliseconds
-  /// (<= 0 = none). Checked before each stage of every query: queries
-  /// finished before expiry return normally, the rest come back empty
-  /// with QueryStats::deadline_exceeded set. The call never wedges.
-  double deadline_ms = 0.0;
-  /// External cancellation, combined with the deadline (whichever fires
-  /// first wins). A null token never fires.
-  CancelToken cancel;
   /// Per-query absolute deadlines (time_point::max() = none for that
   /// slot). When non-empty, must match the query list's size. Checked
   /// before each of the query's stages: an expired query skips the rest
   /// and comes back empty with QueryStats::deadline_exceeded set, so one
   /// tight budget never keeps consuming engine time for a result nobody
   /// will read, and never holds back its batchmates.
-  std::vector<CancelToken::Clock::time_point> deadlines;
+  std::vector<std::chrono::steady_clock::time_point> deadlines;
   /// Per-query retrieval override for EngineGroup's shard scatter (see
   /// BatchSearchFn). Null = the engine's own index / brute-force search.
   BatchSearchFn search;
@@ -236,10 +228,10 @@ class ExpertFindingEngine : public RetrievalModel {
       const std::vector<std::string>& query_texts, size_t n,
       std::vector<QueryStats>* stats = nullptr, ThreadPool* pool = nullptr);
 
-  /// FindExpertsBatch with a per-call deadline and/or cancellation (see
-  /// BatchQueryOptions). Queries the deadline overtakes return empty
-  /// with QueryStats::deadline_exceeded set; the rest are identical to
-  /// an unbounded call.
+  /// FindExpertsBatch with per-query deadlines (see BatchQueryOptions).
+  /// Queries their deadline overtakes return empty with
+  /// QueryStats::deadline_exceeded set; the rest are identical to an
+  /// unbounded call.
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,
       const BatchQueryOptions& options,
@@ -275,12 +267,11 @@ class ExpertFindingEngine : public RetrievalModel {
   /// FindExpertsBatch's per-query task and RetrievePapers: its top-m
   /// paper rows, ascending by (distance, row), through options.search or
   /// the engine's own index / brute-force scan. Checks q's slot deadline
-  /// and `cancel` before each stage and returns nullopt once either
-  /// fired. Fills the timing and distance fields of `*stats`.
+  /// before each stage and returns nullopt once it passed. Fills the
+  /// timing and distance fields of `*stats`.
   std::optional<std::vector<Neighbor>> RetrieveQuery(
       const std::string& query_text, size_t m,
-      const BatchQueryOptions& options, size_t q, const CancelToken& cancel,
-      QueryStats* stats) const;
+      const BatchQueryOptions& options, size_t q, QueryStats* stats) const;
 
   const Dataset* dataset_;
   const Corpus* corpus_;

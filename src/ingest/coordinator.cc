@@ -125,6 +125,14 @@ StatusOr<IngestApplyResult> IngestCoordinator::Apply(
 StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
     const IngestBatch& batch, bool log_to_wal, bool publish) {
   Timer timer;
+  // Validate the whole batch before logging or touching staging: a
+  // logged record that cannot apply fails replay on every restart, and a
+  // rejection midway would leave staging half-applied.
+  for (const IngestPaper& paper : batch.papers) {
+    if (paper.text.empty()) {
+      return Status::InvalidArgument("ingest paper needs non-empty text");
+    }
+  }
   if (log_to_wal) {
     const std::vector<uint8_t> payload = SerializeBatch(batch);
     KPEF_RETURN_IF_ERROR(wal_.Append(payload));
@@ -181,9 +189,6 @@ StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
 
 StatusOr<bool> IngestCoordinator::ApplyPaper(const IngestPaper& paper,
                                              std::vector<size_t>* new_rows) {
-  if (paper.text.empty()) {
-    return Status::InvalidArgument("ingest paper needs non-empty text");
-  }
   if (paper_by_label_.find(paper.text) != paper_by_label_.end()) {
     return false;
   }

@@ -100,7 +100,8 @@ class IngestCoordinator {
   Status InitStaging(EngineGroup* group);
   StatusOr<IngestApplyResult> ApplyLocked(const IngestBatch& batch,
                                           bool log_to_wal, bool publish);
-  /// Appends one paper to every staging layer; false = duplicate.
+  /// Appends one validated paper to every staging layer; false =
+  /// duplicate.
   StatusOr<bool> ApplyPaper(const IngestPaper& paper,
                             std::vector<size_t>* new_rows);
   size_t PendingDeltaEdges() const;

@@ -240,6 +240,14 @@ Status WalWriter::Append(std::span<const uint8_t> payload) {
   frame.insert(frame.end(), payload.begin(), payload.end());
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
       std::fflush(file_) != 0 || ::fdatasync(fileno(file_)) != 0) {
+    // Cut the torn frame off (closing first, so no buffered byte of it
+    // lands after the cut); otherwise the next append would sit behind
+    // it, where replay never reaches. A log that cannot be cut stays
+    // closed, so later appends fail instead of being silently lost.
+    Close();
+    if (::truncate(path_.c_str(), static_cast<off_t>(durable_bytes_)) == 0) {
+      file_ = std::fopen(path_.c_str(), "ab");
+    }
     return Status::IOError("WAL append failed: " + path_);
   }
   durable_bytes_ += frame.size();

@@ -83,8 +83,10 @@ class WalWriter {
   static StatusOr<WalWriter> Open(const std::string& path,
                                   const WalFingerprint& fingerprint);
 
-  /// Appends one record (len | crc | payload) and fdatasyncs it; on
-  /// error DurableBytes() does not advance.
+  /// Appends one record (len | crc | payload) and fdatasyncs it. On
+  /// error DurableBytes() does not advance and the file is cut back to
+  /// it, so the next append extends the valid prefix; if the cut fails,
+  /// the writer closes.
   Status Append(std::span<const uint8_t> payload);
 
   /// Byte offset after the last synced record (== file size).

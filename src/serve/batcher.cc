@@ -10,8 +10,9 @@ namespace kpef::serve {
 
 namespace {
 
-double MillisBetween(CancelToken::Clock::time_point from,
-                     CancelToken::Clock::time_point to) {
+using Clock = std::chrono::steady_clock;
+
+double MillisBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
@@ -32,7 +33,7 @@ bool MicroBatcher::Submit(BatchRequest request, CompletionFn done) {
       return false;
     }
     queue_.push_back(Pending{std::move(request), std::move(done),
-                             CancelToken::Clock::now()});
+                             Clock::now()});
   }
   cv_.notify_one();
   return true;
@@ -76,7 +77,7 @@ void MicroBatcher::DispatchLoop() {
 }
 
 void MicroBatcher::RunBatch(std::vector<Pending> batch) {
-  const auto dispatch_time = CancelToken::Clock::now();
+  const auto dispatch_time = Clock::now();
 
   // Requests whose deadline already passed never reach the engine: they
   // complete immediately as expired, and do not shrink the batch others
@@ -85,7 +86,7 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   live.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const Pending& p = batch[i];
-    if (p.request.has_deadline && dispatch_time >= p.request.deadline) {
+    if (dispatch_time >= p.request.deadline) {
       BatchResponse response;
       response.deadline_exceeded = true;
       response.queue_wait_ms = MillisBetween(p.enqueue_time, dispatch_time);
@@ -104,14 +105,10 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   // afterwards (ranking is exact, so the top-n' of a top-n list with
   // n' <= n is the same list). Deadlines propagate per slot: the engine
   // skips a query's remaining stages once that query's own budget
-  // expires, and the whole call is additionally bounded by the LATEST
-  // live deadline when every request carries one.
+  // expires.
   size_t top_n = 0;
   uint64_t clamped = 0;
-  bool all_have_deadlines = true;
   bool any_deadline = false;
-  CancelToken::Clock::time_point latest_deadline =
-      CancelToken::Clock::time_point::min();
   std::vector<std::string> texts;
   texts.reserve(live.size());
   for (const size_t i : live) {
@@ -123,12 +120,7 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
     }
     top_n = std::max(top_n, n);
     texts.push_back(r.query);
-    if (r.has_deadline) {
-      any_deadline = true;
-      latest_deadline = std::max(latest_deadline, r.deadline);
-    } else {
-      all_have_deadlines = false;
-    }
+    any_deadline |= r.deadline != Clock::time_point::max();
   }
   if (clamped > 0) KPEF_COUNTER_ADD(obs::kServeTopNClamped, clamped);
   BatchQueryOptions options;
@@ -136,14 +128,8 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   if (any_deadline) {
     options.deadlines.reserve(live.size());
     for (const size_t i : live) {
-      const BatchRequest& r = batch[i].request;
-      options.deadlines.push_back(
-          r.has_deadline ? r.deadline
-                         : CancelToken::Clock::time_point::max());
+      options.deadlines.push_back(batch[i].request.deadline);
     }
-  }
-  if (all_have_deadlines) {
-    options.cancel = CancelToken::WithDeadline(latest_deadline);
   }
   bool any_traced = false;
   for (const size_t i : live) {
@@ -163,7 +149,7 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   KPEF_HISTOGRAM_OBSERVE(obs::kServeBatchSize, live.size());
 
   BatchResult result = execute_(texts, top_n, options);
-  const auto completion_time = CancelToken::Clock::now();
+  const auto completion_time = Clock::now();
 
   for (size_t slot = 0; slot < live.size(); ++slot) {
     Pending& p = batch[live[slot]];
@@ -180,7 +166,7 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
     }
     response.deadline_exceeded =
         response.stats.deadline_exceeded ||
-        (p.request.has_deadline && completion_time >= p.request.deadline);
+        completion_time >= p.request.deadline;
     if (response.deadline_exceeded) {
       KPEF_COUNTER_ADD(obs::kServeDeadlineExceeded, 1);
     }

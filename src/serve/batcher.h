@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "core/engine.h"
 #include "ranking/expert_score.h"
 
@@ -58,9 +57,9 @@ struct BatcherConfig {
 struct BatchRequest {
   std::string query;
   size_t top_n = 10;
-  /// Absolute per-request deadline; meaningful when has_deadline.
-  CancelToken::Clock::time_point deadline{};
-  bool has_deadline = false;
+  /// Absolute per-request deadline (time_point::max() = none).
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
   /// Request-trace key (obs::Tracer::BeginTrace; 0 = untraced). Forwarded
   /// into BatchQueryOptions::trace_keys so engine-phase spans land in
   /// this request's trace.
@@ -133,7 +132,7 @@ class MicroBatcher {
   struct Pending {
     BatchRequest request;
     CompletionFn done;
-    CancelToken::Clock::time_point enqueue_time;
+    std::chrono::steady_clock::time_point enqueue_time;
   };
 
   void DispatchLoop();

@@ -401,10 +401,9 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
     deadline_ms = std::min(d->number_value, config_.max_deadline_ms);
   }
   if (deadline_ms > 0.0) {
-    batch_request.has_deadline = true;
     batch_request.deadline =
-        CancelToken::Clock::now() +
-        std::chrono::duration_cast<CancelToken::Clock::duration>(
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double, std::milli>(deadline_ms));
   }
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "ann/brute_force.h"
-#include "ann/hnsw.h"
 #include "ann/pg_index.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -79,18 +78,6 @@ TEST_P(AnnRecallSweep, PGIndexRecallContract) {
       points,
       [&](std::span<const float> q) { return index.Search(q, 10, 60); },
       GetParam().seed + 1);
-  EXPECT_GT(recall, 0.85) << "n=" << GetParam().n;
-}
-
-TEST_P(AnnRecallSweep, HnswRecallContract) {
-  const Matrix& points = PointsFor(GetParam());
-  HnswConfig config;
-  config.m = 10;
-  const Hnsw index = Hnsw::Build(points, config);
-  const double recall = MeanRecall(
-      points,
-      [&](std::span<const float> q) { return index.Search(q, 10, 60); },
-      GetParam().seed + 2);
   EXPECT_GT(recall, 0.85) << "n=" << GetParam().n;
 }
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -185,9 +186,8 @@ TEST_F(EngineTest, ExpiredDeadlineReturnsFlaggedPartialBatch) {
   ThreadPool pool(4);
   BatchQueryOptions options;
   options.pool = &pool;
-  CancelToken expired = CancelToken::Cancellable();
-  expired.RequestCancel();
-  options.cancel = expired;
+  options.deadlines.assign(texts.size(), std::chrono::steady_clock::now() -
+                                             std::chrono::milliseconds(1));
   std::vector<QueryStats> stats;
   // Must return promptly with every query flagged, not wedge.
   const auto results = s.engine->FindExpertsBatch(texts, 8, options, &stats);
@@ -206,13 +206,20 @@ TEST_F(EngineTest, TinyDeadlineFlagsOvertakenQueriesOnly) {
   ThreadPool pool(4);
   BatchQueryOptions options;
   options.pool = &pool;
-  options.deadline_ms = 1e-6;  // fires before the first stage check
+  // Every odd slot's deadline has already passed; the even slots have a
+  // live one-minute budget, so exactly the odd ones are overtaken.
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t q = 0; q < texts.size(); ++q) {
+    options.deadlines.push_back(q % 2 == 1 ? now - std::chrono::milliseconds(1)
+                                           : now + std::chrono::minutes(1));
+  }
   std::vector<QueryStats> stats;
   const auto results = s.engine->FindExpertsBatch(texts, 8, options, &stats);
   ASSERT_EQ(results.size(), texts.size());
   // The contract: flagged queries are empty, unflagged queries carry the
   // same answer the serial path gives.
   for (size_t q = 0; q < texts.size(); ++q) {
+    EXPECT_EQ(stats[q].deadline_exceeded, q % 2 == 1) << "query " << q;
     if (stats[q].deadline_exceeded) {
       EXPECT_TRUE(results[q].empty()) << "query " << q;
     } else {
@@ -237,9 +244,9 @@ TEST_F(EngineTest, PerSlotDeadlineSkipsOnlyTheExpiredQuery) {
   BatchQueryOptions options;
   options.pool = &pool;
   options.deadlines.assign(texts.size(),
-                           CancelToken::Clock::time_point::max());
+                           std::chrono::steady_clock::time_point::max());
   options.deadlines[0] =
-      CancelToken::Clock::now() - std::chrono::milliseconds(1);
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   std::vector<QueryStats> stats;
   const auto results = s.engine->FindExpertsBatch(texts, 8, options, &stats);
   ASSERT_EQ(results.size(), texts.size());
@@ -270,9 +277,8 @@ TEST_F(EngineTest, DeadlineExceededQueriesCounted) {
   ThreadPool pool(2);
   BatchQueryOptions options;
   options.pool = &pool;
-  CancelToken expired = CancelToken::Cancellable();
-  expired.RequestCancel();
-  options.cancel = expired;
+  options.deadlines.assign(texts.size(), std::chrono::steady_clock::now() -
+                                             std::chrono::milliseconds(1));
   s.engine->FindExpertsBatch(texts, 8, options);
   const uint64_t after =
       registry.GetCounter(obs::kEngineQueriesDeadlineExceeded).Value();

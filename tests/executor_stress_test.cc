@@ -1,5 +1,5 @@
 // Stress cases for the TaskGroup executor: many concurrent callers,
-// random nesting, exceptions and cancellation under load. Kept brief
+// random nesting, exceptions and group cancellation under load. Kept brief
 // (a few seconds) so it can run in every CI configuration, including
 // TSan (`ctest -R executor_stress`).
 
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cancellation.h"
 #include "common/thread_pool.h"
 
 namespace kpef {
@@ -81,18 +80,32 @@ TEST(ExecutorStressTest, ExceptionStormLeavesPoolUsable) {
 
 TEST(ExecutorStressTest, CancellationUnderLoadNeverWedges) {
   ThreadPool pool(4);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> background{0};
+  // Competing traffic on the same pool while groups are cancelled.
+  std::thread looper([&] {
+    while (!stop.load()) {
+      ParallelFor(pool, 200, [&](size_t) { background.fetch_add(1); });
+    }
+  });
   for (int round = 0; round < 20; ++round) {
-    CancelToken token = CancelToken::AfterMillis(round % 3 == 0 ? 0.0 : 1.0);
+    TaskGroup group(pool);
     std::atomic<int> ran{0};
-    ParallelFor(
-        pool, 5000,
-        [&](size_t) {
-          ran.fetch_add(1);
-          std::this_thread::yield();
-        },
-        token);
-    EXPECT_LE(ran.load(), 5000);
+    const int cancel_at = round % 3 == 0 ? 0 : 50 * round;
+    for (int i = 0; i < 5000; ++i) {
+      group.Submit([&, i] {
+        if (i == cancel_at) group.Cancel();
+        ran.fetch_add(1);
+        std::this_thread::yield();
+      });
+    }
+    group.Wait();
+    // Tasks dequeued after the Cancel() are skipped, not run.
+    EXPECT_LT(ran.load(), 5000);
   }
+  stop.store(true);
+  looper.join();
+  EXPECT_GT(background.load(), 0u);
   // And the pool still completes ordinary work afterwards.
   std::atomic<int> counter{0};
   ParallelFor(pool, 500, [&](size_t) { counter.fetch_add(1); });

@@ -457,6 +457,50 @@ TEST(IngestTest, MergeEveryBatchServesSameAnswersAsNeverMerging) {
   }
 }
 
+// A batch is validated whole before it is logged: [valid, empty-text]
+// must change neither the log nor staging, so the valid paper still
+// applies later (not as a duplicate) and the log replays cleanly.
+TEST(IngestTest, InvalidBatchLeavesLogAndStagingUntouched) {
+  SharedIngest& s = SharedIngest::Get();
+  const fs::path wal = s.WalPath("invalid_batch");
+  IngestOptions options;
+  options.wal_path = wal.string();
+  const DripPaper& valid = s.split.tail[0];
+  {
+    auto group = s.LoadGroup(SharedIngest::PgConfig(), s.dir_pg);
+    ASSERT_NE(group, nullptr);
+    auto coordinator = IngestCoordinator::Create(
+        group.get(), SharedIngest::PgConfig(), options);
+    ASSERT_TRUE(coordinator.ok());
+    const IngestStats before = (*coordinator)->Stats();
+    const uint64_t generation = group->generation();
+
+    IngestBatch bad = ToIngestBatch({valid});
+    bad.papers.push_back(IngestPaper{"", {"someone"}, "", {}, {}});
+    const auto rejected = (*coordinator)->Apply(bad);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ((*coordinator)->Stats().wal_bytes, before.wal_bytes);
+    EXPECT_EQ((*coordinator)->Stats().records_applied,
+              before.records_applied);
+    EXPECT_EQ(group->generation(), generation);
+
+    auto applied = (*coordinator)->Apply(ToIngestBatch({valid}));
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(applied->applied, 1u);
+    EXPECT_EQ(applied->duplicates, 0u);
+  }
+
+  auto group = s.LoadGroup(SharedIngest::PgConfig(), s.dir_pg);
+  ASSERT_NE(group, nullptr);
+  auto replayed = IngestCoordinator::Create(
+      group.get(), SharedIngest::PgConfig(), options);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ((*replayed)->Stats().replayed_records, 1u);
+  EXPECT_EQ(group->Snapshot()->owned_dataset->Papers().size(),
+            s.split.base.Papers().size() + 1);
+}
+
 TEST(IngestTest, RejectsEmptyTextAndShardedGroups) {
   SharedIngest& s = SharedIngest::Get();
   auto group = s.LoadGroup(SharedIngest::BruteConfig(), s.dir_brute);

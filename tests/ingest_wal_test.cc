@@ -4,6 +4,9 @@
 // and never let a poisoned tail survive a writer re-open. Plus the
 // ingest-batch codec round trip and its bounds checks.
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -181,6 +184,37 @@ TEST_F(WalTest, DurableBytesTracksFileSize) {
   EXPECT_EQ(writer->DurableBytes(), header + 8 + 3);
   writer->Close();
   EXPECT_EQ(FileBytes().size(), header + 8 + 3);
+}
+
+TEST_F(WalTest, FailedAppendLeavesNoTornFrame) {
+  auto writer = WalWriter::Open(path_, fingerprint_);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(Payload("kept")).ok());
+  const uint64_t durable = writer->DurableBytes();
+
+  // Let only part of the next frame reach the file: the rest of it stays
+  // in stdio's buffer or fails with EFBIG (SIGXFSZ ignored), as on a full
+  // disk. Only this process's soft limit moves, and it is restored.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = durable + 100;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  const Status failed = writer->Append(std::vector<uint8_t>(1000, 'x'));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(writer->DurableBytes(), durable);
+  ASSERT_TRUE(writer->Append(Payload("after")).ok());
+  writer->Close();
+  auto replay = ReadWal(path_, fingerprint_);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->truncation_reason, "");
+  ASSERT_EQ(replay->records.size(), 2u);
+  EXPECT_EQ(replay->records[0], Payload("kept"));
+  EXPECT_EQ(replay->records[1], Payload("after"));
 }
 
 // --- Ingest batch codec ----------------------------------------------

@@ -84,6 +84,26 @@ TEST(CoreDecompositionTest, KCoreComponentRespectsK) {
   EXPECT_TRUE(KCoreComponentOf(g, cores, 0, 4).empty());
 }
 
+TEST(CoreDecompositionTest, CoreNumbersMatchFigure2) {
+  // On the P-A-P projection of Figure 2, clique papers p0..p3 and p5..p8
+  // have core number 3; bridge p4 has at most 2 (it links p3 and p5,
+  // which form a path); isolated p9 has 0.
+  const Figure2Graph g = Figure2Graph::Make();
+  const MetaPath pap = *MetaPath::Parse(g.ids.schema, "P-A-P");
+  const std::vector<int32_t> cores =
+      CoreDecomposition(ProjectHomogeneous(g.graph, pap));
+  ASSERT_EQ(cores.size(), g.papers.size());
+  const auto core_of = [&](size_t i) {
+    return cores[g.graph.LocalIndex(g.papers[i])];
+  };
+  for (size_t i : {0, 1, 2, 3, 5, 6, 7, 8}) {
+    EXPECT_EQ(core_of(i), 3) << "p" << i;
+  }
+  EXPECT_LE(core_of(4), 2);
+  EXPECT_EQ(core_of(9), 0);
+  EXPECT_EQ(*std::max_element(cores.begin(), cores.end()), 3);
+}
+
 class KPCoreFigure2Test : public ::testing::Test {
  protected:
   KPCoreFigure2Test()

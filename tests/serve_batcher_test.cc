@@ -22,7 +22,7 @@
 namespace kpef::serve {
 namespace {
 
-using Clock = CancelToken::Clock;
+using Clock = std::chrono::steady_clock;
 
 /// Records every engine call; optionally blocks until released and/or
 /// sleeps to simulate slow batches (the sleep is read when a call
@@ -256,26 +256,25 @@ TEST(MicroBatcherTest, DeadlinePropagatesIntoBatchQueryOptions) {
   PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest a = Request("a");
-  a.has_deadline = true;
   a.deadline = Clock::now() + std::chrono::seconds(30);
   BatchRequest b = Request("b");
-  b.has_deadline = true;
   b.deadline = Clock::now() + std::chrono::seconds(60);
+  const auto a_deadline = a.deadline;
+  const auto b_deadline = b.deadline;
   ASSERT_TRUE(batcher.Submit(std::move(a), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(std::move(b), collector.Fn()));
   engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
   ASSERT_EQ(engine.options_seen.size(), 2u);
-  // Every request carried a deadline, so the batch got a cancel token
-  // (deadline = the latest of the two; it must not have fired).
-  EXPECT_TRUE(engine.options_seen[1].cancel.CanBeCancelled());
-  EXPECT_FALSE(engine.options_seen[1].cancel.IsCancelled());
+  // Each slot carries its own request's deadline, in batch order.
+  EXPECT_EQ(engine.options_seen[1].deadlines,
+            (std::vector<Clock::time_point>{a_deadline, b_deadline}));
   for (const BatchResponse& r : collector.responses) {
     EXPECT_FALSE(r.deadline_exceeded);
   }
 }
 
-TEST(MicroBatcherTest, NoCancelTokenWhenAnyRequestLacksDeadline) {
+TEST(MicroBatcherTest, UnboundedRiderGetsNoSlotDeadline) {
   FakeEngine engine;
   BatcherConfig config;
   config.max_batch_size = 2;
@@ -284,16 +283,18 @@ TEST(MicroBatcherTest, NoCancelTokenWhenAnyRequestLacksDeadline) {
   PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest a = Request("a");
-  a.has_deadline = true;
   a.deadline = Clock::now() + std::chrono::seconds(30);
+  const auto a_deadline = a.deadline;
   ASSERT_TRUE(batcher.Submit(std::move(a), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("b"), collector.Fn()));  // no deadline
   engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
   ASSERT_EQ(engine.options_seen.size(), 2u);
-  // An unbounded request rides in the batch, so the engine call must
-  // not be cancellable at the bounded request's deadline.
-  EXPECT_FALSE(engine.options_seen[1].cancel.CanBeCancelled());
+  // The unbounded request's slot never expires, so the engine cannot
+  // stop it at the bounded request's deadline.
+  EXPECT_EQ(engine.options_seen[1].deadlines,
+            (std::vector<Clock::time_point>{a_deadline,
+                                            Clock::time_point::max()}));
 }
 
 TEST(MicroBatcherTest, ExpiredRequestsNeverReachTheEngine) {
@@ -305,7 +306,6 @@ TEST(MicroBatcherTest, ExpiredRequestsNeverReachTheEngine) {
   PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   BatchRequest expired = Request("expired");
-  expired.has_deadline = true;
   expired.deadline = Clock::now() - std::chrono::milliseconds(1);
   ASSERT_TRUE(batcher.Submit(std::move(expired), collector.Fn()));
   ASSERT_TRUE(batcher.Submit(Request("live"), collector.Fn()));
@@ -333,7 +333,6 @@ TEST(MicroBatcherTest, MissedDeadlineFlaggedAfterSlowBatch) {
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
   BatchRequest tight = Request("tight");
-  tight.has_deadline = true;
   tight.deadline = Clock::now() + std::chrono::milliseconds(5);
   ASSERT_TRUE(batcher.Submit(std::move(tight), collector.Fn()));
   ASSERT_TRUE(collector.WaitForCount(1));
@@ -452,7 +451,6 @@ TEST(MicroBatcherTest, MixedDeadlinesPropagatePerSlot) {
   engine.SetSleepMs(100.0);  // the next batch outlives the tight deadline
   Collector collector;
   BatchRequest tight = Request("tight");
-  tight.has_deadline = true;
   // Far enough out to survive queueing, well inside the engine sleep.
   const auto tight_deadline = Clock::now() + std::chrono::milliseconds(25);
   tight.deadline = tight_deadline;
@@ -463,9 +461,8 @@ TEST(MicroBatcherTest, MixedDeadlinesPropagatePerSlot) {
 
   ASSERT_EQ(engine.options_seen.size(), 2u);
   const BatchQueryOptions& options = engine.options_seen[1];
-  // The engine call itself stays uncancellable (the unbounded rider
-  // must finish), but each slot's own budget rode along.
-  EXPECT_FALSE(options.cancel.CanBeCancelled());
+  // Each slot's own budget rode along; the unbounded rider's never
+  // expires, so it finishes.
   ASSERT_EQ(options.deadlines.size(), 2u);
   EXPECT_EQ(options.deadlines[0], tight_deadline);
   EXPECT_EQ(options.deadlines[1], Clock::time_point::max());

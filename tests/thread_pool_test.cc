@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cancellation.h"
 #include "common/thread_pool.h"
 
 namespace kpef {
@@ -193,31 +192,6 @@ TEST(ParallelForTest, TwoThreadsDriveOnePoolConcurrently) {
   EXPECT_EQ(total_b.load(), 20u * 19900u);
 }
 
-TEST(ParallelForTest, PreCancelledTokenSkipsAllWork) {
-  ThreadPool pool(4);
-  CancelToken token = CancelToken::Cancellable();
-  token.RequestCancel();
-  std::atomic<int> ran{0};
-  ParallelFor(pool, 1000, [&](size_t) { ran.fetch_add(1); }, token);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ParallelForTest, MidFlightCancelStopsUnstartedChunks) {
-  ThreadPool pool(2);
-  CancelToken token = CancelToken::Cancellable();
-  std::atomic<int> ran{0};
-  ParallelFor(
-      pool, 10000,
-      [&](size_t i) {
-        if (i == 0) token.RequestCancel();
-        ran.fetch_add(1);
-      },
-      token);
-  // Chunks already started finish; chunks checked after the request are
-  // skipped, so at least one chunk's worth of work never ran.
-  EXPECT_LT(ran.load(), 10000);
-}
-
 // --- Context hooks (request-trace propagation seam, PR 6) -------------
 
 namespace context_hooks {
@@ -335,30 +309,6 @@ TEST(ThreadPoolContextTest, QueueDepthAndActiveWorkersObservable) {
   pool.Wait();
   EXPECT_EQ(pool.QueueDepth(), 0u);
   EXPECT_EQ(pool.ActiveWorkers(), 0u);
-}
-
-TEST(CancelTokenTest, NullTokenNeverFires) {
-  CancelToken token;
-  EXPECT_FALSE(token.CanBeCancelled());
-  EXPECT_FALSE(token.IsCancelled());
-  token.RequestCancel();  // no-op, must not crash
-  EXPECT_FALSE(token.IsCancelled());
-}
-
-TEST(CancelTokenTest, DeadlineFiresAndLatches) {
-  CancelToken token = CancelToken::AfterMillis(5.0);
-  EXPECT_FALSE(token.IsCancelled());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(token.IsCancelled());
-  EXPECT_TRUE(token.IsCancelled());  // latched
-}
-
-TEST(CancelTokenTest, ParentCancellationPropagates) {
-  CancelToken parent = CancelToken::Cancellable();
-  CancelToken child = CancelToken::AfterMillis(60000.0, parent);
-  EXPECT_FALSE(child.IsCancelled());
-  parent.RequestCancel();
-  EXPECT_TRUE(child.IsCancelled());
 }
 
 }  // namespace
