@@ -1,4 +1,4 @@
-// PR-9 acceptance bench: HogWild parallel SIMD triplet trainer.
+// Trainer bench: the parallel SIMD triplet trainer.
 //
 // Writes BENCH_pr9.json into the current working directory. Run from the
 // repo root so the artifact lands next to the sources:
@@ -8,11 +8,14 @@
 // Measures, on a synthetic two-hundred-cluster corpus:
 //  - micro kernel throughput (adam_update / triplet_grad / axpy2),
 //    scalar vs AVX2, in GB/s touched;
-//  - end-to-end trainer triples/sec for four configurations: serial
-//    scalar, serial SIMD (ActiveKernel), deterministic parallel, and
-//    HogWild parallel (the latter two at hardware width);
-//  - a byte-identity spot check of the deterministic schedule across
-//    1 vs 2 threads (crashes the bench on divergence).
+//  - end-to-end trainer triples/sec for three configurations: serial
+//    scalar, serial SIMD (ActiveKernel), and parallel at hardware width;
+//  - a byte-identity spot check across 1 vs 2 threads (crashes the bench
+//    on divergence).
+//
+// BENCH_pr9.json in the repo root predates the trainer's single schedule
+// and still carries a retired parallel schedule's keys; a fresh run writes
+// only the three modes above.
 //
 // On a single-core host the parallel rows necessarily read ~1x; the JSON
 // records host_cores so that case is self-describing, and the AVX2 micro
@@ -113,12 +116,10 @@ struct ModeResult {
   double final_loss = 0.0;
   double active_fraction = 0.0;
   size_t workers = 1;
-  bool deterministic = true;
 };
 
 ModeResult RunMode(const TrainSetup& setup, size_t dim, size_t epochs,
-                   size_t threads, bool deterministic,
-                   const DistanceKernel* kernel) {
+                   size_t threads, const DistanceKernel* kernel) {
   DocumentEncoder encoder = MakeEncoder(setup.corpus, dim);
   TrainerConfig config;
   config.epochs = epochs;
@@ -127,7 +128,6 @@ ModeResult RunMode(const TrainSetup& setup, size_t dim, size_t epochs,
   // would overstate throughput.
   config.adam.learning_rate = 2e-4;
   config.num_threads = threads;
-  config.deterministic = deterministic;
   config.kernel = kernel;
   TripletTrainer trainer(&encoder, &setup.corpus);
   const TrainStats stats = trainer.Train(setup.triples, config);
@@ -136,7 +136,6 @@ ModeResult RunMode(const TrainSetup& setup, size_t dim, size_t epochs,
   out.final_loss = stats.epoch_loss.back();
   out.active_fraction = stats.final_active_fraction;
   out.workers = stats.workers;
-  out.deterministic = stats.deterministic;
   return out;
 }
 
@@ -200,13 +199,12 @@ KernelNumbers MeasureKernels(const DistanceKernel& kernel, size_t n,
   return out;
 }
 
-// Deterministic-mode byte identity across thread counts, checked inside
-// the bench so the acceptance artifact is backed by a live run.
+// Byte identity across thread counts, checked inside the bench so the
+// artifact is backed by a live run.
 void CheckDeterminism(const TrainSetup& setup, size_t dim) {
   TrainerConfig config;
   config.epochs = 1;
   config.adam.learning_rate = 5e-3;
-  config.deterministic = true;
 
   config.num_threads = 1;
   DocumentEncoder one = MakeEncoder(setup.corpus, dim);
@@ -225,7 +223,7 @@ void CheckDeterminism(const TrainSetup& setup, size_t dim) {
   KPEF_CHECK(one.token_embeddings() == two.token_embeddings() &&
              one.projection() == two.projection() &&
              one.bias() == two.bias())
-      << "deterministic schedule diverged between 1 and 2 threads";
+      << "trained parameters diverged between 1 and 2 threads";
 }
 
 }  // namespace
@@ -275,26 +273,20 @@ int main(int argc, char** argv) {
   // overhead honestly rather than silently degenerating to serial.
   const size_t parallel_threads = std::max<size_t>(2, host_cores);
   const ModeResult serial_scalar =
-      RunMode(setup, kDim, kEpochs, 1, false, &ScalarKernel());
-  const ModeResult serial_simd =
-      RunMode(setup, kDim, kEpochs, 1, false, nullptr);
-  const ModeResult det_parallel =
-      RunMode(setup, kDim, kEpochs, parallel_threads, true, nullptr);
-  const ModeResult hogwild =
-      RunMode(setup, kDim, kEpochs, parallel_threads, false, nullptr);
+      RunMode(setup, kDim, kEpochs, 1, &ScalarKernel());
+  const ModeResult serial_simd = RunMode(setup, kDim, kEpochs, 1, nullptr);
+  const ModeResult parallel =
+      RunMode(setup, kDim, kEpochs, parallel_threads, nullptr);
   auto print_mode = [](const char* name, const ModeResult& r) {
     std::printf(
-        "  %-22s %9.0f triples/s  loss %.4f  active %.2f  (%zu worker%s, "
-        "%s)\n",
+        "  %-22s %9.0f triples/s  loss %.4f  active %.2f  (%zu worker%s)\n",
         name, r.triples_per_sec, r.final_loss, r.active_fraction, r.workers,
-        r.workers == 1 ? "" : "s",
-        r.deterministic ? "deterministic" : "hogwild");
+        r.workers == 1 ? "" : "s");
   };
   std::printf("trainer (%zu triples x %zu epochs)\n", kTriples, kEpochs);
   print_mode("serial scalar", serial_scalar);
   print_mode("serial simd", serial_simd);
-  print_mode("parallel deterministic", det_parallel);
-  print_mode("parallel hogwild", hogwild);
+  print_mode("parallel", parallel);
 
   // --- JSON -------------------------------------------------------------
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -321,16 +313,13 @@ int main(int argc, char** argv) {
       "    \"serial_scalar\": %.1f,\n"
       "    \"serial_simd\": %.1f,\n"
       "    \"parallel_deterministic\": %.1f,\n"
-      "    \"parallel_hogwild\": %.1f,\n"
-      "    \"simd_speedup_vs_scalar\": %.3f,\n"
-      "    \"hogwild_speedup_vs_serial_simd\": %.3f\n"
+      "    \"simd_speedup_vs_scalar\": %.3f\n"
       "  },\n"
       "  \"final_active_fraction\": %.4f,\n"
       "  \"final_epoch_loss\": {\n"
       "    \"serial_scalar\": %.6f,\n"
       "    \"serial_simd\": %.6f,\n"
-      "    \"parallel_deterministic\": %.6f,\n"
-      "    \"parallel_hogwild\": %.6f\n"
+      "    \"parallel_deterministic\": %.6f\n"
       "  },\n"
       "  \"deterministic_byte_identical_1v2_threads\": true,\n"
       "  \"pr8_rerun_note\": \"bench_pr7_quantized re-run for BENCH_pr8 "
@@ -343,14 +332,11 @@ int main(int argc, char** argv) {
       simd.triplet_gbps,
       avx2 ? simd.triplet_gbps / scalar.triplet_gbps : 0.0, scalar.axpy2_gbps,
       simd.axpy2_gbps, avx2 ? simd.axpy2_gbps / scalar.axpy2_gbps : 0.0,
-      hogwild.workers, serial_scalar.triples_per_sec,
-      serial_simd.triples_per_sec,
-      det_parallel.triples_per_sec, hogwild.triples_per_sec,
+      parallel.workers, serial_scalar.triples_per_sec,
+      serial_simd.triples_per_sec, parallel.triples_per_sec,
       serial_simd.triples_per_sec / serial_scalar.triples_per_sec,
-      hogwild.triples_per_sec / serial_simd.triples_per_sec,
-      hogwild.active_fraction,
-      serial_scalar.final_loss, serial_simd.final_loss,
-      det_parallel.final_loss, hogwild.final_loss, host_cores);
+      parallel.active_fraction, serial_scalar.final_loss,
+      serial_simd.final_loss, parallel.final_loss, host_cores);
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

@@ -6,40 +6,39 @@
 //   kpef_cli stats    --graph graph.kg
 //   kpef_cli texts    --graph graph.kg [--count 1] [--skip 0]
 //   kpef_cli build    --graph graph.kg --model-dir dir [--k 4]
-//                     [--train-threads N] [--train-deterministic]
+//                     [--train-threads N]
 //   kpef_cli query    --graph graph.kg --model-dir dir --text "..."
 //                     [--n 10]
 //
-// `--train-threads N` fine-tunes the encoder with N HogWild workers
-// (0 = all cores); add `--train-deterministic` for the slower schedule
-// whose trained parameters are byte-identical for any thread count.
+// `--train-threads N` fine-tunes the encoder with N workers (default 0 =
+// all cores). The trained parameters, and so every artifact, are
+// byte-identical for any N.
 //
 // `build` persists the fine-tuned encoder, the paper embeddings, and the
-// PG-Index; `query` reloads them and serves queries without retraining.
+// PG-Index; `query` reloads them into the serving engine and answers
+// without retraining.
 //
 // Global flags (any command):
 //   --metrics-out <path>   dump the metrics registry after the command
 //                          (.prom/.txt -> Prometheus text, else JSON)
 //   --trace-out <path>     enable span tracing, dump flame-style JSON
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 
-#include "ann/pg_index.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
 #include "data/corpus_builder.h"
 #include "data/dataset.h"
-#include "embed/model_io.h"
 #include "graph/graph_io.h"
 #include "obs/export.h"
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
-#include "ranking/top_n_finder.h"
 
 namespace {
 
@@ -50,8 +49,7 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
   for (int i = 2; i < argc;) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) key = key.substr(2);
-    // A flag followed by another --flag (or nothing) is a bare boolean
-    // switch, e.g. --train-deterministic.
+    // A flag followed by another --flag (or nothing) reads as "1".
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       flags[key] = argv[i + 1];
       i += 2;
@@ -132,7 +130,26 @@ int CmdTexts(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// Retrieval depth m. kpef_serve computes the same value, so `build`,
+// `query` and the server search the index the same way.
+size_t TopM(const Dataset& dataset) {
+  return std::max<size_t>(50, dataset.Papers().size() / 10);
+}
+
 int CmdBuild(const std::map<std::string, std::string>& flags) {
+  // Checked before the graph loads: a negative count cast to size_t would
+  // ask the trainer for one thread per triple.
+  const std::string threads = FlagOr(flags, "train-threads", "0");
+  size_t train_threads = 0;
+  const auto [end, ec] = std::from_chars(
+      threads.data(), threads.data() + threads.size(), train_threads);
+  if (ec != std::errc() || end != threads.data() + threads.size()) {
+    std::fprintf(stderr,
+                 "error: --train-threads must be a non-negative integer, "
+                 "got \"%s\"\n",
+                 threads.c_str());
+    return 1;
+  }
   auto dataset = LoadDataset(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   const std::string model_dir = FlagOr(flags, "model-dir", "model");
@@ -140,12 +157,8 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
 
   EngineConfig config;
   config.k = std::atoi(FlagOr(flags, "k", "4").c_str());
-  config.top_m =
-      std::max<size_t>(50, dataset->Papers().size() / 10);
-  config.trainer.num_threads = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "train-threads", "1").c_str()));
-  config.trainer.deterministic =
-      FlagOr(flags, "train-deterministic", "0") != "0";
+  config.top_m = TopM(*dataset);
+  config.trainer.num_threads = train_threads;
   Timer timer;
   EngineBuildReport report;
   auto engine = ExpertFindingEngine::Build(&*dataset, &corpus, config,
@@ -155,18 +168,12 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
               timer.ElapsedSeconds(), report.sampling.triples.size(),
               report.index.edges_final);
   std::printf(
-      "trained %zu triples at %.0f triples/s, merge %.2fs (%zu worker%s, "
-      "%s)\n",
+      "trained %zu triples at %.0f triples/s, merge %.2fs (%zu worker%s)\n",
       report.training.num_triples, report.training.triples_per_sec,
       report.training.merge_seconds, report.training.workers,
-      report.training.workers == 1 ? "" : "s",
-      report.training.deterministic ? "deterministic" : "hogwild");
+      report.training.workers == 1 ? "" : "s");
 
-  Status s = SaveEncoder((*engine)->encoder(), model_dir + "/encoder.bin");
-  if (!s.ok()) return Fail(s);
-  s = SaveMatrix((*engine)->embeddings(), model_dir + "/embeddings.bin");
-  if (!s.ok()) return Fail(s);
-  s = (*engine)->index()->Save(model_dir + "/pgindex.bin");
+  const Status s = (*engine)->SaveArtifacts(model_dir);
   if (!s.ok()) return Fail(s);
   std::printf("saved encoder.bin, embeddings.bin, pgindex.bin under %s/\n",
               model_dir.c_str());
@@ -185,24 +192,14 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   const Corpus corpus = BuildPaperCorpus(*dataset);
-  auto encoder = LoadEncoder(model_dir + "/encoder.bin");
-  if (!encoder.ok()) return Fail(encoder.status());
-  auto index = PGIndex::Load(model_dir + "/pgindex.bin");
-  if (!index.ok()) return Fail(index.status());
+  EngineConfig config;
+  config.top_m = TopM(*dataset);
+  auto engine = ExpertFindingEngine::LoadFromArtifacts(&*dataset, &corpus,
+                                                       config, model_dir);
+  if (!engine.ok()) return Fail(engine.status());
 
   Timer timer;
-  const std::vector<float> query_vec =
-      encoder->Encode(corpus.EncodeQuery(text));
-  const size_t m = std::max<size_t>(50, dataset->Papers().size() / 10);
-  const auto neighbors = index->Search(query_vec, m, m);
-  std::vector<NodeId> top_papers;
-  top_papers.reserve(neighbors.size());
-  for (const Neighbor& nb : neighbors) {
-    top_papers.push_back(dataset->Papers()[nb.id]);
-  }
-  const RankedLists lists =
-      BuildRankedLists(dataset->graph, dataset->ids.write, top_papers);
-  const auto experts = ThresholdTopN(lists, n);
+  const std::vector<ExpertScore> experts = (*engine)->FindExperts(text, n);
   std::printf("top-%zu experts (%.2f ms):\n", experts.size(),
               timer.ElapsedMillis());
   for (size_t i = 0; i < experts.size(); ++i) {

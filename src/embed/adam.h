@@ -12,18 +12,13 @@
 //
 // Adam state is per parameter, so updates of *distinct* rows within one
 // step may run concurrently and in any order without changing a bit —
-// the deterministic trainer's row-parallel merge+Adam fan-out relies on
-// this (DESIGN.md §15). The step counter is atomic, so HogWild workers
-// may also BeginStep() and update the *same* rows of one Adam instance
-// without locks. Those float moment and parameter writes are then
-// intentionally racy: races touch only m/v cells and parameter floats,
-// never sizes or pointers, and a lost update is equivalent to a
-// slightly delayed gradient.
+// the trainer's row-parallel merge+Adam fan-out relies on this
+// (DESIGN.md §15). BeginStep() is not thread-safe: call it once per
+// step, before the step's updates fan out.
 
 #ifndef KPEF_EMBED_ADAM_H_
 #define KPEF_EMBED_ADAM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -59,11 +54,8 @@ class Adam {
        const DistanceKernel* kernel = nullptr);
 
   /// Advances the bias-correction step t and returns StepSize(t), the
-  /// value every update of this step takes. Atomic: HogWild workers each
-  /// begin their own steps against the shared moment arrays.
-  float BeginStep() {
-    return StepSize(step_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
+  /// value every update of this step takes.
+  float BeginStep() { return StepSize(++step_); }
 
   /// Dense update of params[offset .. offset+grads.size()).
   void UpdateDense(std::span<float> params, std::span<const float> grads,
@@ -74,7 +66,7 @@ class Adam {
   void UpdateRow(Matrix& params, size_t row, std::span<const float> grads,
                  size_t block_offset, float step_size);
 
-  int64_t step() const { return step_.load(std::memory_order_relaxed); }
+  int64_t step() const { return step_; }
   const AdamConfig& config() const { return config_; }
 
   /// Bias-corrected step size for step `t`, folded to float:
@@ -89,7 +81,7 @@ class Adam {
   const DistanceKernel* kernel_;
   std::vector<float> m_;
   std::vector<float> v_;
-  std::atomic<int64_t> step_{0};
+  int64_t step_ = 0;
 };
 
 }  // namespace kpef

@@ -15,35 +15,22 @@
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
 
-// TSan cannot model HogWild's intentional benign races (aligned float
-// loads/stores on shared parameters); sanitizer builds keep the
-// disjoint-buffer deterministic schedule instead (see trainer.h).
-#if defined(__SANITIZE_THREAD__)
-#define KPEF_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define KPEF_TSAN_BUILD 1
-#endif
-#endif
-
 namespace kpef {
 namespace {
 
-/// Per-worker (HogWild) or per-chunk (deterministic) training state,
-/// reused across batches and epochs so the hot loop allocates nothing
-/// after first touch.
+/// Per-chunk training state, reused across batches and epochs so the
+/// hot loop allocates nothing after first touch.
 struct Workspace {
   DocumentEncoder::ForwardCache cache_seed;
   DocumentEncoder::ForwardCache cache_pos;
   DocumentEncoder::ForwardCache cache_neg;
   TripletLossResult loss;
   EncoderGradients grads;
-  std::vector<uint32_t> local_order;  // HogWild: this worker's slice
   double loss_sum = 0.0;
   size_t active = 0;
 };
 
-/// One Train() invocation's shared state and the two epoch schedules.
+/// One Train() invocation's shared state and its epoch schedule.
 class TrainRun {
  public:
   TrainRun(DocumentEncoder* encoder, const Corpus* corpus,
@@ -60,12 +47,11 @@ class TrainRun {
         proj_offset_(encoder->vocab_size() * encoder->dim()),
         bias_offset_(proj_offset_ + encoder->dim() * encoder->dim()) {}
 
-  /// Deterministic schedule: fixed micro-chunks per batch, disjoint
-  /// per-chunk gradients, then one row-parallel merge+Adam fan-out.
-  /// Byte-identical results for any pool size (including pool==nullptr).
-  double DeterministicEpoch(const std::vector<uint32_t>& order,
-                            std::vector<Workspace>& ws, ThreadPool* pool,
-                            size_t* epoch_active, double* merge_seconds) {
+  /// Fixed micro-chunks per batch, disjoint per-chunk gradients, then
+  /// one row-parallel merge+Adam fan-out. Byte-identical results for any
+  /// pool size (including pool==nullptr).
+  double Epoch(const std::vector<uint32_t>& order, std::vector<Workspace>& ws,
+               ThreadPool* pool, size_t* epoch_active, double* merge_seconds) {
     constexpr size_t kChunk = TripletTrainer::kDeterministicChunk;
     double epoch_loss = 0.0;
     const size_t n = order.size();
@@ -99,48 +85,6 @@ class TrainRun {
       Timer merge_timer;
       MergeAndStep(std::span<Workspace>(ws.data(), chunks), end - start, pool);
       *merge_seconds += merge_timer.ElapsedSeconds();
-    }
-    return epoch_loss;
-  }
-
-  /// HogWild schedule: W contiguous slices of the shuffled order, each
-  /// worker re-shuffling its slice with its own MixSeed stream, then
-  /// running mini-batches against the shared parameters and Adam state
-  /// without locks. Throughput-optimal; not bitwise reproducible.
-  double HogwildEpoch(const std::vector<uint32_t>& order,
-                      std::vector<Workspace>& ws, ThreadPool& pool,
-                      size_t epoch, size_t* epoch_active) {
-    const size_t n = order.size();
-    const size_t num_workers = ws.size();
-    ParallelFor(pool, num_workers, [&](size_t w) {
-      Workspace& me = ws[w];
-      me.loss_sum = 0.0;
-      me.active = 0;
-      const size_t begin = n * w / num_workers;
-      const size_t end = n * (w + 1) / num_workers;
-      me.local_order.assign(order.begin() + static_cast<ptrdiff_t>(begin),
-                            order.begin() + static_cast<ptrdiff_t>(end));
-      Rng rng(MixSeed(config_.seed, /*stream=*/epoch, /*index=*/w));
-      rng.Shuffle(me.local_order);
-      for (size_t start = 0; start < me.local_order.size();
-           start += config_.batch_size) {
-        const size_t bend =
-            std::min(me.local_order.size(), start + config_.batch_size);
-        me.grads.Reset(vocab_, d_);
-        const size_t active_before = me.active;
-        for (size_t i = start; i < bend; ++i) {
-          ProcessTriple(me, triples_[me.local_order[i]]);
-        }
-        if (me.active == active_before) continue;
-        // Races with other workers on the shared moments and parameters
-        // — benign by construction (embed/adam.h).
-        MergeAndStep(std::span<Workspace>(&me, 1), bend - start, nullptr);
-      }
-    });
-    double epoch_loss = 0.0;
-    for (Workspace& w : ws) {
-      epoch_loss += w.loss_sum;
-      *epoch_active += w.active;
     }
     return epoch_loss;
   }
@@ -272,21 +216,12 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
           ? config.num_threads
           : std::max<size_t>(1, std::thread::hardware_concurrency());
   workers = std::max<size_t>(1, std::min(workers, triples.size()));
-  bool deterministic = config.deterministic || workers <= 1;
-#ifdef KPEF_TSAN_BUILD
-  deterministic = true;
-#endif
   stats.workers = workers;
-  stats.deterministic = deterministic;
 
-  // Deterministic mode needs one workspace per micro-chunk of a batch,
-  // HogWild one per worker.
-  const size_t num_ws =
-      deterministic ? (std::min(config.batch_size, triples.size()) +
-                       kDeterministicChunk - 1) /
-                          kDeterministicChunk
-                    : workers;
-  std::vector<Workspace> workspaces(std::max<size_t>(1, num_ws));
+  // One workspace per micro-chunk of a batch.
+  const size_t batch = std::min(config.batch_size, triples.size());
+  std::vector<Workspace> workspaces((batch + kDeterministicChunk - 1) /
+                                    kDeterministicChunk);
   std::unique_ptr<ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
 
@@ -300,11 +235,8 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(order);
     size_t active = 0;
-    const double epoch_loss =
-        deterministic
-            ? run.DeterministicEpoch(order, workspaces, pool.get(), &active,
-                                     &stats.merge_seconds)
-            : run.HogwildEpoch(order, workspaces, *pool, epoch, &active);
+    const double epoch_loss = run.Epoch(order, workspaces, pool.get(), &active,
+                                        &stats.merge_seconds);
     stats.epoch_loss.push_back(epoch_loss / n);
     stats.final_active_fraction = static_cast<double>(active) / n;
     KPEF_COUNTER_ADD(obs::kTrainerEpochsTotal, 1);
@@ -312,8 +244,7 @@ TrainStats TripletTrainer::Train(const std::vector<Triple>& triples,
     KPEF_LOG(Info) << "epoch " << epoch + 1 << "/" << config.epochs
                    << " loss=" << stats.epoch_loss.back()
                    << " active=" << stats.final_active_fraction
-                   << " workers=" << workers
-                   << (deterministic ? " (deterministic)" : " (hogwild)");
+                   << " workers=" << workers;
   }
   stats.train_seconds = timer.ElapsedSeconds();
   if (stats.train_seconds > 0.0) {

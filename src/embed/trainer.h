@@ -1,29 +1,15 @@
 // Fine-tuning loop of §III-C: minimizes the triplet loss over the sampled
 // triples with Adam, updating the encoder's token table and projection.
 //
-// The trainer runs in one of two parallel schedules (DESIGN.md §15):
-//
-//  - **Deterministic** (TrainerConfig::deterministic, or whenever only one
-//    worker is resolved): each mini-batch is split into fixed micro-chunks
-//    of kDeterministicChunk triples; workers fill disjoint per-chunk
-//    gradient buffers (reused across batches, so the hot loop allocates
-//    nothing). One row-parallel fan-out then sums each parameter row
-//    over the chunks *in chunk order*, averages it and takes its Adam
-//    step. Chunk boundaries and the per-row summation order depend only
-//    on the shuffle (seeded) — never on the thread count or on which
-//    worker owns a row — so the trained parameters are byte-identical
-//    for any `num_threads`, including 1.
-//
-//  - **HogWild** (the default for num_threads > 1): the shuffled triple
-//    stream is sliced across workers that read and write the *shared*
-//    encoder parameters and Adam moments without locks. Races lose or
-//    reorder a few component updates, which SGD absorbs as slightly stale
-//    gradients; final eval metrics match the serial trainer within noise
-//    while throughput scales with cores. Not bitwise reproducible.
-//
-// Under ThreadSanitizer builds the HogWild schedule is replaced by the
-// deterministic one: the races are intentional and benign on x86 (aligned
-// 4-byte float loads/stores), but TSan has no way to express that.
+// One schedule (DESIGN.md §15): each mini-batch is split into fixed
+// micro-chunks of kDeterministicChunk triples; workers fill disjoint
+// per-chunk gradient buffers (reused across batches, so the hot loop
+// allocates nothing). One row-parallel fan-out then sums each parameter
+// row over the chunks *in chunk order*, averages it and takes its Adam
+// step. Chunk boundaries and the per-row summation order depend only on
+// the shuffle (seeded) — never on the thread count or on which worker
+// owns a row — so the trained parameters are byte-identical for any
+// `num_threads`, including 1.
 
 #ifndef KPEF_EMBED_TRAINER_H_
 #define KPEF_EMBED_TRAINER_H_
@@ -52,11 +38,11 @@ struct TrainerConfig {
   /// training to the projection head.
   bool train_token_embeddings = true;
   /// Worker threads for the training loop (0 = hardware concurrency).
-  /// 1 keeps the classic serial loop (trivially deterministic).
+  /// Changes speed only: the trained bits are the same for any value.
   size_t num_threads = 1;
-  /// Force the deterministic chunked schedule even with multiple
-  /// workers: byte-identical parameters for any thread count, at the
-  /// cost of a merge barrier per mini-batch. Off = HogWild (fastest).
+  /// Unread: every run uses the one chunked schedule. Kept only so
+  /// servebench, which sets it, still builds; delete it with servebench's
+  /// next change.
   bool deterministic = false;
   /// Compute kernel for forward/backward/Adam math (nullptr =
   /// ActiveKernel()). Scalar and AVX2 agree bitwise on every kernel the
@@ -77,19 +63,15 @@ struct TrainStats {
   double triples_per_sec = 0.0;
   /// Worker threads the run actually used.
   size_t workers = 1;
-  /// True when the run used the deterministic schedule (serial runs
-  /// always do).
-  bool deterministic = true;
-  /// Wall seconds spent in the deterministic schedule's per-batch
-  /// merge+Adam fan-out (0 under HogWild, whose workers step alone).
+  /// Wall seconds spent in the per-batch merge+Adam fan-out.
   double merge_seconds = 0.0;
 };
 
 /// Runs triplet fine-tuning in place on `encoder`.
 class TripletTrainer {
  public:
-  /// Micro-chunk width of the deterministic schedule. Fixed so that the
-  /// chunk decomposition of a batch is a property of the shuffle alone.
+  /// Micro-chunk width of a batch. Fixed so that the chunk decomposition
+  /// of a batch is a property of the shuffle alone.
   static constexpr size_t kDeterministicChunk = 8;
 
   TripletTrainer(DocumentEncoder* encoder, const Corpus* corpus)

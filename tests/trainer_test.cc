@@ -1,9 +1,7 @@
-// Parallel trainer contracts (DESIGN.md §15): deterministic schedule is
-// byte-identical for any thread count and either kernel; HogWild matches
-// serial training on eval metrics; the new elementwise kernels agree
+// Parallel trainer contracts (DESIGN.md §15): training is byte-identical
+// for any thread count and either kernel; the elementwise kernels agree
 // bitwise between scalar and AVX2.
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,15 +14,6 @@
 #include "embed/triplet.h"
 #include "embed/vector_ops.h"
 #include "text/corpus.h"
-
-// Mirrors the trainer's own TSan detection (src/embed/trainer.cc).
-#if defined(__SANITIZE_THREAD__)
-#define KPEF_TEST_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define KPEF_TEST_TSAN_BUILD 1
-#endif
-#endif
 
 namespace kpef {
 namespace {
@@ -87,7 +76,7 @@ void ExpectEncodersIdentical(const DocumentEncoder& a,
   }
 }
 
-// --- Deterministic schedule: byte-identity across thread counts.
+// --- Byte-identity across thread counts.
 
 TEST(TrainerDeterminismTest, ByteIdenticalAcrossThreadCounts) {
   // 38 triples with batch 16: full batches, a ragged final batch, and a
@@ -99,19 +88,15 @@ TEST(TrainerDeterminismTest, ByteIdenticalAcrossThreadCounts) {
   config.epochs = 3;
   config.batch_size = 16;
   config.adam.learning_rate = 5e-3;
-  config.deterministic = true;
 
   config.num_threads = 1;
   DocumentEncoder reference = MakeEncoder(setup.corpus);
   const TrainStats ref_stats = TrainCopy(setup, config, reference);
-  EXPECT_TRUE(ref_stats.deterministic);
-  EXPECT_EQ(ref_stats.workers, 1u);
 
   for (size_t threads : {2u, 4u, 8u}) {
     config.num_threads = threads;
     DocumentEncoder encoder = MakeEncoder(setup.corpus);
     const TrainStats stats = TrainCopy(setup, config, encoder);
-    EXPECT_TRUE(stats.deterministic);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectEncodersIdentical(reference, encoder);
     // Loss accumulation is also order-fixed, so the reported epoch
@@ -146,7 +131,7 @@ uint64_t TrainedChecksum(const DocumentEncoder& encoder,
 }
 
 TEST(TrainerDeterminismTest, MatchesParentChecksum) {
-  // Pins the deterministic schedule's exact bits: any change to the
+  // Pins the trainer's exact bits: any change to the
   // per-chunk accumulation, the chunk-order merge or the Adam step shows
   // up here. 57 triples with batch 20 give chunk widths 8,8,4 in full
   // batches and 8,8,1 in the ragged last batch; dim 20 exercises the
@@ -174,7 +159,6 @@ TEST(TrainerDeterminismTest, MatchesParentChecksum) {
       config.epochs = 3;
       config.batch_size = 20;
       config.adam.learning_rate = 5e-3;
-      config.deterministic = true;
       config.train_token_embeddings = c.train_tokens;
       config.num_threads = threads;
 
@@ -204,7 +188,6 @@ TEST(TrainerDeterminismTest, ScalarAndAvx2TrainingByteIdentical) {
   config.epochs = 2;
   config.batch_size = 16;
   config.adam.learning_rate = 5e-3;
-  config.deterministic = true;
   config.num_threads = 2;
 
   config.kernel = &ScalarKernel();
@@ -274,73 +257,22 @@ TEST(TrainerKernelTest, TrainingKernelsScalarVsAvx2BitIdentical) {
   }
 }
 
-// --- HogWild: eval parity with the serial trainer.
-
-TEST(TrainerHogwildTest, MatchesSerialEvalMetrics) {
-  const TrainSetup setup = MakeClusteredSetup(20, 2);
-
-  TrainerConfig serial;
-  serial.epochs = 12;
-  serial.adam.learning_rate = 5e-3;
-  serial.num_threads = 1;
-  DocumentEncoder serial_encoder = MakeEncoder(setup.corpus);
-  const TrainStats serial_stats = TrainCopy(setup, serial, serial_encoder);
-
-  TrainerConfig hogwild = serial;
-  hogwild.num_threads = 4;
-  hogwild.deterministic = false;
-  DocumentEncoder hogwild_encoder = MakeEncoder(setup.corpus);
-  const TrainStats hogwild_stats = TrainCopy(setup, hogwild, hogwild_encoder);
-  EXPECT_EQ(hogwild_stats.workers, 4u);
-
-  // Both runs learn: final loss well below the initial loss...
-  ASSERT_EQ(serial_stats.epoch_loss.size(), 12u);
-  ASSERT_EQ(hogwild_stats.epoch_loss.size(), 12u);
-  EXPECT_LT(serial_stats.epoch_loss.back(),
-            0.5 * serial_stats.epoch_loss.front());
-  EXPECT_LT(hogwild_stats.epoch_loss.back(),
-            0.5 * hogwild_stats.epoch_loss.front());
-  // ...and the HogWild run lands in an epsilon band around serial.
-  EXPECT_NEAR(hogwild_stats.epoch_loss.back(), serial_stats.epoch_loss.back(),
-              0.25 * serial_stats.epoch_loss.front());
-
-  // Same held-out eval as the serial trainer test: same-cluster pairs end
-  // closer than cross-cluster ones.
-  const auto e0 = hogwild_encoder.Encode(setup.corpus.Document(2));
-  const auto e1 = hogwild_encoder.Encode(setup.corpus.Document(7));
-  const auto f0 = hogwild_encoder.Encode(setup.corpus.Document(22));
-  EXPECT_LT(L2Distance(e0, e1), L2Distance(e0, f0));
-}
-
 // --- Stats and observability surface.
 
 TEST(TrainerStatsTest, ReportsWorkersScheduleAndThroughput) {
   const TrainSetup setup = MakeClusteredSetup(10, 2);
-  TrainerConfig config;
-  config.epochs = 2;
-  config.num_threads = 3;
-  DocumentEncoder encoder = MakeEncoder(setup.corpus);
-  const TrainStats stats = TrainCopy(setup, config, encoder);
-  EXPECT_EQ(stats.workers, 3u);
-  EXPECT_EQ(stats.num_triples, setup.triples.size());
-  EXPECT_GT(stats.triples_per_sec, 0.0);
-  EXPECT_EQ(stats.epoch_loss.size(), 2u);
-#ifndef KPEF_TEST_TSAN_BUILD
-  // num_threads > 1 without the deterministic flag selects HogWild
-  // (sanitizer builds force the deterministic schedule instead).
-  EXPECT_FALSE(stats.deterministic);
-#endif
-}
-
-TEST(TrainerStatsTest, SerialRunIsDeterministicByConstruction) {
-  const TrainSetup setup = MakeClusteredSetup(6, 1);
-  TrainerConfig config;
-  config.epochs = 1;
-  config.num_threads = 1;
-  DocumentEncoder encoder = MakeEncoder(setup.corpus);
-  const TrainStats stats = TrainCopy(setup, config, encoder);
-  EXPECT_TRUE(stats.deterministic);
-  EXPECT_EQ(stats.workers, 1u);
+  for (size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TrainerConfig config;
+    config.epochs = 2;
+    config.num_threads = threads;
+    DocumentEncoder encoder = MakeEncoder(setup.corpus);
+    const TrainStats stats = TrainCopy(setup, config, encoder);
+    EXPECT_EQ(stats.workers, threads);
+    EXPECT_EQ(stats.num_triples, setup.triples.size());
+    EXPECT_GT(stats.triples_per_sec, 0.0);
+    EXPECT_EQ(stats.epoch_loss.size(), 2u);
+  }
 }
 
 }  // namespace
