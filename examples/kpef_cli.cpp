@@ -2,34 +2,40 @@
 // the offline-build / online-serve split with persisted artifacts.
 //
 //   kpef_cli generate --out graph.kg [--profile aminer|dblp|acm|tiny]
-//                     [--scale 0.5]
+//                     [--scale 1.0]
 //   kpef_cli stats    --graph graph.kg
 //   kpef_cli texts    --graph graph.kg [--count 1] [--skip 0]
 //   kpef_cli build    --graph graph.kg --model-dir dir [--k 4]
-//                     [--train-threads N]
+//                     [--train-threads 0]
 //   kpef_cli query    --graph graph.kg --model-dir dir --text "..."
 //                     [--n 10]
 //
-// `--train-threads N` fine-tunes the encoder with N workers (default 0 =
-// all cores). The trained parameters, and so every artifact, are
+// Every flag takes one value. `--scale` is a finite number > 0; `--k` is
+// an integer >= 1; `--count`, `--skip` and `--n` are integers >= 0;
+// `--train-threads` is an integer in [0, 256]. A command accepts only the
+// flags it lists above, plus the global ones below. An unknown, repeated
+// or valueless flag, a stray argument, or a malformed or out-of-range
+// value exits 1 naming it, before any file is read.
+//
+// `--train-threads N` fine-tunes the encoder with N workers (0 = all
+// cores). The trained parameters, and so every artifact, are
 // byte-identical for any N.
 //
-// `build` persists the fine-tuned encoder, the paper embeddings, and the
-// PG-Index; `query` reloads them into the serving engine and answers
-// without retraining.
+// `build` creates `--model-dir` and persists the fine-tuned encoder, the
+// paper embeddings, and the PG-Index there; `query` reloads them into the
+// serving engine and answers without retraining.
 //
 // Global flags (any command):
 //   --metrics-out <path>   dump the metrics registry after the command
 //                          (.prom/.txt -> Prometheus text, else JSON)
 //   --trace-out <path>     enable span tracing, dump flame-style JSON
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -44,29 +50,6 @@ namespace {
 
 using namespace kpef;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc;) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    // A flag followed by another --flag (or nothing) reads as "1".
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[i + 1];
-      i += 2;
-    } else {
-      flags[key] = "1";
-      i += 1;
-    }
-  }
-  return flags;
-}
-
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -79,11 +62,14 @@ DatasetConfig ProfileByName(const std::string& name) {
   return AminerProfile();
 }
 
-int CmdGenerate(const std::map<std::string, std::string>& flags) {
-  const std::string out = FlagOr(flags, "out", "graph.kg");
-  DatasetConfig config = ProfileByName(FlagOr(flags, "profile", "aminer"));
-  const double scale = std::atof(FlagOr(flags, "scale", "1.0").c_str());
-  if (scale > 0 && scale != 1.0) config = config.ScaledCopy(scale, "");
+int CmdGenerate(Flags& flags) {
+  const std::string out = flags.String("out", "graph.kg");
+  const std::string profile =
+      flags.Choice("profile", "aminer", {"aminer", "dblp", "acm", "tiny"});
+  const double scale = flags.Double("scale", 1.0, 0.0, /*exclusive=*/true);
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
+  DatasetConfig config = ProfileByName(profile);
+  if (scale != 1.0) config = config.ScaledCopy(scale, "");
   const Dataset dataset = GenerateDataset(config);
   const Status saved = SaveGraph(dataset.graph, out);
   if (!saved.ok()) return Fail(saved);
@@ -95,14 +81,15 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-StatusOr<Dataset> LoadDataset(const std::map<std::string, std::string>& flags) {
-  const std::string path = FlagOr(flags, "graph", "graph.kg");
+StatusOr<Dataset> LoadDataset(const std::string& path) {
   KPEF_ASSIGN_OR_RETURN(HeteroGraph graph, LoadGraph(path));
   return DatasetFromGraph(std::move(graph), path);
 }
 
-int CmdStats(const std::map<std::string, std::string>& flags) {
-  auto dataset = LoadDataset(flags);
+int CmdStats(Flags& flags) {
+  const std::string graph = flags.String("graph", "graph.kg");
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
+  auto dataset = LoadDataset(graph);
   if (!dataset.ok()) return Fail(dataset.status());
   const DatasetStats stats = ComputeStats(*dataset);
   std::printf("papers=%zu experts=%zu venues=%zu topics=%zu relations=%zu\n",
@@ -111,54 +98,45 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdTexts(const std::map<std::string, std::string>& flags) {
+int CmdTexts(Flags& flags) {
   // Print paper texts from a graph, one per line. Scripted clients (the
   // CI ingest smoke) use this to craft in-vocabulary ingest payloads:
   // the serving encoder's vocabulary is frozen at build time, so a
   // query can only retrieve an ingested paper whose tokens overlap the
   // offline corpus.
-  auto dataset = LoadDataset(flags);
+  const std::string graph = flags.String("graph", "graph.kg");
+  const size_t count = flags.Int<size_t>("count", 1, 0);
+  const size_t skip = flags.Int<size_t>("skip", 0, 0);
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
+  auto dataset = LoadDataset(graph);
   if (!dataset.ok()) return Fail(dataset.status());
-  const size_t count = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "count", "1").c_str()));
-  const size_t skip = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "skip", "0").c_str()));
   const auto& papers = dataset->Papers();
-  for (size_t i = skip; i < papers.size() && i < skip + count; ++i) {
+  for (size_t i = skip; i < papers.size() && i - skip < count; ++i) {
     std::printf("%s\n", dataset->graph.Label(papers[i]).c_str());
   }
   return 0;
 }
 
-// Retrieval depth m. kpef_serve computes the same value, so `build`,
-// `query` and the server search the index the same way.
-size_t TopM(const Dataset& dataset) {
-  return std::max<size_t>(50, dataset.Papers().size() / 10);
-}
-
-int CmdBuild(const std::map<std::string, std::string>& flags) {
-  // Checked before the graph loads: a negative count cast to size_t would
-  // ask the trainer for one thread per triple.
-  const std::string threads = FlagOr(flags, "train-threads", "0");
-  size_t train_threads = 0;
-  const auto [end, ec] = std::from_chars(
-      threads.data(), threads.data() + threads.size(), train_threads);
-  if (ec != std::errc() || end != threads.data() + threads.size()) {
-    std::fprintf(stderr,
-                 "error: --train-threads must be a non-negative integer, "
-                 "got \"%s\"\n",
-                 threads.c_str());
-    return 1;
+int CmdBuild(Flags& flags) {
+  const std::string graph = flags.String("graph", "graph.kg");
+  const std::string model_dir = flags.String("model-dir", "model");
+  EngineConfig config;
+  config.k = flags.Int<int32_t>("k", 4, 1);
+  config.trainer.num_threads = flags.Int<size_t>("train-threads", 0, 0, 256);
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
+  // Created before the graph loads, so an unwritable directory fails
+  // before training rather than after it.
+  std::error_code ec;
+  std::filesystem::create_directories(model_dir, ec);
+  if (ec) {
+    return Fail(Status::IOError("cannot create --model-dir " + model_dir +
+                                ": " + ec.message()));
   }
-  auto dataset = LoadDataset(flags);
+  auto dataset = LoadDataset(graph);
   if (!dataset.ok()) return Fail(dataset.status());
-  const std::string model_dir = FlagOr(flags, "model-dir", "model");
   const Corpus corpus = BuildPaperCorpus(*dataset);
 
-  EngineConfig config;
-  config.k = std::atoi(FlagOr(flags, "k", "4").c_str());
-  config.top_m = TopM(*dataset);
-  config.trainer.num_threads = train_threads;
+  config.top_m = TopMForCorpus(dataset->Papers().size());
   Timer timer;
   EngineBuildReport report;
   auto engine = ExpertFindingEngine::Build(&*dataset, &corpus, config,
@@ -180,20 +158,20 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdQuery(const std::map<std::string, std::string>& flags) {
-  auto dataset = LoadDataset(flags);
-  if (!dataset.ok()) return Fail(dataset.status());
-  const std::string model_dir = FlagOr(flags, "model-dir", "model");
-  const std::string text = FlagOr(flags, "text", "");
-  const size_t n =
-      static_cast<size_t>(std::atoi(FlagOr(flags, "n", "10").c_str()));
+int CmdQuery(Flags& flags) {
+  const std::string graph = flags.String("graph", "graph.kg");
+  const std::string model_dir = flags.String("model-dir", "model");
+  const std::string text = flags.String("text", "");
+  const size_t n = flags.Int<size_t>("n", 10, 0);
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
   if (text.empty()) {
-    std::fprintf(stderr, "query requires --text\n");
-    return 1;
+    return Fail(Status::InvalidArgument("query requires --text"));
   }
+  auto dataset = LoadDataset(graph);
+  if (!dataset.ok()) return Fail(dataset.status());
   const Corpus corpus = BuildPaperCorpus(*dataset);
   EngineConfig config;
-  config.top_m = TopM(*dataset);
+  config.top_m = TopMForCorpus(dataset->Papers().size());
   auto engine = ExpertFindingEngine::LoadFromArtifacts(&*dataset, &corpus,
                                                        config, model_dir);
   if (!engine.ok()) return Fail(engine.status());
@@ -221,9 +199,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv);
-  const std::string metrics_out = FlagOr(flags, "metrics-out", "");
-  const std::string trace_out = FlagOr(flags, "trace-out", "");
+  auto parsed = kpef::Flags::Parse(argc, argv, 2);
+  if (!parsed.ok()) return Fail(parsed.status());
+  kpef::Flags& flags = *parsed;
+  const std::string metrics_out = flags.String("metrics-out", "");
+  const std::string trace_out = flags.String("trace-out", "");
   if (!metrics_out.empty()) {
     // Pre-register the canonical schema so the export always carries the
     // full set of pipeline keys, even for commands that exercise only a

@@ -10,6 +10,7 @@
 #ifndef KPEF_CORE_ENGINE_H_
 #define KPEF_CORE_ENGINE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -83,6 +84,13 @@ struct EngineConfig {
   /// Display name in result tables.
   std::string display_name = "Ours";
 };
+
+/// Retrieval depth m (EngineConfig::top_m) for a corpus of `num_papers`
+/// papers. `kpef_cli build`, `kpef_cli query` and `kpef_serve` all use it,
+/// so loaded artifacts serve with the depth they were built for.
+inline size_t TopMForCorpus(size_t num_papers) {
+  return std::max<size_t>(50, num_papers / 10);
+}
 
 /// Offline build diagnostics, one per phase.
 struct EngineBuildReport {

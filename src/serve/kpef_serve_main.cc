@@ -11,6 +11,16 @@
 //              [--trace-head-every 64] [--slow-ms 100] [--slow-queue-ms 50]
 //              [--rerank-factor 2.0] [--wal path]
 //
+// Every flag takes one value. Ranges: `--port` is an integer in
+// [0, 65535] (0 = an ephemeral port); `--threads` is in [0, 256];
+// `--shards` and `--batch-size` are integers >= 1; `--max-pending`,
+// `--default-n`, `--max-n` and `--trace-head-every` are integers >= 0;
+// `--reload-watch`, `--default-deadline-ms`, `--slow-ms` and
+// `--slow-queue-ms` are finite numbers >= 0; `--rerank-factor` is a
+// finite number >= 1. An unknown, repeated or valueless flag, a stray
+// argument, a malformed or out-of-range value, or a conflicting pair
+// (below) exits 1 naming the flag, before any file is read.
+//
 // --wal PATH enables streaming ingestion: the WAL at PATH is replayed
 // over the loaded artifacts at startup (creating the file when absent),
 // and POST /v1/admin/ingest accepts JSON paper batches that are logged,
@@ -24,12 +34,9 @@
 // --shards N partitions the corpus over N per-shard PG-Indexes
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
 // generation with zero downtime, and --reload-watch S polls the model
-// dir every S seconds and reloads automatically when an artifact file's
-// mtime changes. --threads N sizes the serving pool each batch's
-// per-query tasks run on (0 = hardware concurrency).
-//
-// Every flag takes one value; an unknown flag, a flag without a value,
-// or a stray argument exits 1 naming it.
+// dir every S seconds (0 = off) and reloads automatically when an
+// artifact file's mtime changes. --threads N sizes the serving pool each
+// batch's per-query tasks run on (0 = hardware concurrency).
 //
 // The micro-batcher is work-conserving: it hands the engine a batch the
 // moment its dispatcher is idle, so a lone request is never held back,
@@ -39,20 +46,18 @@
 // SIGTERM/SIGINT drain gracefully: stop accepting, flush queued batches,
 // answer in-flight requests, then exit 0.
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/build_info.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/engine_group.h"
@@ -69,44 +74,6 @@ namespace {
 
 using namespace kpef;
 
-// Every flag kpef_serve reads.
-constexpr const char* kFlags[] = {
-    "access-log", "address", "batch-size", "default-deadline-ms",
-    "default-n", "graph", "max-n", "max-pending", "metrics-out",
-    "model-dir", "port", "reload-watch", "rerank-factor", "shards",
-    "slow-ms", "slow-queue-ms", "threads", "trace-head-every",
-    "trace-mode", "wal"};
-
-/// Parses `--flag value` pairs, rejecting unknown flags, flags without
-/// a value and stray arguments, so a mistyped or retired flag fails
-/// loudly instead of silently doing nothing.
-StatusOr<std::map<std::string, std::string>> ParseFlags(int argc,
-                                                        char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; i += 2) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      return Status::InvalidArgument("unexpected argument '" + arg + "'");
-    }
-    const std::string key = arg.substr(2);
-    if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
-        std::end(kFlags)) {
-      return Status::InvalidArgument("unknown flag " + arg);
-    }
-    if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-      return Status::InvalidArgument("flag " + arg + " needs a value");
-    }
-    flags[key] = argv[i + 1];
-  }
-  return flags;
-}
-
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -116,21 +83,71 @@ int Fail(const Status& status) {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kInfo);
-  const auto parsed = ParseFlags(argc, argv);
+  auto parsed = Flags::Parse(argc, argv, 1);
   if (!parsed.ok()) return Fail(parsed.status());
-  const std::map<std::string, std::string>& flags = *parsed;
-  const std::string graph_path = FlagOr(flags, "graph", "graph.kg");
-  const std::string model_dir = FlagOr(flags, "model-dir", "model");
+  Flags& flags = *parsed;
+  const std::string graph_path = flags.String("graph", "graph.kg");
+  const std::string model_dir = flags.String("model-dir", "model");
+  const std::string wal_path = flags.String("wal", "");
+  const double watch_seconds = flags.Double("reload-watch", 0.0, 0.0);
+  const size_t threads = flags.Int<size_t>("threads", 0, 0, 256);
+  const std::string metrics_out = flags.String("metrics-out", "");
+
+  EngineGroup::Options group_options;
+  // Serving-time recall knob of the quantized index: depth of the exact
+  // fp32 rerank, as a multiple of the result count (ignored when the
+  // loaded artifact carries no SQ8 codes).
+  group_options.engine.pg_index.rerank_factor =
+      flags.Double("rerank-factor", 2.0, 1.0);
+  group_options.num_shards = flags.Int<size_t>("shards", 1, 1);
+
+  serve::ServiceConfig service_config;
+  service_config.batcher.max_batch_size =
+      flags.Int<size_t>("batch-size", 16, 1);
+  service_config.batcher.max_pending =
+      flags.Int<size_t>("max-pending", 256, 0);
+  service_config.batcher.max_top_n = flags.Int<size_t>("max-n", 400, 0);
+  service_config.reload_dir = model_dir;
+  service_config.default_top_n = flags.Int<size_t>("default-n", 10, 0);
+  // The HTTP-level cap mirrors the batcher's (0 = batcher uncapped, but
+  // the parse-time clamp still needs a bound).
+  if (service_config.batcher.max_top_n > 0) {
+    service_config.max_top_n = service_config.batcher.max_top_n;
+  }
+  service_config.default_deadline_ms =
+      flags.Double("default-deadline-ms", 0.0, 0.0);
+  service_config.access_log_path = flags.String("access-log", "");
+  const std::string trace_mode =
+      flags.Choice("trace-mode", "sampled", {"off", "sampled", "always"});
+  if (trace_mode == "off") {
+    service_config.trace_mode = obs::TraceMode::kOff;
+  } else if (trace_mode == "always") {
+    service_config.trace_mode = obs::TraceMode::kAlwaysOn;
+  }
+  service_config.trace_head_every =
+      flags.Int<uint32_t>("trace-head-every", 64, 0);
+  service_config.slow_e2e_ms = flags.Double("slow-ms", 100.0, 0.0);
+  service_config.slow_queue_wait_ms =
+      flags.Double("slow-queue-ms", 50.0, 0.0);
+
+  serve::HttpServerConfig server_config;
+  server_config.address = flags.String("address", "127.0.0.1");
+  server_config.port =
+      static_cast<uint16_t>(flags.Int<int>("port", 8080, 0, 65535));
+
+  if (const Status s = flags.Finish(); !s.ok()) return Fail(s);
   // Reload would publish the base artifacts without the ingested papers
   // (and the next ingest publish would undo the reload), so the two
   // never run together.
-  const std::string wal_path = FlagOr(flags, "wal", "");
-  const double watch_seconds =
-      std::atof(FlagOr(flags, "reload-watch", "0").c_str());
   if (!wal_path.empty() && watch_seconds > 0) {
     return Fail(Status::InvalidArgument(
         "--reload-watch cannot be combined with --wal (a reload would "
         "drop the ingested papers)"));
+  }
+  if (!wal_path.empty() && group_options.num_shards > 1) {
+    return Fail(Status::FailedPrecondition(
+        "--wal requires --shards 1 (streaming ingest appends rows; "
+        "per-batch re-sharding would defeat the point)"));
   }
 
   // Block the shutdown signals before any thread spawns, so they are
@@ -149,18 +166,7 @@ int main(int argc, char** argv) {
   if (!dataset.ok()) return Fail(dataset.status());
   const Corpus corpus = BuildPaperCorpus(*dataset);
 
-  // Mirror kpef_cli's build-time retrieval depth so loaded artifacts
-  // serve with the configuration they were built for.
-  EngineGroup::Options group_options;
-  group_options.engine.top_m =
-      std::max<size_t>(50, dataset->Papers().size() / 10);
-  // Serving-time recall knob of the quantized index: depth of the exact
-  // fp32 rerank, as a multiple of the result count (ignored when the
-  // loaded artifact carries no SQ8 codes).
-  group_options.engine.pg_index.rerank_factor =
-      std::atof(FlagOr(flags, "rerank-factor", "2.0").c_str());
-  group_options.num_shards = static_cast<size_t>(
-      std::max(1, std::atoi(FlagOr(flags, "shards", "1").c_str())));
+  group_options.engine.top_m = TopMForCorpus(dataset->Papers().size());
   auto group = EngineGroup::Load(&*dataset, &corpus, group_options, model_dir);
   if (!group.ok()) return Fail(group.status());
   const EngineInfo info = (*group)->Info();
@@ -180,11 +186,6 @@ int main(int argc, char** argv) {
   // caught-up generation).
   std::unique_ptr<IngestCoordinator> ingest;
   if (!wal_path.empty()) {
-    if (group_options.num_shards > 1) {
-      return Fail(Status::FailedPrecondition(
-          "--wal requires --shards 1 (streaming ingest appends rows; "
-          "per-batch re-sharding would defeat the point)"));
-    }
     IngestOptions ingest_options;
     ingest_options.wal_path = wal_path;
     auto coordinator = IngestCoordinator::Create(
@@ -199,53 +200,9 @@ int main(int argc, char** argv) {
   }
 
   // The pool the micro-batcher hands to FindExpertsBatch: each query's
-  // encode -> search -> rank task runs on it (ROADMAP item —
-  // previously the batcher left BatchQueryOptions::pool null and the
-  // engine silently fell back to its default pool).
-  ThreadPool serving_pool(static_cast<size_t>(
-      std::max(0, std::atoi(FlagOr(flags, "threads", "0").c_str()))));
-
-  serve::ServiceConfig service_config;
-  const int batch_size = std::atoi(FlagOr(flags, "batch-size", "16").c_str());
-  if (batch_size < 1) {
-    return Fail(Status::InvalidArgument("--batch-size must be at least 1"));
-  }
-  service_config.batcher.max_batch_size = static_cast<size_t>(batch_size);
-  service_config.batcher.max_pending = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "max-pending", "256").c_str()));
-  service_config.batcher.max_top_n = static_cast<size_t>(
-      std::max(0, std::atoi(FlagOr(flags, "max-n", "400").c_str())));
+  // encode -> search -> rank task runs on it.
+  ThreadPool serving_pool(threads);
   service_config.batcher.pool = &serving_pool;
-  service_config.reload_dir = model_dir;
-  service_config.default_top_n = static_cast<size_t>(
-      std::atoi(FlagOr(flags, "default-n", "10").c_str()));
-  // The HTTP-level cap mirrors the batcher's (0 = batcher uncapped, but
-  // the parse-time clamp still needs a bound).
-  if (service_config.batcher.max_top_n > 0) {
-    service_config.max_top_n = service_config.batcher.max_top_n;
-  }
-  service_config.default_deadline_ms =
-      std::atof(FlagOr(flags, "default-deadline-ms", "0").c_str());
-  service_config.access_log_path = FlagOr(flags, "access-log", "");
-  const std::string trace_mode = FlagOr(flags, "trace-mode", "sampled");
-  if (trace_mode == "off") {
-    service_config.trace_mode = obs::TraceMode::kOff;
-  } else if (trace_mode == "always") {
-    service_config.trace_mode = obs::TraceMode::kAlwaysOn;
-  } else {
-    service_config.trace_mode = obs::TraceMode::kSampled;
-  }
-  service_config.trace_head_every = static_cast<uint32_t>(
-      std::atoi(FlagOr(flags, "trace-head-every", "64").c_str()));
-  service_config.slow_e2e_ms =
-      std::atof(FlagOr(flags, "slow-ms", "100").c_str());
-  service_config.slow_queue_wait_ms =
-      std::atof(FlagOr(flags, "slow-queue-ms", "50").c_str());
-
-  serve::HttpServerConfig server_config;
-  server_config.address = FlagOr(flags, "address", "127.0.0.1");
-  server_config.port =
-      static_cast<uint16_t>(std::atoi(FlagOr(flags, "port", "8080").c_str()));
 
   // The server's handler references `service`, so `service` must be
   // declared first (destroyed last). That is safe only because the
@@ -336,7 +293,6 @@ int main(int argc, char** argv) {
   server.ShutdownGracefully(/*timeout_ms=*/15000.0);
   service->Drain();
 
-  const std::string metrics_out = FlagOr(flags, "metrics-out", "");
   if (!metrics_out.empty()) {
     const Status s = obs::WriteMetricsFile(metrics_out);
     if (!s.ok()) return Fail(s);

@@ -1,9 +1,14 @@
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -164,6 +169,139 @@ TEST(RngTest, SampleWithoutReplacementCoversAll) {
   const std::vector<size_t> sample = rng.SampleWithoutReplacement(10, 10);
   std::set<size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
+}
+
+// The flags kpef_cli's commands and kpef_serve read, with the same
+// names, types and ranges as the binaries declare.
+void ReadCliGenerate(Flags& f) {
+  f.String("out", "graph.kg");
+  f.Choice("profile", "aminer", {"aminer", "dblp", "acm", "tiny"});
+  f.Double("scale", 1.0, 0.0, /*exclusive=*/true);
+}
+void ReadCliStats(Flags& f) { f.String("graph", "graph.kg"); }
+void ReadCliTexts(Flags& f) {
+  f.String("graph", "graph.kg");
+  f.Int<size_t>("count", 1, 0);
+  f.Int<size_t>("skip", 0, 0);
+}
+void ReadCliBuild(Flags& f) {
+  f.String("graph", "graph.kg");
+  f.String("model-dir", "model");
+  f.Int<int32_t>("k", 4, 1);
+  f.Int<size_t>("train-threads", 0, 0, 256);
+}
+void ReadCliQuery(Flags& f) {
+  f.String("graph", "graph.kg");
+  f.String("model-dir", "model");
+  f.String("text", "");
+  f.Int<size_t>("n", 10, 0);
+}
+void ReadServe(Flags& f) {
+  for (const char* name : {"graph", "model-dir", "wal", "metrics-out",
+                           "access-log", "address"}) {
+    f.String(name, "");
+  }
+  f.Double("reload-watch", 0.0, 0.0);
+  f.Int<size_t>("threads", 0, 0, 256);
+  f.Double("rerank-factor", 2.0, 1.0);
+  f.Int<size_t>("shards", 1, 1);
+  f.Int<size_t>("batch-size", 16, 1);
+  f.Int<size_t>("max-pending", 256, 0);
+  f.Int<size_t>("max-n", 400, 0);
+  f.Int<size_t>("default-n", 10, 0);
+  f.Double("default-deadline-ms", 0.0, 0.0);
+  f.Choice("trace-mode", "sampled", {"off", "sampled", "always"});
+  f.Int<uint32_t>("trace-head-every", 64, 0);
+  f.Double("slow-ms", 100.0, 0.0);
+  f.Double("slow-queue-ms", 50.0, 0.0);
+  f.Int<int>("port", 8080, 0, 65535);
+}
+
+// Parses `args` (argv after the program name), runs `read`, and returns
+// the first error.
+Status ParseAndRead(const std::vector<const char*>& args,
+                    const std::function<void(Flags&)>& read) {
+  std::vector<const char*> argv = {"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  auto flags = Flags::Parse(static_cast<int>(argv.size()), argv.data(), 1);
+  if (!flags.ok()) return flags.status();
+  read(*flags);
+  return flags->Finish();
+}
+
+// Every case was accepted, or read as a wrong value, by the binaries'
+// earlier atoi/atof parsers. Each must now fail and name its flag.
+TEST(FlagsTest, RejectsMalformedInputNamingTheFlag) {
+  struct Case {
+    std::vector<const char*> args;
+    std::function<void(Flags&)> read;
+    const char* flag;
+  };
+  const std::vector<Case> cases = {
+      {{"--train-deterministic", "1"}, ReadCliBuild, "--train-deterministic"},
+      {{"--graph", "g.kg", "--bogus", "1"}, ReadCliStats, "--bogus"},
+      {{"--graph", "g.kg", "--k", "3"}, ReadCliStats, "--k"},
+      {{"--k", "abc"}, ReadCliBuild, "--k"},
+      {{"--k", "0"}, ReadCliBuild, "--k"},
+      {{"--profile", "tinny"}, ReadCliGenerate, "--profile"},
+      {{"--scale", "abc"}, ReadCliGenerate, "--scale"},
+      {{"--scale", "-1"}, ReadCliGenerate, "--scale"},
+      {{"--scale", "0"}, ReadCliGenerate, "--scale"},
+      {{"--count", "-1"}, ReadCliTexts, "--count"},
+      {{"--skip", "-1"}, ReadCliTexts, "--skip"},
+      {{"--n", "-1"}, ReadCliQuery, "--n"},
+      {{"--train-threads", "-1"}, ReadCliBuild, "--train-threads"},
+      {{"--train-threads", "257"}, ReadCliBuild, "--train-threads"},
+      {{"--port", "70000"}, ReadServe, "--port"},
+      {{"--port", "-1"}, ReadServe, "--port"},
+      {{"--max-pending", "-1"}, ReadServe, "--max-pending"},
+      {{"--default-n", "-1"}, ReadServe, "--default-n"},
+      {{"--trace-head-every", "-1"}, ReadServe, "--trace-head-every"},
+      {{"--rerank-factor", "abc"}, ReadServe, "--rerank-factor"},
+      {{"--rerank-factor", "0.5"}, ReadServe, "--rerank-factor"},
+      {{"--rerank-factor", "nan"}, ReadServe, "--rerank-factor"},
+      {{"--trace-mode", "bogus"}, ReadServe, "--trace-mode"},
+      {{"--threads", "1000000"}, ReadServe, "--threads"},
+      {{"--batch-size", "0"}, ReadServe, "--batch-size"},
+      {{"--shards", "0"}, ReadServe, "--shards"},
+      {{"--port", "80x"}, ReadServe, "--port"},
+      {{"--port", " 80"}, ReadServe, "--port"},
+      {{"--batch-age-ms", "4"}, ReadServe, "--batch-age-ms"},
+      // A valueless flag, at the end of argv or before another flag.
+      {{"--graph", "g.kg", "--skip"}, ReadCliTexts, "--skip"},
+      {{"--port", "--graph", "g.kg"}, ReadServe, "--port"},
+      // A repeated flag.
+      {{"--k", "3", "--k", "4"}, ReadCliBuild, "--k"},
+      // A stray argument.
+      {{"--graph", "g.kg", "stray"}, ReadCliStats, "stray"},
+  };
+  for (const Case& c : cases) {
+    std::string label;
+    for (const char* arg : c.args) label += std::string(arg) + " ";
+    const Status s = ParseAndRead(c.args, c.read);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(s.message().find(c.flag), std::string::npos)
+        << label << "-> " << s.ToString();
+  }
+}
+
+TEST(FlagsTest, ReadsValidValuesAndDefaults) {
+  const std::vector<const char*> args = {
+      "--port", "0", "--rerank-factor", "1", "--count",
+      "18446744073709551615", "--text", "graph mining"};
+  std::vector<const char*> argv = {"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  auto flags = Flags::Parse(static_cast<int>(argv.size()), argv.data(), 1);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->Int<int>("port", 8080, 0, 65535), 0);
+  EXPECT_EQ(flags->Double("rerank-factor", 2.0, 1.0), 1.0);
+  EXPECT_EQ(flags->Int<size_t>("count", 1, 0),
+            std::numeric_limits<size_t>::max());
+  EXPECT_EQ(flags->String("text", ""), "graph mining");
+  EXPECT_EQ(flags->Int<size_t>("skip", 0, 0), 0u);
+  EXPECT_EQ(flags->Choice("trace-mode", "sampled", {"off", "sampled"}),
+            "sampled");
+  EXPECT_TRUE(flags->Finish().ok());
 }
 
 TEST(LoggingTest, LevelFilteringRoundTrips) {

@@ -3,8 +3,6 @@
 // engine over the same corpus) and the RCU generation hot-swap
 // (publish, drain, failure keeps the old generation serving).
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -20,6 +18,7 @@
 #include "data/dataset.h"
 #include "data/queries.h"
 #include "embed/pretrain.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef {
 namespace {
@@ -34,6 +33,7 @@ class EngineGroupTest : public ::testing::Test {
     Dataset dataset;
     Corpus corpus;
     QuerySet queries;
+    ScopedTempDir tmp{"engine_group_test"};
     fs::path dir_a;   // primary artifact directory
     fs::path dir_b;   // byte-identical copy (a "new" generation)
     fs::path dir_bad; // exists but holds no artifacts
@@ -51,12 +51,9 @@ class EngineGroupTest : public ::testing::Test {
       auto built = ExpertFindingEngine::Build(&dataset, &corpus,
                                               SmallConfig(), &tokens);
       if (!built.ok()) std::abort();
-      const fs::path root =
-          fs::temp_directory_path() /
-          ("kpef_engine_group_test_" + std::to_string(::getpid()));
-      dir_a = root / "gen_a";
-      dir_b = root / "gen_b";
-      dir_bad = root / "empty";
+      dir_a = tmp.path() / "gen_a";
+      dir_b = tmp.path() / "gen_b";
+      dir_bad = tmp.path() / "empty";
       fs::create_directories(dir_a);
       fs::create_directories(dir_bad);
       if (!(*built)->SaveArtifacts(dir_a.string()).ok()) std::abort();
@@ -84,8 +81,8 @@ class EngineGroupTest : public ::testing::Test {
   };
 
   static Shared& shared() {
-    static Shared* s = new Shared();
-    return *s;
+    static Shared s;
+    return s;
   }
 
   /// Serving config whose retrieval is exact, so sharded results must be

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "obs/pipeline_metrics.h"
 #include "ranking/top_n_finder.h"
 #include "text/tfidf.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef {
 namespace {
@@ -493,7 +493,8 @@ TEST_F(EngineTest, EngineBeatsTextOnlyBaselineOnPlantedData) {
 
 TEST_F(EngineTest, ArtifactRoundTripServesIdenticalResults) {
   Shared& s = shared();
-  const std::string dir = ::testing::TempDir();
+  const ScopedTempDir tmp("engine_test");
+  const std::string dir = tmp.path().string();
   ASSERT_TRUE(s.engine->SaveArtifacts(dir).ok());
   auto loaded = ExpertFindingEngine::LoadFromArtifacts(
       &s.dataset, &s.corpus, Shared::SmallConfig(), dir);
@@ -521,9 +522,8 @@ TEST_F(EngineTest, LoadFromArtifactsRejectsMissingFiles) {
 // garbage distances at query time.
 TEST_F(EngineTest, LoadFromArtifactsRejectsDimensionMismatch) {
   Shared& s = shared();
-  const std::string dir =
-      ::testing::TempDir() + "kpef_dim_mismatch_artifacts";
-  std::filesystem::create_directories(dir);
+  const ScopedTempDir tmp("engine_test");
+  const std::string dir = tmp.path().string();
   ASSERT_TRUE(s.engine->SaveArtifacts(dir).ok());
 
   // Encoder whose output dimension disagrees with the embeddings.

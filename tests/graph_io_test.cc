@@ -4,6 +4,7 @@
 
 #include "data/dataset.h"
 #include "graph/graph_io.h"
+#include "scoped_temp_dir.h"
 #include "test_graphs.h"
 
 namespace kpef {
@@ -87,7 +88,8 @@ TEST(GraphIoTest, RoundTripsEmptyGraph) {
 
 TEST(GraphIoTest, FileRoundTrip) {
   const Figure2Graph g = Figure2Graph::Make();
-  const std::string path = ::testing::TempDir() + "/kpef_graph_io_test.kg";
+  const ScopedTempDir tmp("graph_io_test");
+  const std::string path = tmp.File("graph.kg");
   ASSERT_TRUE(SaveGraph(g.graph, path).ok());
   auto loaded = LoadGraph(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -13,8 +13,6 @@
 //    pending count the budget reads is exactly the published graph and
 //    index overlays.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -31,6 +29,7 @@
 #include "data/queries.h"
 #include "embed/pretrain.h"
 #include "ingest/coordinator.h"
+#include "scoped_temp_dir.h"
 
 #include <unordered_map>
 
@@ -137,9 +136,9 @@ struct SharedIngest {
   Corpus corpus;  // over split.base
   QuerySet queries;
   Matrix tokens;
+  ScopedTempDir tmp{"ingest_test"};
   fs::path dir_brute;
   fs::path dir_pg;
-  fs::path root;
 
   SharedIngest() : full(GenerateDataset(TinyProfile())) {
     auto made = MakeDripSplit(full, kHoldout);
@@ -152,10 +151,8 @@ struct SharedIngest {
     pc.epochs = 6;
     tokens = PretrainTokenEmbeddings(corpus, pc).token_embeddings;
 
-    root = fs::temp_directory_path() /
-           ("kpef_ingest_test_" + std::to_string(::getpid()));
-    dir_brute = root / "brute";
-    dir_pg = root / "pg";
+    dir_brute = tmp.path() / "brute";
+    dir_pg = tmp.path() / "pg";
     fs::create_directories(dir_brute);
     fs::create_directories(dir_pg);
     Persist(BruteConfig(), dir_brute);
@@ -192,8 +189,8 @@ struct SharedIngest {
   }
 
   static SharedIngest& Get() {
-    static SharedIngest* s = new SharedIngest();
-    return *s;
+    static SharedIngest s;
+    return s;
   }
 
   std::vector<std::string> Texts() const {
@@ -214,7 +211,7 @@ struct SharedIngest {
   /// A fresh (removed) log path per call, so a repeated in-process run
   /// (e.g. --gtest_repeat) never replays the previous run's WAL.
   fs::path WalPath(const std::string& tag) const {
-    fs::path path = root / ("wal_" + tag + ".log");
+    fs::path path = tmp.path() / ("wal_" + tag + ".log");
     fs::remove(path);
     return path;
   }

@@ -9,7 +9,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,29 +16,13 @@
 
 #include "ingest/ingest_batch.h"
 #include "ingest/wal.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef {
 namespace {
 
-namespace fs = std::filesystem;
-
 class WalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("kpef_wal_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    fs::create_directories(dir_);
-    path_ = (dir_ / "test.wal").string();
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   static std::vector<uint8_t> Payload(const std::string& s) {
     return std::vector<uint8_t>(s.begin(), s.end());
   }
@@ -75,8 +58,8 @@ class WalTest : public ::testing::Test {
   }
 
   WalFingerprint fingerprint_{123, 456};
-  fs::path dir_;
-  std::string path_;
+  ScopedTempDir dir_{"wal_test"};
+  std::string path_ = dir_.File("test.wal");
 };
 
 TEST_F(WalTest, RoundTrip) {

@@ -2,7 +2,6 @@
 // TSV rows -> graph -> save/load graph -> Dataset -> corpus -> engine
 // build -> artifact save/load -> identical query results.
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -14,6 +13,7 @@
 #include "data/queries.h"
 #include "data/tsv_importer.h"
 #include "graph/graph_io.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef {
 namespace {
@@ -61,8 +61,8 @@ TEST(IntegrationTest, TsvToServedQueriesEndToEnd) {
   ASSERT_TRUE(imported.ok()) << imported.status().ToString();
 
   // 2. Round-trip the graph through the text format.
-  const std::string graph_path =
-      ::testing::TempDir() + "/kpef_integration_graph.kg";
+  const ScopedTempDir tmp("integration_test");
+  const std::string graph_path = tmp.File("graph.kg");
   ASSERT_TRUE(SaveGraph(imported->graph, graph_path).ok());
   auto reloaded_graph = LoadGraph(graph_path);
   ASSERT_TRUE(reloaded_graph.ok());
@@ -81,7 +81,7 @@ TEST(IntegrationTest, TsvToServedQueriesEndToEnd) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // 4. Persist artifacts and reload into a "serving" engine.
-  const std::string model_dir = ::testing::TempDir();
+  const std::string model_dir = tmp.path().string();
   ASSERT_TRUE((*engine)->SaveArtifacts(model_dir).ok());
   auto serving = ExpertFindingEngine::LoadFromArtifacts(&*dataset, &corpus,
                                                         config, model_dir);
@@ -100,7 +100,6 @@ TEST(IntegrationTest, TsvToServedQueriesEndToEnd) {
       EXPECT_DOUBLE_EQ(built[i].score, served[i].score);
     }
   }
-  std::remove(graph_path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "embed/model_io.h"
 #include "text/corpus.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef {
 namespace {
@@ -225,7 +226,8 @@ TEST_F(PGIndexIoTest, RoundTripPreservesStructureAndSearch) {
 }
 
 TEST_F(PGIndexIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/kpef_pgindex_test.bin";
+  const ScopedTempDir tmp("model_io_test");
+  const std::string path = tmp.File("pgindex.bin");
   ASSERT_TRUE(index_->Save(path).ok());
   auto loaded = PGIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

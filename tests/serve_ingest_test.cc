@@ -35,6 +35,7 @@
 #include "ingest/coordinator.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef::serve {
 namespace {
@@ -190,8 +191,8 @@ struct SharedArtifacts {
   DripSplit split;
   Corpus corpus;
   QuerySet queries;
+  ScopedTempDir tmp{"serve_ingest_test"};
   fs::path dir;
-  fs::path root;
 
   SharedArtifacts() : full(GenerateDataset(TinyProfile())) {
     auto made = MakeDripSplit(full, /*holdout=*/36);
@@ -208,9 +209,7 @@ struct SharedArtifacts {
     auto built =
         ExpertFindingEngine::Build(&split.base, &corpus, Config(), &tokens);
     if (!built.ok()) std::abort();
-    root = fs::temp_directory_path() /
-           ("kpef_serve_ingest_test_" + std::to_string(::getpid()));
-    dir = root / "artifacts";
+    dir = tmp.path() / "artifacts";
     fs::create_directories(dir);
     if (!(*built)->SaveArtifacts(dir.string()).ok()) std::abort();
   }
@@ -227,8 +226,8 @@ struct SharedArtifacts {
   }
 
   static SharedArtifacts& Get() {
-    static SharedArtifacts* s = new SharedArtifacts();
-    return *s;
+    static SharedArtifacts s;
+    return s;
   }
 };
 
@@ -253,7 +252,7 @@ struct Harness {
     if (with_ingest) {
       IngestOptions ingest_options;
       ingest_options.wal_path =
-          (s.root / ("serve_wal_" + wal_tag + ".log")).string();
+          (s.tmp.path() / ("serve_wal_" + wal_tag + ".log")).string();
       // A fresh log per harness: a repeated in-process run (e.g.
       // --gtest_repeat) would otherwise replay the previous run's WAL.
       fs::remove(ingest_options.wal_path);

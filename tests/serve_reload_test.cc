@@ -35,6 +35,7 @@
 #include "embed/pretrain.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef::serve {
 namespace {
@@ -148,6 +149,7 @@ struct SharedArtifacts {
   Dataset dataset;
   Corpus corpus;
   QuerySet queries;
+  ScopedTempDir tmp{"serve_reload_test"};
   fs::path dir_a;
   fs::path dir_b;
 
@@ -171,11 +173,8 @@ struct SharedArtifacts {
     auto built = ExpertFindingEngine::Build(&dataset, &corpus, config,
                                             &tokens);
     if (!built.ok()) std::abort();
-    const fs::path root =
-        fs::temp_directory_path() /
-        ("kpef_serve_reload_test_" + std::to_string(::getpid()));
-    dir_a = root / "gen_a";
-    dir_b = root / "gen_b";
+    dir_a = tmp.path() / "gen_a";
+    dir_b = tmp.path() / "gen_b";
     fs::create_directories(dir_a);
     if (!(*built)->SaveArtifacts(dir_a.string()).ok()) std::abort();
     std::error_code ec;
@@ -184,8 +183,8 @@ struct SharedArtifacts {
   }
 
   static SharedArtifacts& Get() {
-    static SharedArtifacts* s = new SharedArtifacts();
-    return *s;
+    static SharedArtifacts s;
+    return s;
   }
 
   EngineConfig ServeConfig() const {
