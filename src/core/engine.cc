@@ -278,9 +278,7 @@ std::optional<std::vector<Neighbor>> ExpertFindingEngine::RetrieveQuery(
   const size_t ef = config_.search_ef == 0 ? m : config_.search_ef;
   PGIndex::SearchStats search_stats;
   std::vector<Neighbor> neighbors;
-  if (options.search) {
-    neighbors = options.search(query, m, ef, &search_stats);
-  } else if (index_) {
+  if (index_) {
     neighbors = index_->Search(query, m, ef, &search_stats);
   } else {
     neighbors = BruteForceSearch(embeddings_, query, m);

@@ -12,10 +12,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -121,8 +119,6 @@ struct EngineInfo {
   /// Artifact generation serving queries (EngineGroup hot-swap; a bare
   /// engine is generation 1 of itself). Monotonic per process.
   uint64_t generation = 1;
-  /// Corpus partitions the retrieval scatters over (1 = unsharded).
-  size_t num_shards = 1;
   /// Directory the serving generation's artifacts were loaded from
   /// (empty for a freshly built, never-persisted engine).
   std::string artifact_dir;
@@ -149,17 +145,6 @@ struct QueryStats {
   bool deadline_exceeded = false;
 };
 
-/// Replaces the engine's own retrieval (index or brute-force scan) in
-/// FindExpertsBatch — the seam EngineGroup uses to scatter one query's
-/// search across per-shard indexes while sharing the engine's encode,
-/// deadline, and ranking stages. Receives the encoded query, the
-/// retrieval depth `m` and the candidate-pool `ef`; must return the
-/// query's top-m neighbors ascending by (distance, id), with ids
-/// indexing the engine's paper rows, and fill `*stats` (non-null).
-using BatchSearchFn = std::function<std::vector<Neighbor>(
-    std::span<const float> query, size_t m, size_t ef,
-    PGIndex::SearchStats* stats)>;
-
 /// Per-call knobs for FindExpertsBatch beyond the query list itself.
 struct BatchQueryOptions {
   /// Pool the batch fans out over (nullptr = ThreadPool::Default()).
@@ -171,9 +156,6 @@ struct BatchQueryOptions {
   /// tight budget never keeps consuming engine time for a result nobody
   /// will read, and never holds back its batchmates.
   std::vector<std::chrono::steady_clock::time_point> deadlines;
-  /// Per-query retrieval override for EngineGroup's shard scatter (see
-  /// BatchSearchFn). Null = the engine's own index / brute-force search.
-  BatchSearchFn search;
   /// Per-query request-trace keys (obs::Tracer::BeginTrace). When
   /// non-empty, must match the query list's size; query q's encode /
   /// search / ranking spans are recorded into trace_keys[q] (0 entries
@@ -273,10 +255,10 @@ class ExpertFindingEngine : public RetrievalModel {
 
   /// Encode + search for query `q` of a batch, shared by
   /// FindExpertsBatch's per-query task and RetrievePapers: its top-m
-  /// paper rows, ascending by (distance, row), through options.search or
-  /// the engine's own index / brute-force scan. Checks q's slot deadline
-  /// before each stage and returns nullopt once it passed. Fills the
-  /// timing and distance fields of `*stats`.
+  /// paper rows, ascending by (distance, row), through the engine's own
+  /// index or brute-force scan. Checks q's slot deadline before each
+  /// stage and returns nullopt once it passed. Fills the timing and
+  /// distance fields of `*stats`.
   std::optional<std::vector<Neighbor>> RetrieveQuery(
       const std::string& query_text, size_t m,
       const BatchQueryOptions& options, size_t q, QueryStats* stats) const;

@@ -1,24 +1,17 @@
-// EngineGroup: sharded, hot-swappable serving facade over
-// ExpertFindingEngine (DESIGN.md §14).
+// EngineGroup: hot-swappable serving facade over ExpertFindingEngine
+// (DESIGN.md §14). Each generation serves one engine, and with it one
+// PG-Index (or brute-force scan) of the whole corpus, as in the paper's
+// online phase.
 //
-// Sharding: the paper corpus is partitioned round-robin over N shards
-// (global row r lives in shard r % N), each shard carrying its own
-// PG-Index (or brute-force row block). Each query of a batch runs in its
-// own pool task (ExpertFindingEngine::FindExpertsBatch): it encodes
-// once, searches every shard in turn, and merges the per-shard neighbor
-// lists by (distance, global row) into the global top-m *before* ranking —
-// the expert ranking then sees exactly the retrieval a single engine
-// would have produced, so the sharded top-n is bit-identical to the
-// single-engine path (equivalence contract; proof sketch in DESIGN.md
-// §14).
-//
-// Hot swap: each artifact load produces an immutable Generation behind
-// a std::shared_ptr<const Generation>. Queries snapshot the pointer for
-// the duration of one batch; Reload() builds the next generation on the
-// calling thread and publishes it with one pointer store. In-flight
-// batches drain on the old generation, which is destroyed when the last
-// snapshot releases — RCU semantics with shared_ptr as the grace
-// period, no reader-side locks beyond one mutex-guarded pointer copy.
+// Hot swap: each artifact load or ingest publish produces an immutable
+// Generation behind a std::shared_ptr<const Generation>. Queries
+// snapshot the pointer for the duration of one batch; Reload() builds
+// the next generation on the calling thread, and every publish (Load,
+// Reload, PublishExternal) ends in one private step that stamps the
+// next id and stores the pointer. In-flight batches drain on the old
+// generation, which is destroyed when the last snapshot releases — RCU
+// semantics with shared_ptr as the grace period, no reader-side locks
+// beyond one mutex-guarded pointer copy.
 
 #ifndef KPEF_CORE_ENGINE_GROUP_H_
 #define KPEF_CORE_ENGINE_GROUP_H_
@@ -38,24 +31,16 @@ class EngineGroup {
  public:
   struct Options {
     /// Serving configuration applied to every generation (retrieval
-    /// depth, rerank factor, ...). use_pg_index selects
-    /// per-shard PG-Indexes vs per-shard brute-force scans.
+    /// depth, rerank factor, ...). use_pg_index selects the persisted
+    /// PG-Index vs a brute-force scan.
     EngineConfig engine;
-    /// Corpus partitions (>= 1). One shard serves straight through the
-    /// loaded engine; N > 1 rebuilds per-shard indexes at load time.
+    /// Unread: kept only so servebench, which sets it, still builds;
+    /// delete it with servebench's next change. Any value serves the
+    /// one index.
     size_t num_shards = 1;
   };
 
-  /// One corpus partition of a generation. In PG mode the index owns
-  /// the shard's rows; in brute mode the embedding block does.
-  struct Shard {
-    /// rows[local] = global paper row (strictly increasing).
-    std::vector<int32_t> rows;
-    Matrix embeddings;
-    std::unique_ptr<PGIndex> index;
-  };
-
-  /// An immutable, atomically published artifact load. Public so tests
+  /// An immutable, atomically published generation. Public so tests
   /// can hold snapshots and assert drain behavior (weak_ptr expiry).
   struct Generation {
     uint64_t id = 0;
@@ -68,11 +53,8 @@ class EngineGroup {
     /// order (reverse declaration) tears the engine down first.
     std::shared_ptr<const Dataset> owned_dataset;
     std::shared_ptr<const Corpus> owned_corpus;
-    /// The loaded engine: encoder + embeddings + (for num_shards == 1)
-    /// the persisted index. Sharded generations route retrieval through
-    /// `shards` instead via the engine's BatchSearchFn seam.
+    /// The loaded engine: encoder + embeddings + the persisted index.
     std::unique_ptr<ExpertFindingEngine> engine;
-    std::vector<Shard> shards;  // empty when num_shards == 1
     // Per-generation serving tallies (relaxed; exported as gauges).
     mutable std::atomic<uint64_t> queries{0};
     mutable std::atomic<uint64_t> latency_us{0};
@@ -98,17 +80,15 @@ class EngineGroup {
   /// holding deep copies of its staging dataset/corpus plus an engine
   /// over them, then swaps it in here). Assigns the next generation id
   /// (written into generation->id) under the same serialization as
-  /// Reload and returns it. Restricted to unsharded groups — ingest
-  /// appends rows, and re-sharding per batch would defeat the point.
+  /// Reload and returns it.
   StatusOr<uint64_t> PublishExternal(std::shared_ptr<Generation> generation);
 
   /// Same contract as ExpertFindingEngine::FindExpertsBatch, answered
-  /// by the current generation (snapshotted once per call). Sharded
-  /// generations return bit-identical results to a single engine over
-  /// the same corpus when the per-shard retrieval is exact (brute mode,
-  /// or an exhaustive-ef unquantized index). `answered`, when non-null,
-  /// receives that generation, so the caller can keep reading the data
-  /// that scored the batch (e.g. expert names) after a newer publish.
+  /// by the current generation's engine (snapshotted once per call), so
+  /// the answers are bit-identical to that engine's. `answered`, when
+  /// non-null, receives that generation, so the caller can keep reading
+  /// the data that scored the batch (e.g. expert names) after a newer
+  /// publish.
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(
       const std::vector<std::string>& query_texts, size_t n,
       const BatchQueryOptions& options,
@@ -123,7 +103,7 @@ class EngineGroup {
   std::shared_ptr<const Generation> Snapshot() const;
 
   /// Serving summary of the current generation, including generation id,
-  /// shard count, artifact dir, and per-generation query tally.
+  /// artifact dir, and per-generation query tally.
   EngineInfo Info() const;
 
   /// Exports the generation gauges (serve.generation, per-generation
@@ -131,27 +111,30 @@ class EngineGroup {
   void SampleMetrics() const;
 
   uint64_t generation() const { return Snapshot()->id; }
-  size_t num_shards() const { return options_.num_shards; }
   const Dataset& dataset() const { return *dataset_; }
 
  private:
   EngineGroup(const Dataset* dataset, const Corpus* corpus, Options options)
       : dataset_(dataset), corpus_(corpus), options_(std::move(options)) {}
 
-  /// Loads + shards one generation (does not publish).
-  StatusOr<std::shared_ptr<const Generation>> BuildGeneration(
-      const std::string& dir, uint64_t id) const;
+  /// Loads one generation from `dir` (does not publish).
+  StatusOr<std::shared_ptr<Generation>> LoadGeneration(
+      const std::string& dir) const;
 
-  void Publish(std::shared_ptr<const Generation> generation);
+  /// The one publish step: stamps the next generation id into
+  /// `generation`, makes it current and returns the id. The caller
+  /// holds publish_mutex_.
+  uint64_t PublishLocked(std::shared_ptr<Generation> generation);
 
   const Dataset* dataset_;
   const Corpus* corpus_;
   const Options options_;
 
-  /// Serializes loaders (a reload is expensive; overlapping ones would
-  /// race on the generation counter and thrash memory).
-  std::mutex reload_mutex_;
-  std::atomic<uint64_t> next_generation_{1};
+  /// Serializes publishers (a reload is expensive; overlapping ones
+  /// would thrash memory) and guards next_generation_, so ids are
+  /// assigned only at publish and stay consecutive.
+  std::mutex publish_mutex_;
+  uint64_t next_generation_ = 1;
 
   /// Guards only the pointer copy; readers hold it for nanoseconds.
   mutable std::mutex current_mutex_;

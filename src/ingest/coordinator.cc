@@ -17,10 +17,6 @@ StatusOr<std::unique_ptr<IngestCoordinator>> IngestCoordinator::Create(
   if (group == nullptr) {
     return Status::InvalidArgument("ingest needs an engine group");
   }
-  if (group->num_shards() > 1) {
-    return Status::FailedPrecondition(
-        "streaming ingest requires an unsharded group");
-  }
   if (options.wal_path.empty()) {
     return Status::InvalidArgument("ingest needs a WAL path");
   }
@@ -87,10 +83,6 @@ Status IngestCoordinator::InitStaging(EngineGroup* group) {
   const std::shared_ptr<const EngineGroup::Generation> gen = group->Snapshot();
   if (gen == nullptr || gen->engine == nullptr) {
     return Status::FailedPrecondition("ingest needs a loaded generation");
-  }
-  if (!gen->shards.empty()) {
-    return Status::FailedPrecondition(
-        "streaming ingest requires an unsharded group");
   }
   const ExpertFindingEngine& engine = *gen->engine;
   base_artifact_dir_ = gen->artifact_dir;

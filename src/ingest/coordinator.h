@@ -80,9 +80,9 @@ class IngestCoordinator {
   /// Builds the staging state from `group`'s current generation, opens
   /// (or creates) the WAL, replays any logged records into staging, and
   /// — when the replay applied anything — publishes the caught-up
-  /// generation. `group` must be unsharded and must outlive the
-  /// coordinator; `config` must be the EngineConfig the group serves
-  /// with (the published engines inherit it).
+  /// generation. `group` must outlive the coordinator; `config` must be
+  /// the EngineConfig the group serves with (the published engines
+  /// inherit it).
   static StatusOr<std::unique_ptr<IngestCoordinator>> Create(
       EngineGroup* group, const EngineConfig& config, IngestOptions options);
 

@@ -59,7 +59,7 @@ void WarmPipelineMetrics() {
        {kTrainerEpochLoss, kTrainerTriplesPerSec, kTrainerActiveTriples,
         kTrainerWorkers, kTrainerMergeSeconds, kProcessRssBytes,
         kProcessOpenFds, kProcessUptimeSeconds, kPoolQueueDepth,
-        kPoolActiveWorkers, kPoolThreads, kServeGeneration, kServeShards,
+        kPoolActiveWorkers, kPoolThreads, kServeGeneration,
         kServeGenerationQueries, kServeGenerationLatencyMsMean,
         kServeGenerationLoadSeconds, kIngestWalBytes,
         kIngestPendingDeltaEdges}) {
@@ -99,12 +99,11 @@ const char* PipelineMetricHelp(const std::string& name) {
           {kServeTracesStarted, "Request traces opened."},
           {kServeTracesRetained, "Request traces retained for debugging."},
           {kServeTopNClamped,
-           "Requests whose n exceeded the batcher cap and was clamped."},
+           "Requests whose n exceeded the service cap and was clamped."},
           {kServeReloads, "Successful artifact generation hot-swaps."},
           {kServeReloadFailures,
            "Reload attempts that failed; old generation kept serving."},
           {kServeGeneration, "Artifact generation currently serving."},
-          {kServeShards, "Shards the serving generation scatters over."},
           {kServeGenerationQueries,
            "Queries answered by the serving generation since publish."},
           {kServeGenerationLatencyMsMean,

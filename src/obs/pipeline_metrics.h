@@ -139,7 +139,8 @@ inline constexpr char kServeSlowQueries[] = "serve.slow_queries";
 inline constexpr char kServeTracesStarted[] = "serve.traces_started";
 /// Request traces retained for /v1/debug/trace (head + tail + always-on).
 inline constexpr char kServeTracesRetained[] = "serve.traces_retained";
-/// Requests whose n exceeded BatcherConfig::max_top_n and was clamped.
+/// find_experts requests whose n exceeded ServiceConfig::max_top_n and
+/// was clamped to it.
 inline constexpr char kServeTopNClamped[] = "serve.top_n_clamped";
 /// Successful /v1/admin/reload generation swaps.
 inline constexpr char kServeReloads[] = "serve.reloads_total";
@@ -149,8 +150,6 @@ inline constexpr char kServeReloadFailures[] = "serve.reload_failures_total";
 // --- EngineGroup generation gauges (sampled on /metrics scrape).
 /// Gauge: artifact generation currently serving (bumps on hot swap).
 inline constexpr char kServeGeneration[] = "serve.generation";
-/// Gauge: shards the serving generation scatters retrieval over.
-inline constexpr char kServeShards[] = "serve.shards";
 /// Gauge: queries answered by the serving generation since publish.
 inline constexpr char kServeGenerationQueries[] =
     "serve.generation_queries";

@@ -100,29 +100,21 @@ void MicroBatcher::RunBatch(std::vector<Pending> batch) {
   if (live.empty()) return;
 
   // One engine call for the whole batch. top_n is the max over the
-  // batch, clamped to max_top_n so one oversized request cannot inflate
-  // ranking work for every rider; per-request lists are truncated
-  // afterwards (ranking is exact, so the top-n' of a top-n list with
-  // n' <= n is the same list). Deadlines propagate per slot: the engine
-  // skips a query's remaining stages once that query's own budget
-  // expires.
+  // batch (the service caps each request's n); per-request lists are
+  // truncated afterwards (ranking is exact, so the top-n' of a top-n
+  // list with n' <= n is the same list). Deadlines propagate per slot:
+  // the engine skips a query's remaining stages once that query's own
+  // budget expires.
   size_t top_n = 0;
-  uint64_t clamped = 0;
   bool any_deadline = false;
   std::vector<std::string> texts;
   texts.reserve(live.size());
   for (const size_t i : live) {
     const BatchRequest& r = batch[i].request;
-    size_t n = r.top_n;
-    if (config_.max_top_n > 0 && n > config_.max_top_n) {
-      n = config_.max_top_n;
-      ++clamped;
-    }
-    top_n = std::max(top_n, n);
+    top_n = std::max(top_n, r.top_n);
     texts.push_back(r.query);
     any_deadline |= r.deadline != Clock::time_point::max();
   }
-  if (clamped > 0) KPEF_COUNTER_ADD(obs::kServeTopNClamped, clamped);
   BatchQueryOptions options;
   options.pool = config_.pool;
   if (any_deadline) {

@@ -40,15 +40,9 @@ struct BatcherConfig {
   /// Most requests one engine call takes; a longer queue is cut into
   /// consecutive batches, oldest first.
   size_t max_batch_size = 16;
-  /// Admission bound: Submit() sheds once this many requests are queued
-  /// (requests already dispatched to the engine do not count).
+  /// Admission bound (>= 1): Submit() sheds once this many requests are
+  /// queued (requests already dispatched to the engine do not count).
   size_t max_pending = 256;
-  /// Hard cap on any request's top_n (0 = uncapped). The engine runs a
-  /// coalesced batch at the max n over its requests, so without a cap
-  /// one n=1000 request inflates ranking work for every rider; clamped
-  /// requests are counted in serve.top_n_clamped and answered with
-  /// max_top_n results.
-  size_t max_top_n = 400;
   /// Pool forwarded to BatchQueryOptions (nullptr = engine default).
   ThreadPool* pool = nullptr;
 };

@@ -3,7 +3,7 @@
 // /metrics over HTTP with dynamic micro-batching (DESIGN.md §11).
 //
 //   kpef_serve --graph graph.kg --model-dir model [--address 127.0.0.1]
-//              [--port 8080] [--shards 1] [--threads 0]
+//              [--port 8080] [--threads 0]
 //              [--reload-watch 0] [--batch-size 16] [--max-pending 256]
 //              [--default-n 10] [--max-n 400] [--default-deadline-ms 0]
 //              [--metrics-out path]
@@ -13,8 +13,9 @@
 //
 // Every flag takes one value. Ranges: `--port` is an integer in
 // [0, 65535] (0 = an ephemeral port); `--threads` is in [0, 256];
-// `--shards` and `--batch-size` are integers >= 1; `--max-pending`,
-// `--default-n`, `--max-n` and `--trace-head-every` are integers >= 0;
+// `--batch-size`, `--max-pending` and `--max-n` are integers >= 1;
+// `--default-n` is an integer in [1, --max-n] (default 10, or --max-n
+// when that is smaller); `--trace-head-every` is an integer >= 0;
 // `--reload-watch`, `--default-deadline-ms`, `--slow-ms` and
 // `--slow-queue-ms` are finite numbers >= 0; `--rerank-factor` is a
 // finite number >= 1. An unknown, repeated or valueless flag, a stray
@@ -25,13 +26,13 @@
 // over the loaded artifacts at startup (creating the file when absent),
 // and POST /v1/admin/ingest accepts JSON paper batches that are logged,
 // folded into the serving state, and published as new generations while
-// queries keep running. Incompatible with --shards > 1 and with
-// --reload-watch, and POST /v1/admin/reload answers 503 under it (a
-// reload would drop the ingested papers). The graph and PG-Index delta
-// overlays are compacted back into flat CSR whenever together they pass
+// queries keep running. Incompatible with --reload-watch, and POST
+// /v1/admin/reload answers 503 under it (a reload would drop the
+// ingested papers). The graph and PG-Index delta overlays are compacted
+// back into flat CSR whenever together they pass
 // IngestOptions::merge_pending_edge_budget edges.
 //
-// --shards N partitions the corpus over N per-shard PG-Indexes
+// Each generation serves one PG-Index of the whole corpus
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
 // generation with zero downtime, and --reload-watch S polls the model
 // dir every S seconds (0 = off) and reloads automatically when an
@@ -46,6 +47,7 @@
 // SIGTERM/SIGINT drain gracefully: stop accepting, flush queued batches,
 // answer in-flight requests, then exit 0.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -99,21 +101,19 @@ int main(int argc, char** argv) {
   // loaded artifact carries no SQ8 codes).
   group_options.engine.pg_index.rerank_factor =
       flags.Double("rerank-factor", 2.0, 1.0);
-  group_options.num_shards = flags.Int<size_t>("shards", 1, 1);
 
   serve::ServiceConfig service_config;
   service_config.batcher.max_batch_size =
       flags.Int<size_t>("batch-size", 16, 1);
   service_config.batcher.max_pending =
-      flags.Int<size_t>("max-pending", 256, 0);
-  service_config.batcher.max_top_n = flags.Int<size_t>("max-n", 400, 0);
+      flags.Int<size_t>("max-pending", 256, 1);
   service_config.reload_dir = model_dir;
-  service_config.default_top_n = flags.Int<size_t>("default-n", 10, 0);
-  // The HTTP-level cap mirrors the batcher's (0 = batcher uncapped, but
-  // the parse-time clamp still needs a bound).
-  if (service_config.batcher.max_top_n > 0) {
-    service_config.max_top_n = service_config.batcher.max_top_n;
-  }
+  // The one cap on a request's n; the default n is never clamped, so it
+  // must fit under the cap.
+  service_config.max_top_n = flags.Int<size_t>("max-n", 400, 1);
+  service_config.default_top_n = flags.Int<size_t>(
+      "default-n", std::min<size_t>(10, service_config.max_top_n), 1,
+      service_config.max_top_n);
   service_config.default_deadline_ms =
       flags.Double("default-deadline-ms", 0.0, 0.0);
   service_config.access_log_path = flags.String("access-log", "");
@@ -144,11 +144,6 @@ int main(int argc, char** argv) {
         "--reload-watch cannot be combined with --wal (a reload would "
         "drop the ingested papers)"));
   }
-  if (!wal_path.empty() && group_options.num_shards > 1) {
-    return Fail(Status::FailedPrecondition(
-        "--wal requires --shards 1 (streaming ingest appends rows; "
-        "per-batch re-sharding would defeat the point)"));
-  }
 
   // Block the shutdown signals before any thread spawns, so they are
   // delivered to the sigwait below, never to a worker.
@@ -173,13 +168,13 @@ int main(int argc, char** argv) {
   std::printf("kpef_serve %s (%s build)\n", BuildGitHash(), BuildType());
   std::printf(
       "loaded %s: %zu papers, %zu experts, dim %zu, index=%s, "
-      "shards=%zu, generation=%llu\n",
+      "generation=%llu\n",
       model_dir.c_str(), info.num_papers, info.num_experts,
       info.embedding_dim,
       !info.has_index        ? "brute"
       : info.quantized_index ? "pg-sq8"
                              : "pg",
-      info.num_shards, static_cast<unsigned long long>(info.generation));
+      static_cast<unsigned long long>(info.generation));
 
   // --wal: streaming-ingest coordinator (replays the log before the
   // server opens its socket, so the first query already sees the

@@ -200,7 +200,7 @@ void ExpertSearchService::Handle(const HttpRequest& request,
       respond(JsonError(405, "use GET"));
       return;
     }
-    // Live info (generation, shards, per-generation tallies) when an
+    // Live info (generation, per-generation tallies) when an
     // EngineGroup is behind the service; the construction-time summary
     // otherwise.
     const EngineInfo info = hooks_.info ? hooks_.info() : info_;
@@ -217,8 +217,6 @@ void ExpertSearchService::Handle(const HttpRequest& request,
     response.body.append(info.has_index ? "true" : "false");
     response.body.append(",\"generation\":");
     response.body.append(std::to_string(info.generation));
-    response.body.append(",\"shards\":");
-    response.body.append(std::to_string(info.num_shards));
     response.body.append(",\"generation_queries\":");
     response.body.append(std::to_string(info.generation_queries));
     response.body.append(",\"artifact_dir\":");
@@ -385,12 +383,16 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
       reject("\"n\" must be a positive integer");
       return;
     }
-    // Clamp before the cast: a double past size_t's range (e.g. 1e300)
-    // has no size_t value.
-    batch_request.top_n =
-        n->number_value >= static_cast<double>(config_.max_top_n)
-            ? config_.max_top_n
-            : static_cast<size_t>(n->number_value);
+    // The one cap on n: the engine runs a coalesced batch at the max n
+    // over its riders, so one oversized request would inflate ranking
+    // work for every rider. Clamp before the cast: a double past
+    // size_t's range (e.g. 1e300) has no size_t value.
+    if (n->number_value > static_cast<double>(config_.max_top_n)) {
+      batch_request.top_n = config_.max_top_n;
+      KPEF_COUNTER_ADD(obs::kServeTopNClamped, 1);
+    } else {
+      batch_request.top_n = static_cast<size_t>(n->number_value);
+    }
   }
   double deadline_ms = config_.default_deadline_ms;
   if (const JsonValue* d = doc.Find("deadline_ms")) {
@@ -565,9 +567,9 @@ void ExpertSearchService::HandleReload(const HttpRequest& request,
   // The previous loader thread (if any) has finished — the in-flight
   // flag was false — so reaping it here cannot block the event loop.
   if (reload_thread_.joinable()) reload_thread_.join();
-  // The load itself (artifact IO + per-shard index builds) runs off the
-  // event loop; the Responder is thread-safe and routes the response
-  // back through the loop's eventfd.
+  // The load itself (artifact IO) runs off the event loop; the
+  // Responder is thread-safe and routes the response back through the
+  // loop's eventfd.
   auto reload = hooks_.reload;
   reload_thread_ = std::thread([this, reload = std::move(reload),
                                 dir = std::move(dir),

@@ -70,9 +70,11 @@ namespace kpef::serve {
 
 struct ServiceConfig {
   BatcherConfig batcher;
-  /// "n" when the request omits it, and its hard cap.
+  /// "n" when the request omits it (must not exceed max_top_n).
   size_t default_top_n = 10;
-  size_t max_top_n = 200;
+  /// Hard cap on a request's "n": a larger one is answered with
+  /// max_top_n experts and counted in serve.top_n_clamped.
+  size_t max_top_n = 400;
   /// Deadline applied when the request omits deadline_ms (<= 0: none).
   double default_deadline_ms = 0.0;
   /// Requested deadlines are clamped to this.
@@ -110,7 +112,7 @@ struct ServiceConfig {
 /// be null: info falls back to the static EngineInfo, reload answers
 /// 503, sample is skipped.
 struct ServiceHooks {
-  /// Fresh serving summary per /healthz call (generation, shards, ...).
+  /// Fresh serving summary per /healthz call (generation, tallies, ...).
   std::function<EngineInfo()> info;
   /// Builds + publishes a new generation from the directory; returns
   /// the new generation id. Runs on a background thread — must be

@@ -204,11 +204,10 @@ void ReadServe(Flags& f) {
   f.Double("reload-watch", 0.0, 0.0);
   f.Int<size_t>("threads", 0, 0, 256);
   f.Double("rerank-factor", 2.0, 1.0);
-  f.Int<size_t>("shards", 1, 1);
   f.Int<size_t>("batch-size", 16, 1);
-  f.Int<size_t>("max-pending", 256, 0);
-  f.Int<size_t>("max-n", 400, 0);
-  f.Int<size_t>("default-n", 10, 0);
+  f.Int<size_t>("max-pending", 256, 1);
+  const size_t max_n = f.Int<size_t>("max-n", 400, 1);
+  f.Int<size_t>("default-n", std::min<size_t>(10, max_n), 1, max_n);
   f.Double("default-deadline-ms", 0.0, 0.0);
   f.Choice("trace-mode", "sampled", {"off", "sampled", "always"});
   f.Int<uint32_t>("trace-head-every", 64, 0);
@@ -263,7 +262,12 @@ TEST(FlagsTest, RejectsMalformedInputNamingTheFlag) {
       {{"--trace-mode", "bogus"}, ReadServe, "--trace-mode"},
       {{"--threads", "1000000"}, ReadServe, "--threads"},
       {{"--batch-size", "0"}, ReadServe, "--batch-size"},
-      {{"--shards", "0"}, ReadServe, "--shards"},
+      {{"--shards", "2"}, ReadServe, "--shards"},
+      {{"--max-pending", "0"}, ReadServe, "--max-pending"},
+      {{"--max-n", "0"}, ReadServe, "--max-n"},
+      {{"--default-n", "0"}, ReadServe, "--default-n"},
+      {{"--max-n", "20", "--default-n", "21"}, ReadServe, "--default-n"},
+      {{"--default-n", "500"}, ReadServe, "--default-n"},
       {{"--port", "80x"}, ReadServe, "--port"},
       {{"--port", " 80"}, ReadServe, "--port"},
       {{"--batch-age-ms", "4"}, ReadServe, "--batch-age-ms"},

@@ -1,7 +1,6 @@
-// EngineGroup tests: the sharded-retrieval equivalence contract
-// (DESIGN.md §14 — N-shard scatter + merge is bit-identical to one
-// engine over the same corpus) and the RCU generation hot-swap
-// (publish, drain, failure keeps the old generation serving).
+// EngineGroup tests: the group answers exactly as the engine it loaded,
+// and the RCU generation hot swap (publish, drain, failure keeps the old
+// generation serving, one id sequence across every publish path).
 
 #include <cstdlib>
 #include <filesystem>
@@ -85,9 +84,9 @@ class EngineGroupTest : public ::testing::Test {
     return s;
   }
 
-  /// Serving config whose retrieval is exact, so sharded results must be
-  /// bit-identical: brute mode scans every row; PG mode disables SQ8 and
-  /// searches with an exhaustive candidate pool.
+  /// Serving config whose retrieval is exact: brute mode scans every
+  /// row; PG mode disables SQ8 and searches with an exhaustive
+  /// candidate pool.
   static EngineConfig ExactConfig(bool use_pg_index) {
     EngineConfig config = Shared::SmallConfig();
     config.use_pg_index = use_pg_index;
@@ -99,11 +98,9 @@ class EngineGroupTest : public ::testing::Test {
   }
 
   static std::unique_ptr<EngineGroup> LoadGroup(const EngineConfig& config,
-                                                size_t shards,
                                                 const fs::path& dir) {
     EngineGroup::Options options;
     options.engine = config;
-    options.num_shards = shards;
     auto group = EngineGroup::Load(&shared().dataset, &shared().corpus,
                                    options, dir.string());
     EXPECT_TRUE(group.ok()) << group.status().ToString();
@@ -120,8 +117,7 @@ class EngineGroupTest : public ::testing::Test {
       for (size_t i = 0; i < want[q].size(); ++i) {
         EXPECT_EQ(got[q][i].author, want[q][i].author)
             << label << " query " << q << " rank " << i;
-        // Bit-exact, not approximate: the merged retrieval feeds the TA
-        // ranking the same lists a single engine builds.
+        // Bit-exact, not approximate: the group adds no stage of its own.
         EXPECT_EQ(got[q][i].score, want[q][i].score)
             << label << " query " << q << " rank " << i;
       }
@@ -131,61 +127,44 @@ class EngineGroupTest : public ::testing::Test {
 
 // --- Equivalence contract.
 
-TEST_F(EngineGroupTest, ShardedBruteForceMatchesSingleEngineBitExact) {
-  Shared& s = shared();
-  const EngineConfig config = ExactConfig(/*use_pg_index=*/false);
-  auto single = ExpertFindingEngine::LoadFromArtifacts(&s.dataset, &s.corpus,
-                                                       config, s.dir_a.string());
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  ThreadPool pool(4);
-  const auto want = (*single)->FindExpertsBatch(s.Texts(), 8, nullptr, &pool);
-  for (const size_t shards : {1u, 2u, 4u, 8u}) {
-    auto group = LoadGroup(config, shards, s.dir_a);
-    ASSERT_NE(group, nullptr);
-    std::vector<QueryStats> stats;
-    const auto got = group->FindExpertsBatch(s.Texts(), 8, &stats, &pool);
-    ExpectBitIdentical(got, want, "brute shards=" + std::to_string(shards));
-    ASSERT_EQ(stats.size(), s.Texts().size());
-    for (const QueryStats& st : stats) {
-      EXPECT_FALSE(st.deadline_exceeded);
-      EXPECT_GT(st.distance_computations, 0u);
-    }
-  }
-}
-
-TEST_F(EngineGroupTest, ShardedPGIndexMatchesSingleEngineBitExact) {
-  Shared& s = shared();
-  const EngineConfig config = ExactConfig(/*use_pg_index=*/true);
-  auto single = ExpertFindingEngine::LoadFromArtifacts(&s.dataset, &s.corpus,
-                                                       config, s.dir_a.string());
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  ThreadPool pool(4);
-  const auto want = (*single)->FindExpertsBatch(s.Texts(), 8, nullptr, &pool);
-  for (const size_t shards : {2u, 4u}) {
-    auto group = LoadGroup(config, shards, s.dir_a);
-    ASSERT_NE(group, nullptr);
-    const auto got = group->FindExpertsBatch(s.Texts(), 8, nullptr, &pool);
-    ExpectBitIdentical(got, want, "pg shards=" + std::to_string(shards));
-  }
-}
-
 TEST_F(EngineGroupTest, SingleShardDelegatesToLoadedEngine) {
   Shared& s = shared();
-  auto group = LoadGroup(Shared::SmallConfig(), 1, s.dir_a);
-  ASSERT_NE(group, nullptr);
-  auto snapshot = group->Snapshot();
-  EXPECT_TRUE(snapshot->shards.empty());
-  EXPECT_NE(snapshot->engine->index(), nullptr);
-  const auto results = group->FindExpertsBatch(s.Texts(), 5);
-  ASSERT_EQ(results.size(), s.Texts().size());
-  for (const auto& r : results) EXPECT_GT(r.size(), 0u);
+  ThreadPool pool(4);
+  for (const bool use_pg_index : {false, true}) {
+    EngineConfig serving = Shared::SmallConfig();
+    serving.use_pg_index = use_pg_index;
+    auto engine = ExpertFindingEngine::LoadFromArtifacts(
+        &s.dataset, &s.corpus, serving, s.dir_a.string());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::vector<QueryStats> want_stats;
+    const auto want =
+        (*engine)->FindExpertsBatch(s.Texts(), 8, &want_stats, &pool);
+    const std::string label = use_pg_index ? "pg" : "brute";
+    auto group = LoadGroup(serving, s.dir_a);
+    ASSERT_NE(group, nullptr);
+    EXPECT_EQ(group->Snapshot()->engine->index() != nullptr, use_pg_index)
+        << label;
+    std::vector<QueryStats> stats;
+    const auto got = group->FindExpertsBatch(s.Texts(), 8, &stats, &pool);
+    ExpectBitIdentical(got, want, label);
+    ASSERT_EQ(stats.size(), want_stats.size()) << label;
+    for (size_t q = 0; q < stats.size(); ++q) {
+      EXPECT_FALSE(stats[q].deadline_exceeded) << label;
+      EXPECT_EQ(stats[q].distance_computations,
+                want_stats[q].distance_computations)
+          << label << " query " << q;
+      EXPECT_EQ(stats[q].ranking_entries_accessed,
+                want_stats[q].ranking_entries_accessed)
+          << label << " query " << q;
+    }
+  }
 }
 
 // --- Generation lifecycle.
 
 TEST_F(EngineGroupTest, ReloadPublishesNewGenerationAndDrainsOld) {
   Shared& s = shared();
-  auto group = LoadGroup(ExactConfig(false), 2, s.dir_a);
+  auto group = LoadGroup(ExactConfig(false), s.dir_a);
   ASSERT_NE(group, nullptr);
   const auto before = group->FindExpertsBatch(s.Texts(), 6);
 
@@ -211,7 +190,7 @@ TEST_F(EngineGroupTest, ReloadPublishesNewGenerationAndDrainsOld) {
 
 TEST_F(EngineGroupTest, FailedReloadKeepsServingOldGeneration) {
   Shared& s = shared();
-  auto group = LoadGroup(ExactConfig(false), 2, s.dir_a);
+  auto group = LoadGroup(ExactConfig(false), s.dir_a);
   ASSERT_NE(group, nullptr);
   const auto before = group->FindExpertsBatch(s.Texts(), 6);
   const uint64_t gen_before = group->generation();
@@ -231,11 +210,10 @@ TEST_F(EngineGroupTest, FailedReloadKeepsServingOldGeneration) {
 
 TEST_F(EngineGroupTest, InfoCarriesGenerationShardsAndQueryTally) {
   Shared& s = shared();
-  auto group = LoadGroup(ExactConfig(false), 4, s.dir_a);
+  auto group = LoadGroup(ExactConfig(false), s.dir_a);
   ASSERT_NE(group, nullptr);
   EngineInfo info = group->Info();
   EXPECT_EQ(info.generation, 1u);
-  EXPECT_EQ(info.num_shards, 4u);
   EXPECT_EQ(info.artifact_dir, s.dir_a.string());
   EXPECT_EQ(info.generation_queries, 0u);
   EXPECT_EQ(info.num_papers, s.dataset.Papers().size());
@@ -249,6 +227,49 @@ TEST_F(EngineGroupTest, InfoCarriesGenerationShardsAndQueryTally) {
   info = group->Info();
   EXPECT_EQ(info.generation, 2u);
   EXPECT_EQ(info.generation_queries, 0u);
+}
+
+// Load, Reload and PublishExternal share one publish step: ids run
+// 1, 2, 3, ... in publish order, a failed reload takes none, and the
+// snapshot and Info() describe the same generation after each step.
+TEST_F(EngineGroupTest, EveryPublishPathStampsTheNextConsecutiveId) {
+  Shared& s = shared();
+  const EngineConfig config = ExactConfig(false);
+  auto group = LoadGroup(config, s.dir_a);
+  ASSERT_NE(group, nullptr);
+  const auto expect_serving = [&](uint64_t id, const std::string& dir) {
+    const auto snapshot = group->Snapshot();
+    const EngineInfo info = group->Info();
+    EXPECT_EQ(snapshot->id, id);
+    EXPECT_EQ(group->generation(), id);
+    EXPECT_EQ(info.generation, id);
+    EXPECT_EQ(snapshot->artifact_dir, dir);
+    EXPECT_EQ(info.artifact_dir, dir);
+  };
+  const auto publish_external = [&](const fs::path& dir) {
+    auto generation = std::make_shared<EngineGroup::Generation>();
+    generation->artifact_dir = dir.string();
+    auto engine = ExpertFindingEngine::LoadFromArtifacts(
+        &s.dataset, &s.corpus, config, dir.string());
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    generation->engine = std::move(engine).value();
+    const EngineGroup::Generation* raw = generation.get();
+    const StatusOr<uint64_t> id = group->PublishExternal(std::move(generation));
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_EQ(group->Snapshot().get(), raw);
+    EXPECT_EQ(raw->id, id.ok() ? *id : 0u);
+    return id.ok() ? *id : 0u;
+  };
+
+  expect_serving(1, s.dir_a.string());
+  EXPECT_EQ(publish_external(s.dir_b), 2u);
+  expect_serving(2, s.dir_b.string());
+  EXPECT_FALSE(group->Reload(s.dir_bad.string()).ok());
+  expect_serving(2, s.dir_b.string());
+  ASSERT_TRUE(group->Reload(s.dir_a.string()).ok());
+  expect_serving(3, s.dir_a.string());
+  EXPECT_EQ(publish_external(s.dir_b), 4u);
+  expect_serving(4, s.dir_b.string());
 }
 
 }  // namespace

@@ -517,19 +517,6 @@ TEST(IngestTest, RejectsEmptyTextAndShardedGroups) {
       ToIngestBatch({s.split.tail.begin(), s.split.tail.begin() + 2}));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->applied, 2u);
-
-  // Sharded groups are rejected at Create.
-  EngineGroup::Options sharded;
-  sharded.engine = SharedIngest::BruteConfig();
-  sharded.num_shards = 2;
-  auto sharded_group = EngineGroup::Load(&s.split.base, &s.corpus, sharded,
-                                         s.dir_brute.string());
-  ASSERT_TRUE(sharded_group.ok());
-  IngestOptions sharded_options;
-  sharded_options.wal_path = s.WalPath("sharded").string();
-  auto rejected = IngestCoordinator::Create(
-      sharded_group->get(), SharedIngest::BruteConfig(), sharded_options);
-  EXPECT_FALSE(rejected.ok());
 }
 
 }  // namespace

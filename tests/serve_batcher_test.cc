@@ -3,8 +3,9 @@
 // batch, FIFO, split at max_batch_size), per-request deadline
 // propagation into BatchQueryOptions, shed-when-full, and
 // drain-on-shutdown — all against a fake engine function, no sockets
-// involved. Coalescing is forced with a gated engine, never with a
-// timing window.
+// involved (the top-n cap test goes through ExpertSearchService::Handle,
+// where the cap is applied). Coalescing is forced with a gated engine,
+// never with a timing window.
 
 #include <algorithm>
 #include <atomic>
@@ -18,6 +19,8 @@
 
 #include "common/thread_pool.h"
 #include "serve/batcher.h"
+#include "serve/json_util.h"
+#include "serve/service.h"
 
 namespace kpef::serve {
 namespace {
@@ -233,18 +236,18 @@ TEST(MicroBatcherTest, TopNIsBatchMaxAndResultsAreTruncatedPerRequest) {
   PlugEngine(&batcher, &engine, &plug);
   Collector collector;
   ASSERT_TRUE(batcher.Submit(Request("small", 3), collector.Fn()));
-  ASSERT_TRUE(batcher.Submit(Request("large", 9), collector.Fn()));
+  ASSERT_TRUE(batcher.Submit(Request("large", 50), collector.Fn()));
   engine.Release();
   ASSERT_TRUE(collector.WaitForCount(2));
   ASSERT_EQ(engine.top_ns.size(), 2u);
-  EXPECT_EQ(engine.top_ns[1], 9u);  // engine ran at the batch max
+  EXPECT_EQ(engine.top_ns[1], 50u);  // engine ran at the batch max
   // Each request got its own n back.
   std::vector<size_t> sizes;
   for (const BatchResponse& r : collector.responses) {
     sizes.push_back(r.experts.size());
   }
   std::sort(sizes.begin(), sizes.end());
-  EXPECT_EQ(sizes, (std::vector<size_t>{3, 9}));
+  EXPECT_EQ(sizes, (std::vector<size_t>{3, 50}));
 }
 
 TEST(MicroBatcherTest, DeadlinePropagatesIntoBatchQueryOptions) {
@@ -496,44 +499,60 @@ TEST(MicroBatcherTest, NoDeadlinesMeansNoSlotDeadlineVector) {
   EXPECT_TRUE(engine.options_seen[1].deadlines.empty());
 }
 
-// Regression (PR 8): the engine used to run the coalesced batch at the
-// unclamped max top_n, so one n=100000 request inflated TA work for
-// every rider. The batcher now clamps per request to max_top_n.
+// Regression: the engine used to run the coalesced batch at the
+// unclamped max top_n, so one n=100000 request inflated ranking work for
+// every rider. The one cap is ServiceConfig::max_top_n, applied when the
+// request is parsed, so no oversized n ever reaches the batcher.
 TEST(MicroBatcherTest, OversizedTopNIsClampedToConfigCap) {
   FakeEngine engine;
-  BatcherConfig config;
-  config.max_batch_size = 2;
+  ServiceConfig config;
+  config.batcher.max_batch_size = 2;
   config.max_top_n = 50;
-  MicroBatcher batcher(config, engine.AsFn());
-  Collector plug;
-  PlugEngine(&batcher, &engine, &plug);
-  Collector collector;
-  ASSERT_TRUE(batcher.Submit(Request("huge", 100000), collector.Fn()));
-  ASSERT_TRUE(batcher.Submit(Request("small", 3), collector.Fn()));
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<HttpResponse> responses;
+  ExpertSearchService service(config, EngineInfo(), engine.AsFn());
+  auto find_experts = [&](const std::string& body) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/find_experts";
+    request.body = body;
+    service.Handle(request, [&](HttpResponse response) {
+      std::lock_guard<std::mutex> lock(mutex);
+      responses.push_back(std::move(response));
+      cv.notify_all();
+    });
+  };
+  // Plug the engine so the next two requests coalesce into one batch.
+  engine.Block();
+  find_experts(R"({"query":"plug","n":1})");
+  ASSERT_TRUE(engine.WaitForCalls(1));
+  find_experts(R"({"query":"huge","n":100000})");
+  find_experts(R"({"query":"small","n":3})");
+  ASSERT_EQ(service.PendingForTest(), 2u);
   engine.Release();
-  ASSERT_TRUE(collector.WaitForCount(2));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return responses.size() >= 3; }));
+  }
+  service.Drain();
   ASSERT_EQ(engine.top_ns.size(), 2u);
+  EXPECT_EQ(engine.batch_sizes[1], 2u);
   EXPECT_EQ(engine.top_ns[1], 50u);  // clamped batch max, not 100000
   std::vector<size_t> sizes;
-  for (const BatchResponse& r : collector.responses) {
-    sizes.push_back(r.experts.size());
+  for (const HttpResponse& r : responses) {
+    ASSERT_EQ(r.status, 200) << r.body;
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(ParseJson(r.body, &doc, &error)) << error;
+    const JsonValue* experts = doc.Find("experts");
+    ASSERT_NE(experts, nullptr);
+    sizes.push_back(experts->array_items.size());
   }
   std::sort(sizes.begin(), sizes.end());
   // The oversized request is answered with the cap, not its ask.
-  EXPECT_EQ(sizes, (std::vector<size_t>{3, 50}));
-}
-
-TEST(MicroBatcherTest, ZeroMaxTopNDisablesTheCap) {
-  FakeEngine engine;
-  BatcherConfig config;
-  config.max_batch_size = 1;
-  config.max_top_n = 0;
-  MicroBatcher batcher(config, engine.AsFn());
-  Collector collector;
-  ASSERT_TRUE(batcher.Submit(Request("big", 900), collector.Fn()));
-  ASSERT_TRUE(collector.WaitForCount(1));
-  ASSERT_EQ(engine.top_ns.size(), 1u);
-  EXPECT_EQ(engine.top_ns[0], 900u);
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, 3, 50}));
 }
 
 // ROADMAP leftover (PR 7 → PR 8): the batcher must hand its configured

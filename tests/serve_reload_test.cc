@@ -1,5 +1,5 @@
 // Zero-downtime hot-swap, end to end: a REAL EngineGroup (tiny trained
-// artifacts, sharded) behind ExpertSearchService + HttpServer on a
+// artifacts) behind ExpertSearchService + HttpServer on a
 // loopback socket, with sustained find_experts traffic while
 // POST /v1/admin/reload swaps the serving generation. The contract
 // under test: no request is dropped or errored by the swap, the old
@@ -194,8 +194,7 @@ struct SharedArtifacts {
     config.encoder.dim = 32;
     config.trainer.epochs = 2;
     config.top_m = 60;
-    // Brute retrieval keeps per-reload shard builds instant and the
-    // equivalence across generations exact.
+    // Brute retrieval keeps the equivalence across generations exact.
     config.use_pg_index = false;
     return config;
   }
@@ -207,11 +206,10 @@ struct Harness {
   std::unique_ptr<HttpServer> server;
   std::unique_ptr<ExpertSearchService> service;
 
-  explicit Harness(size_t shards) {
+  Harness() {
     SharedArtifacts& s = SharedArtifacts::Get();
     EngineGroup::Options options;
     options.engine = s.ServeConfig();
-    options.num_shards = shards;
     auto loaded = EngineGroup::Load(&s.dataset, &s.corpus, options,
                                     s.dir_a.string());
     if (!loaded.ok()) std::abort();
@@ -250,7 +248,7 @@ std::string FindExpertsBody(const std::string& query) {
 // fully drained afterwards.
 TEST(ServeReloadTest, ReloadUnderSustainedTrafficDropsNothing) {
   SharedArtifacts& s = SharedArtifacts::Get();
-  Harness harness(/*shards=*/2);
+  Harness harness;
 
   std::weak_ptr<const EngineGroup::Generation> old_gen =
       harness.group->Snapshot();
@@ -328,11 +326,10 @@ TEST(ServeReloadTest, ReloadUnderSustainedTrafficDropsNothing) {
   EXPECT_EQ(health.status, 200);
   EXPECT_NE(health.body.find("\"generation\":2"), std::string::npos)
       << health.body;
-  EXPECT_NE(health.body.find("\"shards\":2"), std::string::npos);
 }
 
 TEST(ServeReloadTest, ReloadFailureKeeps500AndOldGenerationServing) {
-  Harness harness(/*shards=*/1);
+  Harness harness;
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
 
@@ -352,7 +349,7 @@ TEST(ServeReloadTest, ReloadFailureKeeps500AndOldGenerationServing) {
 }
 
 TEST(ServeReloadTest, ReloadRejectsMalformedBodyAndWrongMethod) {
-  Harness harness(/*shards=*/1);
+  Harness harness;
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
 
@@ -370,7 +367,7 @@ TEST(ServeReloadTest, ReloadRejectsMalformedBodyAndWrongMethod) {
 // directory), so operators can re-load in place after overwriting
 // artifacts (what --reload-watch automates).
 TEST(ServeReloadTest, EmptyBodyReloadsServingDirectory) {
-  Harness harness(/*shards=*/2);
+  Harness harness;
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
 

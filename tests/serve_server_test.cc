@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
@@ -311,11 +313,15 @@ TEST(ServeServerTest, FindExpertsHappyPath) {
 }
 
 // "n" past size_t's range must clamp to max_top_n, not wrap through an
-// out-of-range double -> size_t cast into zero experts.
+// out-of-range double -> size_t cast into zero experts. Each clamp is
+// counted in serve.top_n_clamped; an n at the cap is not a clamp.
 TEST(ServeServerTest, HugeNClampsToMaxTopN) {
   ServiceConfig config = FastConfig();
   config.max_top_n = 7;
   Harness harness(config);
+  obs::Counter& clamped =
+      obs::MetricsRegistry::Global().GetCounter(obs::kServeTopNClamped);
+  const uint64_t clamped_before = clamped.Value();
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
   auto experts_for = [&client](const std::string& body) {
@@ -335,6 +341,9 @@ TEST(ServeServerTest, HugeNClampsToMaxTopN) {
   EXPECT_EQ(at_cap, 7u);
   EXPECT_EQ(experts_for(R"({"query":"x","n":2e19})"), at_cap);
   EXPECT_EQ(experts_for(R"({"query":"x","n":1e300})"), at_cap);
+#ifndef KPEF_METRICS_DISABLED
+  EXPECT_EQ(clamped.Value() - clamped_before, 2u);
+#endif
 }
 
 TEST(ServeServerTest, UnknownRoutesAndMethods) {
