@@ -1,4 +1,4 @@
-// Build/version stamp, filled at configure time (build_info.cc.in):
+// Build/version stamp, regenerated on every build (build_info.cmake):
 // surfaced in /healthz, EngineInfo, the access-log header line, and the
 // kpef_serve startup banner so a log segment or a metrics scrape is
 // attributable to an exact build.
@@ -8,7 +8,8 @@
 
 namespace kpef {
 
-/// Short git hash of the checkout ("unknown" outside a git tree).
+/// Short git hash of the checkout, with "-dirty" appended when tracked
+/// files differ from HEAD ("unknown" outside a git tree).
 const char* BuildGitHash();
 
 /// CMake build type ("Release", "Debug", ... or "unspecified").

@@ -2,8 +2,8 @@
 // time-ordered tail of held-out papers, replayable as streaming-ingest
 // batches (DESIGN.md §16). The tail papers are described by labels only
 // (text, author names, venue, topics, cited-paper texts) so the split is
-// independent of the ingest wire format — bench_ingest converts each
-// DripPaper to an IngestBatch record verbatim.
+// independent of the ingest wire format — servebench's query_ingest
+// workload converts each DripPaper to an IngestBatch record verbatim.
 //
 // The base dataset keeps every author/venue/topic node and the first
 // `num_papers - holdout` papers (paper index = time order: the generator

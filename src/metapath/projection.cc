@@ -62,26 +62,9 @@ size_t HomogeneousProjection::MemoryUsageBytes() const {
          neighbors_.capacity() * sizeof(int32_t);
 }
 
-size_t HomogeneousProjection::EstimateBytes(size_t num_nodes,
-                                            size_t num_entries) {
-  return num_nodes * sizeof(NodeId) + (num_nodes + 1) * sizeof(int64_t) +
-         num_nodes * sizeof(int32_t) + num_entries * sizeof(int32_t);
-}
-
 HomogeneousProjection ProjectHomogeneous(const HeteroGraph& graph,
                                          const MetaPath& path,
                                          const ProjectionOptions& options) {
-  std::optional<HomogeneousProjection> proj =
-      TryProjectHomogeneous(graph, path, options);
-  KPEF_CHECK(proj.has_value())
-      << "projection exceeded max_bytes; use TryProjectHomogeneous to "
-         "handle the budget rejection";
-  return std::move(*proj);
-}
-
-std::optional<HomogeneousProjection> TryProjectHomogeneous(
-    const HeteroGraph& graph, const MetaPath& path,
-    const ProjectionOptions& options) {
   KPEF_CHECK(path.IsSymmetricEndpoints());
   Timer build_timer;
   ThreadPool& pool = options.pool != nullptr ? *options.pool
@@ -92,8 +75,7 @@ std::optional<HomogeneousProjection> TryProjectHomogeneous(
 
   // Pass 1 (count): offsets[i + 1] <- deg(i), then prefix-summed. Knowing
   // every row size up front lets pass 2 write rows straight into their
-  // final flat slots (no per-row vectors, no growth), and lets the budget
-  // check reject oversized projections before the big allocation.
+  // final flat slots (no per-row vectors, no growth).
   std::vector<int64_t> offsets(n + 1, 0);
   ParallelForChunks(pool, n, [&](size_t begin, size_t end) {
     // One finder per chunk: it keeps mutable BFS scratch and is not
@@ -105,12 +87,6 @@ std::optional<HomogeneousProjection> TryProjectHomogeneous(
   });
   for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
   const size_t entries = static_cast<size_t>(offsets[n]);
-
-  if (options.max_bytes > 0 &&
-      HomogeneousProjection::EstimateBytes(n, entries) > options.max_bytes) {
-    KPEF_COUNTER_ADD(obs::kProjectionBudgetRejections, 1);
-    return std::nullopt;
-  }
 
   // Pass 2 (fill): re-expand each node, writing local indices into its
   // slot, then sort the row. Local-index order equals NodeId order within

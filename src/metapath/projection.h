@@ -9,7 +9,6 @@
 #define KPEF_METAPATH_PROJECTION_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -77,11 +76,6 @@ class HomogeneousProjection {
   /// Heap footprint of the CSR arrays, in bytes.
   size_t MemoryUsageBytes() const;
 
-  /// Projected footprint of a CSR with the given shape — what the build's
-  /// count pass compares against ProjectionOptions::max_bytes before
-  /// allocating the neighbor array.
-  static size_t EstimateBytes(size_t num_nodes, size_t num_entries);
-
  private:
   NodeTypeId node_type_ = kInvalidNodeType;
   std::vector<NodeId> nodes_;
@@ -91,9 +85,6 @@ class HomogeneousProjection {
 };
 
 struct ProjectionOptions {
-  /// Reject the build (TryProjectHomogeneous returns nullopt) when the
-  /// count pass shows the CSR would exceed this many bytes. 0 = no limit.
-  size_t max_bytes = 0;
   /// Pool for the parallel count/fill passes (null = ThreadPool::Default()).
   ThreadPool* pool = nullptr;
 };
@@ -108,13 +99,6 @@ struct ProjectionOptions {
 HomogeneousProjection ProjectHomogeneous(const HeteroGraph& graph,
                                          const MetaPath& path,
                                          const ProjectionOptions& options = {});
-
-/// Budgeted variant: returns nullopt (without allocating the neighbor
-/// array) when the projection would exceed `options.max_bytes`. Callers
-/// fall back to the on-the-fly PNeighborFinder path in that case.
-std::optional<HomogeneousProjection> TryProjectHomogeneous(
-    const HeteroGraph& graph, const MetaPath& path,
-    const ProjectionOptions& options = {});
 
 /// Union of several projections over the same node type (used by the
 /// homogeneous-graph baselines, which merge all relations into one

@@ -22,8 +22,6 @@ const std::vector<double>& LatencyHistogramBounds() {
   return *bounds;
 }
 
-#ifndef KPEF_METRICS_DISABLED
-
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
   if (bounds_.empty()) bounds_ = DefaultHistogramBounds();
@@ -108,34 +106,5 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   return snap;
 }
-
-#else  // KPEF_METRICS_DISABLED
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Counter& MetricsRegistry::GetCounter(const std::string&) {
-  static Counter counter;
-  return counter;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string&) {
-  static Gauge gauge;
-  return gauge;
-}
-
-Histogram& MetricsRegistry::GetHistogram(const std::string&,
-                                         std::vector<double>) {
-  static Histogram histogram;
-  return histogram;
-}
-
-void MetricsRegistry::ResetValues() {}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const { return {}; }
-
-#endif  // KPEF_METRICS_DISABLED
 
 }  // namespace kpef::obs

@@ -11,9 +11,6 @@
 //    into a stack-local counter and merge once at the end (the same
 //    pattern that keeps per-query stats race-free across concurrent
 //    queries).
-//  - Defining KPEF_METRICS_DISABLED compiles every instrument and macro
-//    to a no-op; the registry stays empty and exporters emit empty
-//    documents.
 
 #ifndef KPEF_OBS_METRICS_H_
 #define KPEF_OBS_METRICS_H_
@@ -27,8 +24,6 @@
 #include <vector>
 
 namespace kpef::obs {
-
-#ifndef KPEF_METRICS_DISABLED
 
 /// Monotonically increasing event count.
 class Counter {
@@ -85,39 +80,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-#else  // KPEF_METRICS_DISABLED
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  double Value() const { return 0.0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> = {}) {}
-  void Observe(double) {}
-  const std::vector<double>& upper_bounds() const {
-    static const std::vector<double> kEmpty;
-    return kEmpty;
-  }
-  size_t NumBuckets() const { return 0; }
-  uint64_t BucketCount(size_t) const { return 0; }
-  uint64_t TotalCount() const { return 0; }
-  double Sum() const { return 0.0; }
-  void Reset() {}
-};
-
-#endif  // KPEF_METRICS_DISABLED
-
 /// Default histogram bounds: powers of two 1, 2, 4, ..., 2^20. Suitable
 /// for the count-valued distributions the pipeline records (search hops,
 /// list entries, queue sizes) and acceptable for millisecond latencies.
@@ -172,12 +134,10 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-#ifndef KPEF_METRICS_DISABLED
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-#endif
 };
 
 }  // namespace kpef::obs
@@ -186,8 +146,6 @@ class MetricsRegistry {
 //
 // `name` must be a string literal (the registry reference is cached in a
 // function-local static keyed by the call site).
-
-#ifndef KPEF_METRICS_DISABLED
 
 #define KPEF_COUNTER_ADD(name, delta)                              \
   do {                                                             \
@@ -210,27 +168,5 @@ class MetricsRegistry {
     kpef_metrics_histogram_.Observe(                               \
         static_cast<double>(value));                               \
   } while (0)
-
-#else  // KPEF_METRICS_DISABLED
-
-// sizeof keeps the operands "used" (silencing -Wunused warnings at call
-// sites) without ever evaluating them.
-#define KPEF_COUNTER_ADD(name, delta) \
-  do {                                \
-    (void)sizeof((name));             \
-    (void)sizeof((delta));            \
-  } while (0)
-#define KPEF_GAUGE_SET(name, value) \
-  do {                              \
-    (void)sizeof((name));           \
-    (void)sizeof((value));          \
-  } while (0)
-#define KPEF_HISTOGRAM_OBSERVE(name, value) \
-  do {                                      \
-    (void)sizeof((name));                   \
-    (void)sizeof((value));                  \
-  } while (0)
-
-#endif  // KPEF_METRICS_DISABLED
 
 #endif  // KPEF_OBS_METRICS_H_

@@ -37,9 +37,9 @@ void WarmPipelineMetrics() {
   for (const char* name :
        {kKpcoreSearchesTotal, kKpcoreNodesVisited, kKpcoreNodesPruned,
         kKpcoreEdgesScanned, kProjectionBuildsTotal, kProjectionEdges,
-        kProjectionBudgetRejections, kSamplingSeedsTotal,
-        kSamplingTriplesTotal, kSamplingNearNegativesTotal,
-        kSamplingRandomNegativesTotal, kSamplingSeedsParallel,
+        kSamplingSeedsTotal, kSamplingTriplesTotal,
+        kSamplingNearNegativesTotal, kSamplingRandomNegativesTotal,
+        kSamplingSeedsParallel,
         kTrainerEpochsTotal, kPgindexBuildsTotal, kPgindexNndescentIterations,
         kPgindexBuildDistanceComputations, kPgindexSearchesTotal,
         kPgindexDistanceComputations, kPgindexSq8DistanceComputations,

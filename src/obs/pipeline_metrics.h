@@ -25,9 +25,6 @@ inline constexpr char kKpcoreDeleteQueueSize[] = "kpcore.delete_queue_size";
 inline constexpr char kProjectionBuildsTotal[] = "projection.builds_total";
 /// Directed adjacency entries materialized across all builds.
 inline constexpr char kProjectionEdges[] = "projection.edges";
-/// Builds rejected by ProjectionOptions::max_bytes after the count pass.
-inline constexpr char kProjectionBudgetRejections[] =
-    "projection.budget_rejections_total";
 /// Histogram: wall-clock per projection build (count + fill), ms.
 inline constexpr char kProjectionBuildMs[] = "projection.build_ms";
 

@@ -1,21 +1,16 @@
 #include "obs/process_metrics.h"
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
 
-#ifndef KPEF_METRICS_DISABLED
-#include <dirent.h>
-#include <unistd.h>
-
-#include <cstdio>
-#endif
-
 namespace kpef::obs {
-
-#ifndef KPEF_METRICS_DISABLED
 
 namespace {
 
@@ -72,11 +67,5 @@ void SampleProcessMetrics(ThreadPool* pool) {
         .Set(static_cast<double>(pool->num_threads()));
   }
 }
-
-#else  // KPEF_METRICS_DISABLED
-
-void SampleProcessMetrics(ThreadPool* pool) { (void)pool; }
-
-#endif  // KPEF_METRICS_DISABLED
 
 }  // namespace kpef::obs

@@ -13,8 +13,7 @@ namespace kpef::obs {
 
 /// Reads /proc/self and sets the process.* gauges; with a non-null
 /// `pool` also sets the pool.* occupancy gauges. Values are best-effort
-/// (a gauge keeps its previous value when the proc read fails). No-op
-/// under KPEF_METRICS_DISABLED.
+/// (a gauge keeps its previous value when the proc read fails).
 void SampleProcessMetrics(ThreadPool* pool = nullptr);
 
 }  // namespace kpef::obs

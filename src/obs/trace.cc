@@ -122,15 +122,6 @@ std::string Tracer::DumpJson() const {
   return out;
 }
 
-void Tracer::SetMode(TraceMode mode) {
-#ifdef KPEF_METRICS_DISABLED
-  (void)mode;
-  mode_.store(TraceMode::kOff, std::memory_order_relaxed);
-#else
-  mode_.store(mode, std::memory_order_relaxed);
-#endif
-}
-
 uint64_t Tracer::BeginTrace(std::string external_id, bool head_sampled) {
   if (mode() == TraceMode::kOff) return 0;
   if (active_count_.load(std::memory_order_relaxed) >= kMaxActiveTraces) {

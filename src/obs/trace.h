@@ -105,9 +105,10 @@ class Tracer {
 
   // --- Request-scoped plane (serving layer).
 
-  /// Request-tracing policy. Under KPEF_METRICS_DISABLED the mode is
-  /// pinned to kOff and BeginTrace always returns 0.
-  void SetMode(TraceMode mode);
+  /// Request-tracing policy.
+  void SetMode(TraceMode mode) {
+    mode_.store(mode, std::memory_order_relaxed);
+  }
   TraceMode mode() const { return mode_.load(std::memory_order_relaxed); }
 
   /// Opens a request trace and returns its key (0 when mode is kOff or
@@ -244,16 +245,9 @@ class ScopedSpan {
 #define KPEF_TRACE_CONCAT_INNER_(a, b) a##b
 #define KPEF_TRACE_CONCAT_(a, b) KPEF_TRACE_CONCAT_INNER_(a, b)
 
-#ifndef KPEF_METRICS_DISABLED
 /// Opens a span covering the rest of the enclosing scope.
 #define KPEF_TRACE_SPAN(name)                                     \
   ::kpef::obs::ScopedSpan KPEF_TRACE_CONCAT_(kpef_trace_span_,    \
                                              __LINE__)(name)
-#else
-#define KPEF_TRACE_SPAN(name) \
-  do {                        \
-    (void)sizeof((name));     \
-  } while (0)
-#endif
 
 #endif  // KPEF_OBS_TRACE_H_

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "metapath/p_neighbor.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
@@ -69,92 +68,47 @@ SamplingResult TrainingDataGenerator::Generate(
                                             : ThreadPool::Default();
 
   // Materialize one CSR projection per meta-path so the per-seed searches
-  // read flat rows instead of re-walking the heterogeneous graph. One
-  // cumulative byte budget covers all paths; blowing it abandons
-  // materialization entirely — the finder path produces the same triples,
-  // just slower.
+  // read flat rows instead of re-walking the heterogeneous graph. The
+  // searches are bit-identical to the finder-backed ones (see
+  // kpcore/neighbor_source.h); the projection only trades memory for time.
+  Timer build_timer;
+  ProjectionOptions projection_options;
+  projection_options.pool = &pool;
   std::vector<HomogeneousProjection> projections;
-  bool use_projection = config.use_projection;
-  if (use_projection) {
-    Timer build_timer;
-    size_t used_bytes = 0;
-    for (const MetaPath& path : paths_) {
-      ProjectionOptions options;
-      options.pool = &pool;
-      if (config.projection_budget_bytes > 0) {
-        if (used_bytes >= config.projection_budget_bytes) {
-          use_projection = false;
-          break;
-        }
-        options.max_bytes = config.projection_budget_bytes - used_bytes;
-      }
-      std::optional<HomogeneousProjection> projection =
-          TryProjectHomogeneous(*graph_, path, options);
-      if (!projection.has_value()) {
-        use_projection = false;
-        break;
-      }
-      used_bytes += projection->MemoryUsageBytes();
-      projections.push_back(*std::move(projection));
-    }
-    result.projection_build_seconds = build_timer.ElapsedSeconds();
-    if (use_projection) {
-      result.projection_bytes = used_bytes;
-    } else {
-      projections.clear();
-      KPEF_LOG(Info) << "projection budget exceeded; falling back to "
-                        "finder-backed sampling";
-    }
+  for (const MetaPath& path : paths_) {
+    projections.push_back(
+        ProjectHomogeneous(*graph_, path, projection_options));
+    result.projection_bytes += projections.back().MemoryUsageBytes();
   }
-  result.used_projection = use_projection;
+  result.projection_build_seconds = build_timer.ElapsedSeconds();
 
   auto as_doc = [&](NodeId paper) {
     return static_cast<int32_t>(graph_->LocalIndex(paper));
   };
 
-  // The no-core finder configuration needs per-worker PNeighborFinders
-  // (their BFS stamps are not thread-safe); core-mode finder searches
-  // construct their own finders per call.
-  const bool needs_finders = !use_projection && !config.use_core;
-
   // One seed end to end. All randomness comes from a stream derived from
   // (rng_seed, position): draw order inside a seed is fixed, and streams
   // never interact, so scheduling cannot change the output.
-  auto process_seed = [&](size_t position,
-                          std::vector<PNeighborFinder>* finders,
-                          SeedOutput& out) {
+  auto process_seed = [&](size_t position, SeedOutput& out) {
     const NodeId seed = papers[seed_indices[position]];
     Rng seed_rng(MixSeed(config.rng_seed, 1, position));
     Timer core_timer;
     KPCoreCommunity community;
     if (config.use_core) {
-      community =
-          use_projection
-              ? MultiPathKPCoreSearch(*graph_, projections, seed, config.k,
-                                      config.core_options)
-              : MultiPathKPCoreSearch(*graph_, paths_, seed, config.k,
-                                      config.core_options);
+      community = MultiPathKPCoreSearch(*graph_, projections, seed, config.k,
+                                        config.core_options);
     } else {
       // w/o (k, P)-core: the "community" is just the union of the seed's
       // direct P-neighbors, cohesive or not.
       community.seed = seed;
       std::vector<NodeId> nbrs;
-      if (use_projection) {
-        const int32_t local = static_cast<int32_t>(graph_->LocalIndex(seed));
-        for (const HomogeneousProjection& projection : projections) {
-          for (int32_t u : projection.Neighbors(local)) {
-            nbrs.push_back(projection.GlobalId(u));
-          }
-          community.edges_scanned +=
-              static_cast<uint64_t>(projection.Degree(local));
+      const int32_t local = static_cast<int32_t>(graph_->LocalIndex(seed));
+      for (const HomogeneousProjection& projection : projections) {
+        for (int32_t u : projection.Neighbors(local)) {
+          nbrs.push_back(projection.GlobalId(u));
         }
-      } else {
-        for (PNeighborFinder& finder : *finders) {
-          const uint64_t before = finder.edges_scanned();
-          const std::vector<NodeId> found = finder.Neighbors(seed);
-          nbrs.insert(nbrs.end(), found.begin(), found.end());
-          community.edges_scanned += finder.edges_scanned() - before;
-        }
+        community.edges_scanned +=
+            static_cast<uint64_t>(projection.Degree(local));
       }
       std::sort(nbrs.begin(), nbrs.end());
       nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
@@ -247,31 +201,16 @@ SamplingResult TrainingDataGenerator::Generate(
     }
   };
 
-  auto make_finders = [&] {
-    std::vector<PNeighborFinder> finders;
-    if (needs_finders) {
-      finders.reserve(paths_.size());
-      for (const MetaPath& path : paths_) finders.emplace_back(*graph_, path);
-    }
-    return finders;
-  };
-
   size_t workers = pool.num_threads();
   if (config.num_threads > 0) workers = std::min(workers, config.num_threads);
   std::vector<SeedOutput> outputs(num_seeds);
   if (workers <= 1 || num_seeds <= 1) {
-    std::vector<PNeighborFinder> finders = make_finders();
-    for (size_t i = 0; i < num_seeds; ++i) {
-      process_seed(i, &finders, outputs[i]);
-    }
+    for (size_t i = 0; i < num_seeds; ++i) process_seed(i, outputs[i]);
   } else {
     ParallelForChunks(
         pool, num_seeds,
         [&](size_t begin, size_t end) {
-          std::vector<PNeighborFinder> finders = make_finders();
-          for (size_t i = begin; i < end; ++i) {
-            process_seed(i, &finders, outputs[i]);
-          }
+          for (size_t i = begin; i < end; ++i) process_seed(i, outputs[i]);
         },
         workers);
     KPEF_COUNTER_ADD(obs::kSamplingSeedsParallel, num_seeds);

@@ -57,15 +57,6 @@ struct SamplingConfig {
   size_t max_positives_per_seed = 128;
   uint64_t rng_seed = 123;
   KPCoreSearchOptions core_options;
-  /// Materialize one CSR projection per meta-path up front and run every
-  /// community search over them instead of per-seed meta-path BFS. The
-  /// searches are bit-identical either way (see kpcore/neighbor_source.h),
-  /// so this is purely a time/space trade.
-  bool use_projection = true;
-  /// Cumulative cap on the bytes all per-path projections may occupy;
-  /// exceeding it abandons materialization and falls back to the
-  /// finder-backed path. 0 = unlimited.
-  size_t projection_budget_bytes = 0;
   /// Pool for projection builds and the parallel seed loop; nullptr uses
   /// ThreadPool::Default().
   ThreadPool* pool = nullptr;
@@ -88,10 +79,7 @@ struct SamplingResult {
   size_t near_fallbacks = 0;
   uint64_t edges_scanned = 0;
   double core_search_seconds = 0.0;
-  /// Whether the run searched materialized projections (false: the
-  /// config disabled them or the byte budget rejected a build).
-  bool used_projection = false;
-  /// Total bytes held by the per-path projections (0 when not used).
+  /// Total bytes held by the per-path projections.
   size_t projection_bytes = 0;
   double projection_build_seconds = 0.0;
 };

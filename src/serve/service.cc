@@ -130,18 +130,6 @@ ExpertSearchService::ExpertSearchService(ServiceConfig config, EngineInfo info,
   }
 }
 
-BatchExecuteFn ExpertSearchService::ExecuteFor(ExpertFindingEngine* engine) {
-  return [engine](const std::vector<std::string>& texts, size_t top_n,
-                  const BatchQueryOptions& options) {
-    BatchResult result;
-    result.experts =
-        engine->FindExpertsBatch(texts, top_n, options, &result.stats);
-    const HeteroGraph* graph = &engine->dataset().graph;
-    result.label = [graph](NodeId id) { return graph->Label(id); };
-    return result;
-  };
-}
-
 BatchExecuteFn ExpertSearchService::ExecuteFor(EngineGroup* group) {
   return [group](const std::vector<std::string>& texts, size_t top_n,
                  const BatchQueryOptions& options) {

@@ -41,8 +41,8 @@
 //         coordinator is wired: a reload would drop ingested papers)
 //
 // The service talks to the engine exclusively through a BatchExecuteFn,
-// so tests wire a fake engine; ExecuteFor() adapts a real engine or
-// EngineGroup, and ForEngineGroup() also wires the group's admin hooks.
+// so tests wire a fake engine; ExecuteFor() adapts an EngineGroup, and
+// ForEngineGroup() also wires the group's admin hooks.
 // Expert names are rendered with the label view the execute call
 // returns, i.e. from the data (generation) that answered the request.
 
@@ -134,9 +134,6 @@ class ExpertSearchService {
                       BatchExecuteFn execute, ServiceHooks hooks = {});
   ~ExpertSearchService();
 
-  /// engine->FindExpertsBatch, labelled from the engine's graph. The
-  /// engine must outlive the returned function.
-  static BatchExecuteFn ExecuteFor(ExpertFindingEngine* engine);
   /// group->FindExpertsBatch on the current generation, labelled from
   /// that same generation (the label view keeps it alive). The group
   /// must outlive the returned function.

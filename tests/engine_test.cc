@@ -266,7 +266,6 @@ TEST_F(EngineTest, PerSlotDeadlineSkipsOnlyTheExpiredQuery) {
   }
 }
 
-#ifndef KPEF_METRICS_DISABLED
 TEST_F(EngineTest, DeadlineExceededQueriesCounted) {
   Shared& s = shared();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -284,7 +283,6 @@ TEST_F(EngineTest, DeadlineExceededQueriesCounted) {
       registry.GetCounter(obs::kEngineQueriesDeadlineExceeded).Value();
   EXPECT_EQ(after - before, texts.size());
 }
-#endif  // KPEF_METRICS_DISABLED
 
 TEST_F(EngineTest, RetrievePapersReturnsPapers) {
   Shared& s = shared();
@@ -391,7 +389,6 @@ TEST_F(EngineTest, QueryStatsReported) {
   EXPECT_GT(stats.ranking_entries_accessed, 0u);
 }
 
-#ifndef KPEF_METRICS_DISABLED
 TEST_F(EngineTest, PipelineMetricsPopulatedAfterBuildAndQuery) {
   Shared& s = shared();  // Build ran in the fixture.
   s.engine->FindExperts(s.queries.queries[0].text, 5);
@@ -479,7 +476,6 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
                 entries_before,
             entries_sum);
 }
-#endif  // KPEF_METRICS_DISABLED
 
 TEST_F(EngineTest, EngineBeatsTextOnlyBaselineOnPlantedData) {
   // The central claim at miniature scale: core-based fine-tuning should

@@ -219,22 +219,6 @@ TEST_F(PNeighborTest, UnionOfSingleProjectionIsIdentity) {
   }
 }
 
-TEST(ProjectionBuildTest, BudgetRejectionFallsBackToNullopt) {
-  const Figure2Graph g = Figure2Graph::Make();
-  auto path = MetaPath::Parse(g.ids.schema, "P-A-P");
-  ProjectionOptions tiny;
-  tiny.max_bytes = 1;  // nothing fits
-  EXPECT_FALSE(TryProjectHomogeneous(g.graph, *path, tiny).has_value());
-  ProjectionOptions roomy;
-  roomy.max_bytes = 64u << 20;
-  const auto proj = TryProjectHomogeneous(g.graph, *path, roomy);
-  ASSERT_TRUE(proj.has_value());
-  EXPECT_LE(proj->MemoryUsageBytes(), roomy.max_bytes);
-  EXPECT_EQ(proj->MemoryUsageBytes(),
-            HomogeneousProjection::EstimateBytes(proj->NumNodes(),
-                                                 proj->NumEntries()));
-}
-
 TEST(ProjectionBuildTest, DeterministicAcrossThreadCounts) {
   const Dataset dataset = GenerateDataset(TinyProfile());
   auto path = MetaPath::Parse(dataset.graph.schema(), "P-A-P");

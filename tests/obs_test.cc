@@ -1,9 +1,5 @@
 // Tests for the observability subsystem: instrument correctness under
 // concurrency, span nesting, and exporter round-trips.
-//
-// Value assertions are skipped under KPEF_METRICS_DISABLED (instruments
-// compile to no-ops there); the construction/export paths still run so
-// the disabled build keeps link- and crash-coverage.
 
 #include <cctype>
 #include <cstdint>
@@ -24,15 +20,6 @@ namespace {
 
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-
-#ifdef KPEF_METRICS_DISABLED
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  GTEST_SKIP() << "metrics compiled out (KPEF_METRICS_DISABLED)"
-#else
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  do {                                  \
-  } while (0)
-#endif
 
 // --- Minimal JSON reader for exporter round-trip checks. Supports the
 // subset the exporters emit: objects, arrays, strings, numbers.
@@ -176,9 +163,7 @@ TEST(CounterTest, AddAndReset) {
   EXPECT_EQ(counter.Value(), 0u);
   counter.Add();
   counter.Add(41);
-#ifndef KPEF_METRICS_DISABLED
   EXPECT_EQ(counter.Value(), 42u);
-#endif
   counter.Reset();
   EXPECT_EQ(counter.Value(), 0u);
 }
@@ -187,15 +172,12 @@ TEST(GaugeTest, LastWriteWins) {
   obs::Gauge gauge;
   gauge.Set(1.5);
   gauge.Set(-3.25);
-#ifndef KPEF_METRICS_DISABLED
   EXPECT_DOUBLE_EQ(gauge.Value(), -3.25);
-#endif
   gauge.Reset();
   EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
 }
 
 TEST(HistogramTest, BucketsCountAndSum) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Histogram hist({1.0, 10.0, 100.0});
   ASSERT_EQ(hist.NumBuckets(), 4u);
   hist.Observe(0.5);    // bucket 0 (<= 1)
@@ -215,7 +197,6 @@ TEST(HistogramTest, BucketsCountAndSum) {
 }
 
 TEST(MetricsRegistryTest, SameNameSameInstrument) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   obs::Counter& a = registry.GetCounter("obs_test.same_name");
   obs::Counter& b = registry.GetCounter("obs_test.same_name");
@@ -228,7 +209,6 @@ TEST(MetricsRegistryTest, SameNameSameInstrument) {
 }
 
 TEST(MetricsRegistryTest, MacrosFeedGlobalRegistry) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("obs_test.macro_counter").Reset();
   registry.GetGauge("obs_test.macro_gauge").Reset();
@@ -243,7 +223,6 @@ TEST(MetricsRegistryTest, MacrosFeedGlobalRegistry) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   obs::Counter& counter = registry.GetCounter("obs_test.concurrent");
   obs::Histogram& hist = registry.GetHistogram("obs_test.concurrent_hist");
@@ -267,7 +246,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
 }
 
 TEST(MetricsRegistryTest, ResetValuesKeepsRegistrations) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   obs::Counter& counter = registry.GetCounter("obs_test.reset_me");
   counter.Add(5);
@@ -278,7 +256,6 @@ TEST(MetricsRegistryTest, ResetValuesKeepsRegistrations) {
 }
 
 TEST(PipelineMetricsTest, WarmRegistersCanonicalSchema) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::WarmPipelineMetrics();
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_TRUE(snapshot.counters.count(obs::kKpcoreNodesPruned));
@@ -300,7 +277,6 @@ TEST(TracerTest, SpansNestPerThread) {
     }
   }
   tracer.SetEnabled(false);
-#ifndef KPEF_METRICS_DISABLED
   const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
   ASSERT_EQ(spans.size(), 2u);
   // Inner closes first.
@@ -312,9 +288,6 @@ TEST(TracerTest, SpansNestPerThread) {
   EXPECT_GE(spans[0].start_ns, spans[1].start_ns);
   EXPECT_LE(spans[0].start_ns + spans[0].duration_ns,
             spans[1].start_ns + spans[1].duration_ns);
-#else
-  EXPECT_EQ(tracer.NumSpans(), 0u);
-#endif
   tracer.Clear();
 }
 
@@ -340,17 +313,14 @@ TEST(TracerTest, DumpJsonParses) {
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
   ASSERT_TRUE(doc.Has("spans"));
   EXPECT_EQ(doc["dropped"].number, 0.0);
-#ifndef KPEF_METRICS_DISABLED
   ASSERT_EQ(doc["spans"].array.size(), 1u);
   const JsonValue& span = doc["spans"].array[0];
   EXPECT_EQ(span["name"].str, "obs_test.dump");
   EXPECT_GE(span["dur_us"].number, 0.0);
-#endif
   tracer.Clear();
 }
 
 TEST(ExportTest, JsonRoundTrip) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("obs_test.export_counter").Reset();
   registry.GetCounter("obs_test.export_counter").Add(12);
@@ -377,7 +347,6 @@ TEST(ExportTest, JsonRoundTrip) {
 }
 
 TEST(ExportTest, PrometheusTextShape) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("obs_test.prom_counter").Reset();
   registry.GetCounter("obs_test.prom_counter").Add(7);
@@ -428,7 +397,6 @@ TEST_F(RequestTraceTest, OffModeReturnsZeroKey) {
 }
 
 TEST_F(RequestTraceTest, HeadSampledTraceIsRetained) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-head", /*head_sampled=*/true);
   ASSERT_NE(key, 0u);
@@ -451,7 +419,6 @@ TEST_F(RequestTraceTest, HeadSampledTraceIsRetained) {
 }
 
 TEST_F(RequestTraceTest, UnsampledFastTraceIsDropped) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-fast", /*head_sampled=*/false);
   ASSERT_NE(key, 0u);
@@ -465,7 +432,6 @@ TEST_F(RequestTraceTest, UnsampledFastTraceIsDropped) {
 }
 
 TEST_F(RequestTraceTest, TailKeepRetainsUnsampledTrace) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-slow", /*head_sampled=*/false);
   ASSERT_NE(key, 0u);
@@ -481,7 +447,6 @@ TEST_F(RequestTraceTest, TailKeepRetainsUnsampledTrace) {
 }
 
 TEST_F(RequestTraceTest, AlwaysOnRetainsEverything) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.SetMode(obs::TraceMode::kAlwaysOn);
   const uint64_t key = tracer.BeginTrace("req-always", /*head_sampled=*/false);
@@ -492,7 +457,6 @@ TEST_F(RequestTraceTest, AlwaysOnRetainsEverything) {
 }
 
 TEST_F(RequestTraceTest, FindRetainedReturnsNewestForDuplicateIds) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t first = tracer.BeginTrace("req-dup", true);
   obs::RecordSpan(first, "obs_test.first", 1, 1);
@@ -507,7 +471,6 @@ TEST_F(RequestTraceTest, FindRetainedReturnsNewestForDuplicateIds) {
 }
 
 TEST_F(RequestTraceTest, RetainedRingIsBounded) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   for (size_t i = 0; i < obs::Tracer::kMaxRetainedTraces + 8; ++i) {
     const uint64_t key =
@@ -525,7 +488,6 @@ TEST_F(RequestTraceTest, RetainedRingIsBounded) {
 }
 
 TEST_F(RequestTraceTest, PerTraceSpanCapCountsDrops) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-cap", true);
   for (size_t i = 0; i < obs::Tracer::kMaxSpansPerTrace + 10; ++i) {
@@ -539,7 +501,6 @@ TEST_F(RequestTraceTest, PerTraceSpanCapCountsDrops) {
 }
 
 TEST_F(RequestTraceTest, ScopedContextRestoresPreviousKey) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   EXPECT_EQ(obs::CurrentTraceKey(), 0u);
   {
     obs::ScopedTraceContext outer(7);
@@ -554,7 +515,6 @@ TEST_F(RequestTraceTest, ScopedContextRestoresPreviousKey) {
 }
 
 TEST_F(RequestTraceTest, GlobalPlaneUnaffectedByRequestPlane) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.SetEnabled(true);
   const uint64_t key = tracer.BeginTrace("req-mixed", true);
@@ -579,7 +539,6 @@ TEST_F(RequestTraceTest, GlobalPlaneUnaffectedByRequestPlane) {
 }
 
 TEST_F(RequestTraceTest, ExportTraceJsonParses) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-export", true);
   obs::RecordSpan(key, "obs_test.phase_a", 1000, 2000);
@@ -599,7 +558,6 @@ TEST_F(RequestTraceTest, ExportTraceJsonParses) {
 }
 
 TEST_F(RequestTraceTest, ExportChromeTraceParses) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer& tracer = obs::Tracer::Global();
   const uint64_t key = tracer.BeginTrace("req-chrome", true);
   obs::RecordSpan(key, "obs_test.chrome_span", 3000, 1000);
@@ -656,7 +614,6 @@ TEST(ExportTest, EscapeLabelValue) {
 }
 
 TEST(ExportTest, PrometheusHelpAndTypeForCanonicalMetrics) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::WarmPipelineMetrics();
   const std::string text = obs::ExportPrometheusText();
   EXPECT_NE(text.find("# HELP serve_e2e_ms "), std::string::npos);
@@ -667,7 +624,6 @@ TEST(ExportTest, PrometheusHelpAndTypeForCanonicalMetrics) {
 }
 
 TEST(ExportTest, PrometheusQuantileSummaries) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::WarmPipelineMetrics();
   MetricsRegistry& registry = MetricsRegistry::Global();
   obs::Histogram& hist = registry.GetHistogram(obs::kServeE2eMs);
@@ -695,7 +651,6 @@ TEST(ExportTest, PrometheusQuantileSummaries) {
 }
 
 TEST(ExportTest, PrometheusBucketsAreMonotonic) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::WarmPipelineMetrics();
   MetricsRegistry& registry = MetricsRegistry::Global();
   obs::Histogram& hist = registry.GetHistogram(obs::kServeQueueWaitMs);
@@ -729,17 +684,6 @@ TEST(ExportTest, PrometheusBucketsAreMonotonic) {
     last_count = count;
   }
   EXPECT_TRUE(saw_any_bucket);
-}
-
-TEST(ExportTest, DisabledBuildExportsEmptyDocuments) {
-#ifndef KPEF_METRICS_DISABLED
-  GTEST_SKIP() << "only meaningful when metrics are compiled out";
-#else
-  KPEF_COUNTER_ADD("obs_test.disabled_counter", 3);
-  const JsonValue doc = ParseJsonOrDie(obs::ExportMetricsJson());
-  EXPECT_TRUE(doc["counters"].object.empty());
-  EXPECT_TRUE(doc["histograms"].object.empty());
-#endif
 }
 
 }  // namespace

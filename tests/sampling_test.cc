@@ -219,43 +219,6 @@ TEST_F(SamplingTest, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.triples, generator.Generate(odd).triples);
 }
 
-TEST_F(SamplingTest, ProjectionAndFinderBackendsAgree) {
-  // Both backends read neighbors in the same canonical order, so the
-  // sampled triples must match exactly — including the no-core mode.
-  TrainingDataGenerator generator(dataset_.graph, paths_, dataset_.ids.paper);
-  for (bool use_core : {true, false}) {
-    SamplingConfig with_projection;
-    with_projection.k = 2;
-    with_projection.seed_fraction = 0.3;
-    with_projection.use_core = use_core;
-    SamplingConfig with_finder = with_projection;
-    with_finder.use_projection = false;
-    const SamplingResult a = generator.Generate(with_projection);
-    const SamplingResult b = generator.Generate(with_finder);
-    EXPECT_TRUE(a.used_projection);
-    EXPECT_GT(a.projection_bytes, 0u);
-    EXPECT_FALSE(b.used_projection);
-    EXPECT_EQ(b.projection_bytes, 0u);
-    EXPECT_EQ(a.triples, b.triples) << "use_core " << use_core;
-  }
-}
-
-TEST_F(SamplingTest, BudgetRejectionFallsBackToFinder) {
-  TrainingDataGenerator generator(dataset_.graph, paths_, dataset_.ids.paper);
-  SamplingConfig tiny_budget;
-  tiny_budget.k = 2;
-  tiny_budget.seed_fraction = 0.2;
-  tiny_budget.projection_budget_bytes = 1;  // nothing fits
-  const SamplingResult constrained = generator.Generate(tiny_budget);
-  EXPECT_FALSE(constrained.used_projection);
-  EXPECT_EQ(constrained.projection_bytes, 0u);
-  SamplingConfig unlimited = tiny_budget;
-  unlimited.projection_budget_bytes = 0;
-  const SamplingResult free_run = generator.Generate(unlimited);
-  EXPECT_TRUE(free_run.used_projection);
-  EXPECT_EQ(constrained.triples, free_run.triples);
-}
-
 TEST_F(SamplingTest, NearFallbacksCountOnlyGenuineFallbacks) {
   TrainingDataGenerator generator(dataset_.graph, paths_, dataset_.ids.paper);
   // Regression: draws that were random by plan (near_fraction) used to

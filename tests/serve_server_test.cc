@@ -284,9 +284,7 @@ TEST(ServeServerTest, HealthzMetricsAndKeepAlive) {
   ASSERT_TRUE(client.Get("/metrics"));
   ASSERT_TRUE(client.ReadResponse(&response));
   EXPECT_EQ(response.status, 200);
-#ifndef KPEF_METRICS_DISABLED
   EXPECT_NE(response.body.find("serve_requests"), std::string::npos);
-#endif
 }
 
 TEST(ServeServerTest, FindExpertsHappyPath) {
@@ -341,9 +339,7 @@ TEST(ServeServerTest, HugeNClampsToMaxTopN) {
   EXPECT_EQ(at_cap, 7u);
   EXPECT_EQ(experts_for(R"({"query":"x","n":2e19})"), at_cap);
   EXPECT_EQ(experts_for(R"({"query":"x","n":1e300})"), at_cap);
-#ifndef KPEF_METRICS_DISABLED
   EXPECT_EQ(clamped.Value() - clamped_before, 2u);
-#endif
 }
 
 TEST(ServeServerTest, UnknownRoutesAndMethods) {
@@ -552,15 +548,6 @@ TEST(ServeServerTest, GracefulDrainFinishesInFlightThenCloses) {
 
 // --- Request-scoped observability (PR 6) ------------------------------
 
-#ifdef KPEF_METRICS_DISABLED
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (KPEF_METRICS_DISABLED)"
-#else
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  do {                                  \
-  } while (0)
-#endif
-
 /// Thread-safe collector for the access-log sink seam.
 struct LogLines {
   std::mutex mutex;
@@ -647,7 +634,6 @@ TEST(ServeObsTest, HostileRequestIdsAreSanitized) {
 }
 
 TEST(ServeObsTest, AccessLogLineMatchesResponse) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   LogLines log;
   ServiceConfig config = FastConfig();
   config.access_log_sink = log.AsSink();
@@ -684,7 +670,6 @@ TEST(ServeObsTest, AccessLogLineMatchesResponse) {
 }
 
 TEST(ServeObsTest, SlowRequestLandsInDebugSlowAndTrace) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config = FastConfig();
   config.slow_e2e_ms = 0.0001;  // every request crosses the tail bar
@@ -745,7 +730,6 @@ TEST(ServeObsTest, UnknownTraceIdReturns404) {
 }
 
 TEST(ServeObsTest, FastUnsampledRequestIsNotRetained) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config = FastConfig();
   config.trace_head_every = 0;   // no head sampling
@@ -778,7 +762,6 @@ TEST(ServeObsTest, HealthzCarriesBuildStamp) {
 }
 
 TEST(ServeObsTest, MetricsExposeQuantilesAndProcessGauges) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   Harness harness(FastConfig());
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());

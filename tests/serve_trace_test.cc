@@ -1,5 +1,5 @@
 // Acceptance tests for end-to-end request observability over a REAL
-// engine (tiny, trained once per binary): a client-supplied
+// EngineGroup (tiny artifacts, trained once per binary): a client-supplied
 // X-Request-Id forced past the tail-latency threshold must come back
 // from /v1/debug/trace?id= with the complete span tree — server ->
 // queue -> batch -> encode -> search -> ranking — and the same trace id
@@ -30,25 +30,18 @@
 
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "core/engine_group.h"
 #include "data/corpus_builder.h"
 #include "data/dataset.h"
 #include "data/queries.h"
-#include "embed/model_io.h"
+#include "embed/pretrain.h"
 #include "obs/trace.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
+#include "scoped_temp_dir.h"
 
 namespace kpef::serve {
 namespace {
-
-#ifdef KPEF_METRICS_DISABLED
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (KPEF_METRICS_DISABLED)"
-#else
-#define KPEF_SKIP_IF_METRICS_DISABLED() \
-  do {                                  \
-  } while (0)
-#endif
 
 // --- Minimal blocking HTTP client (loopback) --------------------------
 
@@ -153,28 +146,28 @@ class TestClient {
   std::string buffer_;
 };
 
-// --- Shared tiny engine (trained once per binary) ---------------------
+// --- Shared tiny engine group (trained once per binary) ---------------
 
 class ServeTraceTest : public ::testing::Test {
  protected:
   struct Shared {
     Dataset dataset;
     Corpus corpus;
-    Matrix tokens;
     QuerySet queries;
     ThreadPool pool{4};
-    std::unique_ptr<ExpertFindingEngine> engine;
+    std::unique_ptr<EngineGroup> group;
 
+    /// Builds and saves tiny artifacts, then serves them the way
+    /// kpef_serve does: an EngineGroup loaded from the saved directory.
     Shared()
         : dataset(GenerateDataset(TinyProfile())),
           corpus(BuildPaperCorpus(dataset)),
-          tokens([&] {
-            PretrainConfig config;
-            config.dim = 32;
-            config.epochs = 6;
-            return PretrainTokenEmbeddings(corpus, config).token_embeddings;
-          }()),
           queries(GenerateQueries(dataset, 6, 23)) {
+      PretrainConfig pretrain;
+      pretrain.dim = 32;
+      pretrain.epochs = 6;
+      Matrix tokens =
+          PretrainTokenEmbeddings(corpus, pretrain).token_embeddings;
       EngineConfig config;
       config.k = 3;
       config.seed_fraction = 0.2;
@@ -185,7 +178,18 @@ class ServeTraceTest : public ::testing::Test {
       auto built =
           ExpertFindingEngine::Build(&dataset, &corpus, config, &tokens);
       if (!built.ok()) std::abort();
-      engine = std::move(built).value();
+      // The loaded generation holds everything in memory, so the
+      // artifact directory can go once Load returns.
+      ScopedTempDir artifacts("serve_trace_test");
+      if (!(*built)->SaveArtifacts(artifacts.path().string()).ok()) {
+        std::abort();
+      }
+      EngineGroup::Options options;
+      options.engine = config;
+      auto loaded = EngineGroup::Load(&dataset, &corpus, options,
+                                      artifacts.path().string());
+      if (!loaded.ok()) std::abort();
+      group = std::move(loaded).value();
     }
   };
 
@@ -219,12 +223,12 @@ struct Harness {
   std::unique_ptr<HttpServer> server;
   std::unique_ptr<ExpertSearchService> service;
 
-  /// Serves `engine`, through `execute` when given (a wrapper around
-  /// ExpertSearchService::ExecuteFor(engine)).
-  Harness(ExpertFindingEngine* engine, ServiceConfig config,
+  /// Serves `group`, through `execute` when given (a wrapper around
+  /// ExpertSearchService::ExecuteFor(group)).
+  Harness(EngineGroup* group, ServiceConfig config,
           BatchExecuteFn execute = nullptr) {
-    if (!execute) execute = ExpertSearchService::ExecuteFor(engine);
-    service = std::make_unique<ExpertSearchService>(config, engine->Info(),
+    if (!execute) execute = ExpertSearchService::ExecuteFor(group);
+    service = std::make_unique<ExpertSearchService>(config, group->Info(),
                                                     std::move(execute));
     server = std::make_unique<HttpServer>(
         HttpServerConfig(), [this](const HttpRequest& request,
@@ -244,7 +248,6 @@ struct Harness {
 // threshold, retrieves the complete phase tree through the debug
 // endpoint, and the access log carries the same trace id.
 TEST_F(ServeTraceTest, SlowRequestYieldsCompleteSpanTree) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer::Global().ClearRequestTraces();
   LogLines log;
   ServiceConfig config;
@@ -253,7 +256,7 @@ TEST_F(ServeTraceTest, SlowRequestYieldsCompleteSpanTree) {
   config.trace_head_every = 0;  // retention must come from the tail rule
   config.slow_e2e_ms = 0.0001;  // everything is "slow"
   config.access_log_sink = log.AsSink();
-  Harness harness(shared().engine.get(), config);
+  Harness harness(shared().group.get(), config);
 
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
@@ -328,7 +331,6 @@ struct Gate {
 // across a shared pool — each retain a trace whose spans carry only that
 // request's key, with exactly one encode span each.
 TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config;
   config.batcher.max_batch_size = 8;
@@ -338,13 +340,13 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
   // batchmates queue behind it and ride the next real batch together.
   Gate gate;
   BatchExecuteFn gated =
-      [&gate, real = ExpertSearchService::ExecuteFor(shared().engine.get())](
+      [&gate, real = ExpertSearchService::ExecuteFor(shared().group.get())](
           const std::vector<std::string>& texts, size_t n,
           const BatchQueryOptions& options) {
         gate.Pass();
         return real(texts, n, options);
       };
-  Harness harness(shared().engine.get(), config, std::move(gated));
+  Harness harness(shared().group.get(), config, std::move(gated));
 
   constexpr int kClients = 6;
   std::vector<std::unique_ptr<TestClient>> clients;
@@ -419,7 +421,6 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
 // A deadline miss is a tail event: the trace is retained and the 504 is
 // attributed in the slow ring even when nothing else crossed a bar.
 TEST_F(ServeTraceTest, DeadlineMissIsTailRetained) {
-  KPEF_SKIP_IF_METRICS_DISABLED();
   obs::Tracer::Global().ClearRequestTraces();
   ServiceConfig config;
   config.batcher.max_batch_size = 1;
@@ -427,7 +428,7 @@ TEST_F(ServeTraceTest, DeadlineMissIsTailRetained) {
   config.trace_head_every = 0;
   config.slow_e2e_ms = 1e9;  // only the deadline rule can fire
   config.slow_queue_wait_ms = 1e9;
-  Harness harness(shared().engine.get(), config);
+  Harness harness(shared().group.get(), config);
 
   TestClient client(harness.port());
   ASSERT_TRUE(client.connected());
