@@ -3,7 +3,8 @@
 
 Checks the things a real scraper would choke on:
   * line grammar: every line is # HELP, # TYPE, or `name[{labels}] value`
-  * every sample belongs to a family announced by a # TYPE line
+  * every sample belongs to a family announced by a # TYPE line and
+    described by a # HELP line
   * histogram buckets are cumulative (monotone non-decreasing) and the
     +Inf bucket equals <family>_count
   * the serve latency quantile summaries are exported
@@ -72,9 +73,10 @@ def main(path):
         fam = family(name)
         if fam not in types:
             fail(f'sample {name!r} has no # TYPE announcement')
-        # HELP is optional in the exposition format; the serving and
-        # process families are curated and must carry one.
-        if fam.startswith(('serve_', 'process_')) and fam not in helps:
+        # HELP is optional in the exposition format, but every family
+        # kpef_serve exports comes from the instrument table, whose rows
+        # all carry help text.
+        if fam not in helps:
             fail(f'family {fam!r} has no # HELP line')
         by_name.setdefault(name, []).append((labels, value))
 

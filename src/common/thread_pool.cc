@@ -9,19 +9,11 @@ namespace kpef {
 namespace {
 
 std::atomic<ThreadPool::MetricsHook> g_metrics_hook{nullptr};
-std::atomic<ThreadPool::ContextCaptureHook> g_context_capture{nullptr};
-std::atomic<ThreadPool::ContextSwapHook> g_context_swap{nullptr};
 
 }  // namespace
 
 void ThreadPool::SetMetricsHook(MetricsHook hook) {
   g_metrics_hook.store(hook, std::memory_order_release);
-}
-
-void ThreadPool::SetContextHooks(ContextCaptureHook capture,
-                                 ContextSwapHook swap) {
-  g_context_capture.store(capture, std::memory_order_release);
-  g_context_swap.store(swap, std::memory_order_release);
 }
 
 void ThreadPool::EmitMetric(const char* counter, uint64_t delta) {
@@ -72,22 +64,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  default_group_.Submit(std::move(task));
-}
-
-void ThreadPool::Wait() { default_group_.Wait(); }
-
 void ThreadPool::SubmitToGroup(TaskGroup& group, std::function<void()> task) {
-  uint64_t context = 0;
-  if (ContextCaptureHook capture =
-          g_context_capture.load(std::memory_order_acquire)) {
-    context = capture();
-  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++group.pending_;
-    tasks_.push_back({&group, std::move(task), context});
+    tasks_.push_back({&group, std::move(task)});
   }
   task_available_.notify_one();
 }
@@ -104,11 +85,6 @@ void ThreadPool::RunTask(QueuedTask task) {
     // task accounted for.
     EmitMetric("pool.tasks_cancelled", 1);
   } else {
-    // Install the submitter's context (trace key) around the body; the
-    // swap hook returns this thread's previous context for restoration,
-    // which also covers helping joins re-entering RunTask.
-    ContextSwapHook swap = g_context_swap.load(std::memory_order_acquire);
-    const uint64_t prev_context = swap ? swap(task.context) : 0;
     active_workers_.fetch_add(1, std::memory_order_relaxed);
     try {
       task.fn();
@@ -124,7 +100,6 @@ void ThreadPool::RunTask(QueuedTask task) {
       group->Cancel();
     }
     active_workers_.fetch_sub(1, std::memory_order_relaxed);
-    if (swap) swap(prev_context);
   }
   {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -6,9 +6,9 @@
 // are embarrassingly parallel and use ParallelFor. Every parallel loop is
 // deterministic: work is partitioned into contiguous chunks, not stolen.
 //
-// Execution model (DESIGN.md §9): each Submit/ParallelFor batch joins a
-// TaskGroup with its own completion latch, so concurrent callers sharing
-// one pool wait only for their own work. TaskGroup::Wait() *helps* — it
+// Execution model (DESIGN.md §9): each TaskGroup/ParallelFor batch has
+// its own completion latch, so concurrent callers sharing one pool wait
+// only for their own work. TaskGroup::Wait() *helps* — it
 // pops and runs this group's queued tasks on the waiting thread instead
 // of blocking — which makes ParallelFor nested inside a pool task
 // deadlock-free (the worker drains its own sub-group). The first
@@ -58,16 +58,16 @@ class TaskGroup {
   /// task finished or was cancelled) and resets the group for reuse.
   void Wait();
 
+ private:
+  friend class ThreadPool;
+
   /// Marks the group cancelled: queued-but-unstarted tasks are skipped
   /// (already-running tasks complete). Wait() still joins normally.
+  /// Called when a task throws.
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
   bool cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
-
- private:
-  friend class ThreadPool;
 
   ThreadPool& pool_;
   /// Tasks submitted but not yet finished/skipped; guarded by the pool
@@ -88,16 +88,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task under the pool's shared default group; returns
-  /// immediately. Prefer a dedicated TaskGroup when the caller needs an
-  /// isolated join (concurrent callers of this legacy API share one
-  /// latch, as before).
-  void Submit(std::function<void()> task);
-
-  /// Joins the default group (all tasks submitted via Submit above);
-  /// helps while waiting and rethrows the first task exception.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
   /// Process-wide default pool, sized to the hardware. Created on first
@@ -111,18 +101,6 @@ class ThreadPool {
   /// data-race-free; installed once at startup.
   using MetricsHook = void (*)(const char* counter, uint64_t delta);
   static void SetMetricsHook(MetricsHook hook);
-
-  /// Optional process-wide context propagation (request trace contexts):
-  /// capture() runs on the submitting thread at enqueue time and its
-  /// value rides along with the task; swap(value) runs on the executing
-  /// thread immediately before the task body (and again afterwards with
-  /// the returned previous value, restoring it). Both must be
-  /// data-race-free. Installed by kpef_obs (pipeline_metrics.cc) so the
-  /// pool stays free of the obs dependency; 0 means "no context".
-  using ContextCaptureHook = uint64_t (*)();
-  using ContextSwapHook = uint64_t (*)(uint64_t context);
-  static void SetContextHooks(ContextCaptureHook capture,
-                              ContextSwapHook swap);
 
   /// Tasks queued but not yet claimed (all groups); sampled on /metrics
   /// scrapes.
@@ -139,8 +117,6 @@ class ThreadPool {
   struct QueuedTask {
     TaskGroup* group;
     std::function<void()> fn;
-    /// Submitter's context, captured at enqueue time (0 = none).
-    uint64_t context = 0;
   };
 
   void WorkerLoop();
@@ -161,8 +137,6 @@ class ThreadPool {
   bool shutting_down_ = false;
   std::atomic<size_t> active_workers_{0};
   std::vector<std::thread> workers_;
-  /// Latch for the legacy Submit()/Wait() API.
-  TaskGroup default_group_{*this};
 };
 
 /// Runs fn(i) for every i in [0, count), split into contiguous chunks

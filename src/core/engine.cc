@@ -236,13 +236,10 @@ std::vector<NodeId> ExpertFindingEngine::RetrievePapers(
 std::vector<ExpertScore> ExpertFindingEngine::FindExpertsWithStats(
     const std::string& query_text, size_t n, QueryStats* stats) {
   KPEF_TRACE_SPAN("engine.find_experts");
-  Timer query_timer;
   std::vector<QueryStats> batch_stats;
   std::vector<std::vector<ExpertScore>> experts =
       FindExpertsBatch({query_text}, n, &batch_stats);
   if (stats) *stats = batch_stats[0];
-  KPEF_HISTOGRAM_OBSERVE(obs::kEngineQueryLatencyMs,
-                         query_timer.ElapsedMillis());
   return std::move(experts[0]);
 }
 
@@ -315,20 +312,27 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   const std::vector<NodeId>& papers = dataset_->Papers();
   ParallelFor(workers, batch, [&](size_t q) {
     obs::ScopedTraceContext trace_scope(TraceKey(options, q));
+    Timer query_timer;
     const std::optional<std::vector<Neighbor>> neighbors =
         RetrieveQuery(query_texts[q], config_.top_m, options, q, &local[q]);
-    if (!neighbors || Stopped(options, q)) return;
-    KPEF_TRACE_SPAN("engine.ranking");
-    Timer ranking_timer;
-    std::vector<NodeId> top_papers;
-    top_papers.reserve(neighbors->size());
-    for (const Neighbor& nb : *neighbors) top_papers.push_back(papers[nb.id]);
-    TopNStats top_stats;
-    results[q] = RankExperts(dataset_->graph, dataset_->ids.write, top_papers,
-                             config_.contribution_weighting, n, &top_stats);
-    local[q].ranking_ms = ranking_timer.ElapsedMillis();
-    local[q].ranking_entries_accessed = top_stats.entries_accessed;
-    local[q].deadline_exceeded = false;
+    if (neighbors && !Stopped(options, q)) {
+      KPEF_TRACE_SPAN("engine.ranking");
+      Timer ranking_timer;
+      std::vector<NodeId> top_papers;
+      top_papers.reserve(neighbors->size());
+      for (const Neighbor& nb : *neighbors) {
+        top_papers.push_back(papers[nb.id]);
+      }
+      TopNStats top_stats;
+      results[q] = RankExperts(dataset_->graph, dataset_->ids.write,
+                               top_papers, config_.contribution_weighting, n,
+                               &top_stats);
+      local[q].ranking_ms = ranking_timer.ElapsedMillis();
+      local[q].ranking_entries_accessed = top_stats.entries_accessed;
+      local[q].deadline_exceeded = false;
+    }
+    KPEF_HISTOGRAM_OBSERVE(obs::kEngineQueryLatencyMs,
+                           query_timer.ElapsedMillis());
   });
 
   const uint64_t exceeded =

@@ -211,7 +211,7 @@ class ExpertFindingEngine : public RetrievalModel {
   /// Answers every query in one call: one pool task per query (nullptr =
   /// ThreadPool::Default()) encodes it, retrieves its top-m papers (one
   /// greedy PG-Index search, or a brute-force scan), and ranks them with
-  /// RankExperts.
+  /// RankExperts, and observes its latency in engine.query_latency_ms.
   /// result[q] does not depend on the batch it rides in; per-query stats
   /// land in `*stats` (resized to the batch).
   std::vector<std::vector<ExpertScore>> FindExpertsBatch(

@@ -11,10 +11,6 @@
 namespace kpef::obs {
 namespace {
 
-/// Histograms that additionally export a p50/p95/p99 summary family.
-constexpr const char* kQuantileHistograms[] = {"serve.e2e_ms",
-                                               "serve.queue_wait_ms",
-                                               "serve.batch_size"};
 constexpr double kQuantiles[] = {0.5, 0.95, 0.99};
 
 std::string Sanitize(const std::string& name) {
@@ -44,8 +40,8 @@ std::string FormatU64(uint64_t value) {
 
 void AppendHelp(std::string* out, const std::string& name,
                 const std::string& id) {
-  if (const char* help = PipelineMetricHelp(name)) {
-    *out += "# HELP " + id + " " + help + "\n";
+  if (const PipelineMetric* metric = FindPipelineMetric(name)) {
+    *out += "# HELP " + id + " " + metric->help + "\n";
   }
 }
 
@@ -124,17 +120,16 @@ std::string ExportPrometheusText(const MetricsSnapshot& snapshot) {
     out += id + "_sum " + FormatDouble(data.sum) + "\n";
     out += id + "_count " + FormatU64(data.total_count) + "\n";
   }
-  // Summary-style tail quantiles for the serving-latency histograms,
+  // Summary-style tail quantiles for the rows that ask for them,
   // derived from the same snapshot so they agree with the buckets above.
-  for (const char* name : kQuantileHistograms) {
-    auto it = snapshot.histograms.find(name);
+  for (const PipelineMetric& metric : kPipelineMetrics) {
+    if (!metric.quantiles) continue;
+    auto it = snapshot.histograms.find(metric.name);
     if (it == snapshot.histograms.end()) continue;
     const auto& data = it->second;
-    const std::string id = Sanitize(name) + "_quantile";
-    if (const char* help = PipelineMetricHelp(name)) {
-      out += "# HELP " + id + " " + help;
-      out += " (tail quantiles derived from the histogram)\n";
-    }
+    const std::string id = Sanitize(metric.name) + "_quantile";
+    out += "# HELP " + id + " " + metric.help +
+           " (tail quantiles derived from the histogram)\n";
     out += "# TYPE " + id + " summary\n";
     for (double q : kQuantiles) {
       char qbuf[16];

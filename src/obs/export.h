@@ -14,10 +14,11 @@ namespace kpef::obs {
 
 /// Prometheus text format. Metric names are sanitized ('.' and other
 /// non-[a-zA-Z0-9_:] characters become '_'); histograms expand into the
-/// conventional cumulative _bucket{le=...}/_sum/_count series. Canonical
-/// pipeline metrics get a `# HELP` line; the serving-latency histograms
-/// additionally export a `<id>_quantile` summary family with p50/p95/p99
-/// derived from the bucket snapshot (see HistogramQuantile).
+/// conventional cumulative _bucket{le=...}/_sum/_count series. Every
+/// pipeline instrument gets its table row's `# HELP` line, and the rows
+/// flagged for quantiles additionally export a `<id>_quantile` summary
+/// family with p50/p95/p99 derived from the bucket snapshot (see
+/// HistogramQuantile).
 std::string ExportPrometheusText(const MetricsSnapshot& snapshot);
 std::string ExportPrometheusText();  // Global registry.
 

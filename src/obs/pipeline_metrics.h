@@ -1,201 +1,239 @@
-// Canonical metric names emitted by the pipeline, in one place so
-// producers (src/*), consumers (CLI, benches), and tests agree, plus a
-// warm-up that pre-registers them all — a run that exercised only part
-// of the pipeline still exports the full schema (untouched instruments
-// read zero).
+// The pipeline's instruments, one table row each. Producers (src/*),
+// consumers (CLI, benches) and tests name an instrument by its constant;
+// WarmPipelineMetrics() registers every row, and the Prometheus exporter
+// reads each row's help text and quantile flag. Adding an instrument is
+// one row here plus its call site.
 
 #ifndef KPEF_OBS_PIPELINE_METRICS_H_
 #define KPEF_OBS_PIPELINE_METRICS_H_
 
-#include <string>
+#include <string_view>
 
 namespace kpef::obs {
 
-// --- (k, P)-core search (Algorithm 1, §III-A).
-inline constexpr char kKpcoreSearchesTotal[] = "kpcore.searches_total";
-/// Candidate papers polled from the expansion queue.
-inline constexpr char kKpcoreNodesVisited[] = "kpcore.nodes_visited";
-/// Sub-k papers whose expansion Theorem 1 skipped.
-inline constexpr char kKpcoreNodesPruned[] = "kpcore.nodes_pruned";
-inline constexpr char kKpcoreEdgesScanned[] = "kpcore.edges_scanned";
-/// Histogram: size of the delete queue D when peeling starts.
-inline constexpr char kKpcoreDeleteQueueSize[] = "kpcore.delete_queue_size";
+enum class MetricKind {
+  kCounter,
+  kGauge,
+  /// Milliseconds, registered with LatencyHistogramBounds() (sub-ms
+  /// through 60 s) so tail quantiles resolve.
+  kLatencyHistogram,
+  /// Registered with the power-of-two DefaultHistogramBounds().
+  kCountHistogram,
+};
 
-// --- Meta-path CSR projections (§III-A materialization).
-inline constexpr char kProjectionBuildsTotal[] = "projection.builds_total";
-/// Directed adjacency entries materialized across all builds.
-inline constexpr char kProjectionEdges[] = "projection.edges";
-/// Histogram: wall-clock per projection build (count + fill), ms.
-inline constexpr char kProjectionBuildMs[] = "projection.build_ms";
+// X(constant, name, kind, quantiles, help). `quantiles` adds a
+// <name>_quantile summary family (p50/p95/p99) to the Prometheus text;
+// `help` is its `# HELP` line.
+#define KPEF_PIPELINE_METRICS(X) \
+  /* (k, P)-core search (Algorithm 1, §III-A). */ \
+  X(kKpcoreSearchesTotal, "kpcore.searches_total", kCounter, false, \
+    "(k, P)-core searches run.") \
+  X(kKpcoreNodesVisited, "kpcore.nodes_visited", kCounter, false, \
+    "Candidate papers polled from the (k, P)-core expansion queue.") \
+  X(kKpcoreNodesPruned, "kpcore.nodes_pruned", kCounter, false, \
+    "Sub-k papers whose expansion Theorem 1 skipped.") \
+  X(kKpcoreEdgesScanned, "kpcore.edges_scanned", kCounter, false, \
+    "P-neighbor adjacency entries scanned by (k, P)-core searches.") \
+  X(kKpcoreDeleteQueueSize, "kpcore.delete_queue_size", kCountHistogram, \
+    false, "Size of the delete queue D when (k, P)-core peeling starts.") \
+  /* Meta-path CSR projections (§III-A materialization). */ \
+  X(kProjectionBuildsTotal, "projection.builds_total", kCounter, false, \
+    "Meta-path CSR projections built.") \
+  X(kProjectionEdges, "projection.edges", kCounter, false, \
+    "Directed adjacency entries materialized across all projection " \
+    "builds.") \
+  X(kProjectionBuildMs, "projection.build_ms", kCountHistogram, false, \
+    "Wall-clock per projection build (count + fill), milliseconds.") \
+  /* Training-data sampling (§III-B). */ \
+  X(kSamplingSeedsTotal, "sampling.seeds_total", kCounter, false, \
+    "Seed papers the training-data sampler processed.") \
+  X(kSamplingTriplesTotal, "sampling.triples_total", kCounter, false, \
+    "Training triples the sampler emitted.") \
+  X(kSamplingNearNegativesTotal, "sampling.near_negatives_total", \
+    kCounter, false, "Near negatives the sampler drew.") \
+  X(kSamplingRandomNegativesTotal, "sampling.random_negatives_total", \
+    kCounter, false, "Random negatives the sampler drew.") \
+  X(kSamplingSeedsParallel, "sampling.seeds_parallel", kCounter, false, \
+    "Seed papers processed by the parallel seed loop (0 when sampling " \
+    "ran on one thread).") \
+  /* Triplet fine-tuning (§III-C). */ \
+  X(kTrainerEpochsTotal, "trainer.epochs_total", kCounter, false, \
+    "Triplet fine-tuning epochs completed.") \
+  X(kTrainerEpochLoss, "trainer.epoch_loss", kGauge, false, \
+    "Mean triplet loss of the most recent training epoch.") \
+  X(kTrainerTriplesPerSec, "trainer.triples_per_sec", kGauge, false, \
+    "Training throughput of the most recent Train() call, triples per " \
+    "second.") \
+  X(kTrainerActiveTriples, "trainer.active_triples", kGauge, false, \
+    "Fraction of margin-active triples in the final epoch of the most " \
+    "recent Train() call.") \
+  X(kTrainerWorkers, "trainer.workers", kGauge, false, \
+    "Worker threads the most recent Train() call used.") \
+  X(kTrainerMergeSeconds, "trainer.merge_seconds", kGauge, false, \
+    "Seconds the most recent Train() call spent merging chunk gradients " \
+    "and stepping Adam.") \
+  /* PG-Index build (Algorithm 2, §IV-A). */ \
+  X(kPgindexBuildsTotal, "pgindex.builds_total", kCounter, false, \
+    "PG-Index builds.") \
+  X(kPgindexNndescentIterations, "pgindex.nndescent_iterations", kCounter, \
+    false, "NN-Descent iterations run by PG-Index builds.") \
+  X(kPgindexBuildDistanceComputations, \
+    "pgindex.build_distance_computations", kCounter, false, \
+    "Distance evaluations spent building PG-Indexes.") \
+  /* PG-Index greedy search (§IV-B). */ \
+  X(kPgindexSearchesTotal, "pgindex.searches_total", kCounter, false, \
+    "PG-Index greedy searches.") \
+  X(kPgindexDistanceComputations, "pgindex.distance_computations", \
+    kCounter, false, \
+    "Full-precision distance evaluations in PG-Index searches.") \
+  X(kPgindexSq8DistanceComputations, "pgindex.sq8_distance_computations", \
+    kCounter, false, \
+    "SQ8 asymmetric distance evaluations (quantized traversal).") \
+  X(kPgindexRerankCandidates, "pgindex.rerank_candidates", kCounter, false, \
+    "Candidates exact-reranked in fp32 after the SQ8 traversal.") \
+  X(kPgindexSearchHops, "pgindex.search_hops", kCountHistogram, false, \
+    "Adjacency expansions per PG-Index search.") \
+  X(kPgindexCandidatePoolOccupancy, "pgindex.candidate_pool_occupancy", \
+    kCountHistogram, false, \
+    "Result-pool occupancy when a PG-Index search terminated.") \
+  /* Expert ranking: TA top-n (§IV-C) and the serving full scan. */ \
+  X(kTaQueriesTotal, "ta.queries_total", kCounter, false, \
+    "Threshold Algorithm top-n runs.") \
+  X(kTaEntriesAccessed, "ta.entries_accessed", kCounter, false, \
+    "Sorted-list entries the Threshold Algorithm read.") \
+  X(kTaEarlyTerminationTotal, "ta.early_termination_total", kCounter, \
+    false, "Threshold Algorithm runs that stopped before exhausting their " \
+    "lists.") \
+  X(kTaRounds, "ta.rounds", kCountHistogram, false, \
+    "Sorted-access rounds (depth reached) per Threshold Algorithm run.") \
+  X(kRankingFullScansTotal, "ranking.full_scans_total", kCounter, false, \
+    "Full-scan expert rankings (RankExperts).") \
+  X(kRankingFullScanEntriesAccessed, "ranking.full_scan_entries_accessed", \
+    kCounter, false, "Paper-author entries read by full-scan rankings.") \
+  /* Shared executor (common/thread_pool.h). */ \
+  X(kPoolTasksCancelled, "pool.tasks_cancelled", kCounter, false, \
+    "Pool tasks skipped because an earlier task of their TaskGroup " \
+    "threw.") \
+  X(kPoolWaitHelpRuns, "pool.wait_help_runs", kCounter, false, \
+    "Queued tasks a TaskGroup::Wait() ran on the waiting thread (helping " \
+    "joins).") \
+  /* Engine facade. */ \
+  X(kEngineBuildsTotal, "engine.builds_total", kCounter, false, \
+    "Engines built from a dataset.") \
+  X(kEngineQueriesTotal, "engine.queries_total", kCounter, false, \
+    "Queries answered by the engine facade.") \
+  X(kEngineQueryLatencyMs, "engine.query_latency_ms", kLatencyHistogram, \
+    false, "Per-query engine latency (encode, search and ranking), " \
+    "milliseconds.") \
+  X(kEngineBatchQueriesTotal, "engine.batch_queries_total", kCounter, \
+    false, "FindExpertsBatch calls (their queries also count in " \
+    "engine.queries_total).") \
+  X(kEngineBatchSize, "engine.batch_size", kCountHistogram, false, \
+    "Queries per FindExpertsBatch call.") \
+  X(kEngineBatchLatencyMs, "engine.batch_latency_ms", kLatencyHistogram, \
+    false, "End-to-end FindExpertsBatch latency, milliseconds.") \
+  X(kEngineQueriesDeadlineExceeded, "engine.queries_deadline_exceeded", \
+    kCounter, false, \
+    "Queries whose deadline fired before they completed.") \
+  /* Online serving (src/serve/). */ \
+  X(kServeRequests, "serve.requests", kCounter, false, \
+    "HTTP requests accepted by the service router (all endpoints).") \
+  X(kServeShed, "serve.shed", kCounter, false, \
+    "Requests shed by admission control (queue full, 429).") \
+  X(kServeDeadlineExceeded, "serve.deadline_exceeded", kCounter, false, \
+    "Requests that missed their per-request deadline (504).") \
+  X(kServeBadRequests, "serve.bad_requests", kCounter, false, \
+    "Malformed requests rejected by the HTTP or JSON layer (400).") \
+  X(kServeBatches, "serve.batches", kCounter, false, \
+    "Micro-batches dispatched to the engine.") \
+  X(kServeBatchSize, "serve.batch_size", kCountHistogram, true, \
+    "Queries coalesced per dispatched micro-batch.") \
+  X(kServeQueueWaitMs, "serve.queue_wait_ms", kLatencyHistogram, true, \
+    "Time a query waited in the batcher queue, milliseconds.") \
+  X(kServeE2eMs, "serve.e2e_ms", kLatencyHistogram, true, \
+    "End-to-end service latency (parse to response), milliseconds.") \
+  X(kServeSlowQueries, "serve.slow_queries", kCounter, false, \
+    "Requests that crossed a slow threshold (tail-kept trace and " \
+    "slow-ring entry).") \
+  X(kServeTracesStarted, "serve.traces_started", kCounter, false, \
+    "Request traces opened.") \
+  X(kServeTracesRetained, "serve.traces_retained", kCounter, false, \
+    "Request traces retained for /v1/debug/trace (head, tail or " \
+    "always-on).") \
+  X(kServeTopNClamped, "serve.top_n_clamped", kCounter, false, \
+    "find_experts requests whose n exceeded the service cap and was " \
+    "clamped to it.") \
+  X(kServeReloads, "serve.reloads_total", kCounter, false, \
+    "Successful /v1/admin/reload generation swaps.") \
+  X(kServeReloadFailures, "serve.reload_failures_total", kCounter, false, \
+    "Reload attempts that failed; the old generation kept serving.") \
+  /* EngineGroup generation gauges (sampled on /metrics scrape). */ \
+  X(kServeGeneration, "serve.generation", kGauge, false, \
+    "Artifact generation currently serving (bumps on hot swap).") \
+  X(kServeGenerationQueries, "serve.generation_queries", kGauge, false, \
+    "Queries answered by the serving generation since publish.") \
+  X(kServeGenerationLatencyMsMean, "serve.generation_latency_ms_mean", \
+    kGauge, false, \
+    "Mean engine-batch latency of the serving generation, milliseconds.") \
+  X(kServeGenerationLoadSeconds, "serve.generation_load_seconds", kGauge, \
+    false, "Wall-clock seconds the serving generation took to load.") \
+  /* Streaming ingestion (src/ingest; DESIGN.md §16). */ \
+  X(kIngestRecords, "ingest.records", kCounter, false, \
+    "Ingest records (papers) applied to the staging state.") \
+  X(kIngestBatches, "ingest.batches", kCounter, false, \
+    "Ingest batches applied (one WAL record each).") \
+  X(kIngestDuplicates, "ingest.duplicates", kCounter, false, \
+    "Ingest records skipped as duplicates of an existing paper label.") \
+  X(kIngestRejected, "ingest.rejected", kCounter, false, \
+    "Ingest batches rejected before any state change.") \
+  X(kIngestWalBytes, "ingest.wal_bytes", kGauge, false, \
+    "Byte offset of the last durable WAL record.") \
+  X(kIngestPendingDeltaEdges, "ingest.pending_delta_edges", kGauge, false, \
+    "Graph and index delta edges awaiting a merge into the base CSRs.") \
+  X(kIngestMergeMs, "ingest.merge_ms", kLatencyHistogram, false, \
+    "Wall-clock per delta merge (compaction), milliseconds.") \
+  X(kIngestApplyMs, "ingest.apply_ms", kLatencyHistogram, false, \
+    "Wall-clock per applied ingest batch, milliseconds.") \
+  /* Process self-metrics (gauges, sampled on /metrics scrape). */ \
+  X(kProcessRssBytes, "process.rss_bytes", kGauge, false, \
+    "Resident set size, bytes (sampled on scrape).") \
+  X(kProcessOpenFds, "process.open_fds", kGauge, false, \
+    "Open file descriptors (sampled on scrape).") \
+  X(kProcessUptimeSeconds, "process.uptime_seconds", kGauge, false, \
+    "Process uptime, seconds.") \
+  X(kPoolQueueDepth, "pool.queue_depth", kGauge, false, \
+    "Tasks queued on the serving pool at scrape time.") \
+  X(kPoolActiveWorkers, "pool.active_workers", kGauge, false, \
+    "Serving-pool workers inside a task body at scrape time.") \
+  X(kPoolThreads, "pool.threads", kGauge, false, \
+    "Serving-pool worker threads.")
 
-// --- Training-data sampling (§III-B).
-inline constexpr char kSamplingSeedsTotal[] = "sampling.seeds_total";
-inline constexpr char kSamplingTriplesTotal[] = "sampling.triples_total";
-inline constexpr char kSamplingNearNegativesTotal[] =
-    "sampling.near_negatives_total";
-inline constexpr char kSamplingRandomNegativesTotal[] =
-    "sampling.random_negatives_total";
-/// Seed papers processed by the parallel seed loop (0 when Generate ran
-/// sequentially — single-thread pool or explicit num_threads = 1).
-inline constexpr char kSamplingSeedsParallel[] = "sampling.seeds_parallel";
+#define KPEF_PIPELINE_METRIC_NAME(id, name, kind, quantiles, help) \
+  inline constexpr char id[] = name;
+KPEF_PIPELINE_METRICS(KPEF_PIPELINE_METRIC_NAME)
+#undef KPEF_PIPELINE_METRIC_NAME
 
-// --- Triplet fine-tuning (§III-C).
-inline constexpr char kTrainerEpochsTotal[] = "trainer.epochs_total";
-/// Gauge: mean triplet loss of the most recent epoch.
-inline constexpr char kTrainerEpochLoss[] = "trainer.epoch_loss";
-/// Gauge: training throughput of the most recent Train() call.
-inline constexpr char kTrainerTriplesPerSec[] = "trainer.triples_per_sec";
-/// Gauge: fraction of margin-active triples in the final epoch of the
-/// most recent Train() call.
-inline constexpr char kTrainerActiveTriples[] = "trainer.active_triples";
-/// Gauge: worker threads the most recent Train() call used.
-inline constexpr char kTrainerWorkers[] = "trainer.workers";
-/// Gauge: wall seconds the most recent Train() call spent in the
-/// deterministic schedule's per-batch merge+Adam fan-out.
-inline constexpr char kTrainerMergeSeconds[] = "trainer.merge_seconds";
+struct PipelineMetric {
+  const char* name;
+  MetricKind kind;
+  bool quantiles;
+  const char* help;
+};
 
-// --- PG-Index build (Algorithm 2, §IV-A).
-inline constexpr char kPgindexBuildsTotal[] = "pgindex.builds_total";
-inline constexpr char kPgindexNndescentIterations[] =
-    "pgindex.nndescent_iterations";
-inline constexpr char kPgindexBuildDistanceComputations[] =
-    "pgindex.build_distance_computations";
+#define KPEF_PIPELINE_METRIC_ROW(id, name, kind, quantiles, help) \
+  {name, MetricKind::kind, quantiles, help},
+inline constexpr PipelineMetric kPipelineMetrics[] = {
+    KPEF_PIPELINE_METRICS(KPEF_PIPELINE_METRIC_ROW)};
+#undef KPEF_PIPELINE_METRIC_ROW
 
-// --- PG-Index greedy search (§IV-B).
-inline constexpr char kPgindexSearchesTotal[] = "pgindex.searches_total";
-inline constexpr char kPgindexDistanceComputations[] =
-    "pgindex.distance_computations";
-/// SQ8 asymmetric distance evaluations (quantized traversal).
-inline constexpr char kPgindexSq8DistanceComputations[] =
-    "pgindex.sq8_distance_computations";
-/// Candidates exact-reranked in fp32 after the SQ8 traversal.
-inline constexpr char kPgindexRerankCandidates[] =
-    "pgindex.rerank_candidates";
-/// Histogram: adjacency expansions per search.
-inline constexpr char kPgindexSearchHops[] = "pgindex.search_hops";
-/// Histogram: result-pool occupancy when the search terminated.
-inline constexpr char kPgindexCandidatePoolOccupancy[] =
-    "pgindex.candidate_pool_occupancy";
+/// The row named `name`; nullptr for an instrument outside the table.
+const PipelineMetric* FindPipelineMetric(std::string_view name);
 
-// --- TA top-n ranking (§IV-C).
-inline constexpr char kTaQueriesTotal[] = "ta.queries_total";
-inline constexpr char kTaEntriesAccessed[] = "ta.entries_accessed";
-inline constexpr char kTaEarlyTerminationTotal[] =
-    "ta.early_termination_total";
-/// Histogram: sorted-access rounds (depth reached) per TA run.
-inline constexpr char kTaRounds[] = "ta.rounds";
-inline constexpr char kRankingFullScansTotal[] = "ranking.full_scans_total";
-inline constexpr char kRankingFullScanEntriesAccessed[] =
-    "ranking.full_scan_entries_accessed";
-
-// --- Shared executor (common/thread_pool.h).
-/// Tasks skipped because their TaskGroup was cancelled (first task
-/// exception, or an explicit Cancel()).
-inline constexpr char kPoolTasksCancelled[] = "pool.tasks_cancelled";
-/// Queued tasks a TaskGroup::Wait() ran on the waiting thread instead of
-/// blocking (the "helping" joins that make nested ParallelFor safe).
-inline constexpr char kPoolWaitHelpRuns[] = "pool.wait_help_runs";
-
-// --- Engine facade.
-inline constexpr char kEngineBuildsTotal[] = "engine.builds_total";
-inline constexpr char kEngineQueriesTotal[] = "engine.queries_total";
-/// Histogram: end-to-end FindExperts latency, milliseconds.
-inline constexpr char kEngineQueryLatencyMs[] = "engine.query_latency_ms";
-/// FindExpertsBatch calls (queries also count in queries_total).
-inline constexpr char kEngineBatchQueriesTotal[] =
-    "engine.batch_queries_total";
-/// Histogram: queries per FindExpertsBatch call.
-inline constexpr char kEngineBatchSize[] = "engine.batch_size";
-/// Histogram: end-to-end FindExpertsBatch latency, milliseconds.
-inline constexpr char kEngineBatchLatencyMs[] = "engine.batch_latency_ms";
-/// Queries whose batch deadline fired before they completed (their
-/// QueryStats carry deadline_exceeded = true and empty results).
-inline constexpr char kEngineQueriesDeadlineExceeded[] =
-    "engine.queries_deadline_exceeded";
-
-// --- Online serving (src/serve/).
-/// HTTP requests accepted by the service router (all endpoints).
-inline constexpr char kServeRequests[] = "serve.requests";
-/// Requests shed by admission control (bounded queue full -> 429).
-inline constexpr char kServeShed[] = "serve.shed";
-/// Requests that missed their per-request deadline (-> 504).
-inline constexpr char kServeDeadlineExceeded[] = "serve.deadline_exceeded";
-/// Malformed requests rejected by the HTTP or JSON layer (-> 400).
-inline constexpr char kServeBadRequests[] = "serve.bad_requests";
-/// Micro-batches dispatched to the engine.
-inline constexpr char kServeBatches[] = "serve.batches";
-/// Histogram: queries coalesced per dispatched micro-batch.
-inline constexpr char kServeBatchSize[] = "serve.batch_size";
-/// Histogram: time a query waited in the batcher queue, milliseconds.
-inline constexpr char kServeQueueWaitMs[] = "serve.queue_wait_ms";
-/// Histogram: end-to-end service latency (parse -> response), ms.
-inline constexpr char kServeE2eMs[] = "serve.e2e_ms";
-/// Requests that crossed a slow threshold (tail-kept trace + ring entry).
-inline constexpr char kServeSlowQueries[] = "serve.slow_queries";
-/// Request traces opened (mode sampled or always-on).
-inline constexpr char kServeTracesStarted[] = "serve.traces_started";
-/// Request traces retained for /v1/debug/trace (head + tail + always-on).
-inline constexpr char kServeTracesRetained[] = "serve.traces_retained";
-/// find_experts requests whose n exceeded ServiceConfig::max_top_n and
-/// was clamped to it.
-inline constexpr char kServeTopNClamped[] = "serve.top_n_clamped";
-/// Successful /v1/admin/reload generation swaps.
-inline constexpr char kServeReloads[] = "serve.reloads_total";
-/// /v1/admin/reload attempts that failed (old generation kept serving).
-inline constexpr char kServeReloadFailures[] = "serve.reload_failures_total";
-
-// --- EngineGroup generation gauges (sampled on /metrics scrape).
-/// Gauge: artifact generation currently serving (bumps on hot swap).
-inline constexpr char kServeGeneration[] = "serve.generation";
-/// Gauge: queries answered by the serving generation since publish.
-inline constexpr char kServeGenerationQueries[] =
-    "serve.generation_queries";
-/// Gauge: mean engine-batch latency of the serving generation, ms.
-inline constexpr char kServeGenerationLatencyMsMean[] =
-    "serve.generation_latency_ms_mean";
-/// Gauge: wall-clock seconds the serving generation took to load.
-inline constexpr char kServeGenerationLoadSeconds[] =
-    "serve.generation_load_seconds";
-
-// --- Streaming ingestion (src/ingest; DESIGN.md §16).
-/// Ingest records (papers) applied to the staging state.
-inline constexpr char kIngestRecords[] = "ingest.records";
-/// Ingest batches applied (one WAL record each).
-inline constexpr char kIngestBatches[] = "ingest.batches";
-/// Records skipped as duplicates (same paper label already present).
-inline constexpr char kIngestDuplicates[] = "ingest.duplicates";
-/// Ingest batches rejected before any state change (bad schema, ...).
-inline constexpr char kIngestRejected[] = "ingest.rejected";
-/// Gauge: byte offset of the last durable WAL record.
-inline constexpr char kIngestWalBytes[] = "ingest.wal_bytes";
-/// Gauge: graph + index delta edges awaiting a merge into the base CSRs.
-inline constexpr char kIngestPendingDeltaEdges[] =
-    "ingest.pending_delta_edges";
-/// Histogram: wall-clock milliseconds per delta merge (compaction).
-inline constexpr char kIngestMergeMs[] = "ingest.merge_ms";
-/// Histogram: wall-clock milliseconds per applied ingest batch.
-inline constexpr char kIngestApplyMs[] = "ingest.apply_ms";
-
-// --- Process self-metrics (gauges, sampled on /metrics scrape).
-inline constexpr char kProcessRssBytes[] = "process.rss_bytes";
-inline constexpr char kProcessOpenFds[] = "process.open_fds";
-inline constexpr char kProcessUptimeSeconds[] = "process.uptime_seconds";
-/// Gauge: tasks queued on the serving pool at scrape time.
-inline constexpr char kPoolQueueDepth[] = "pool.queue_depth";
-/// Gauge: pool workers inside a task body at scrape time.
-inline constexpr char kPoolActiveWorkers[] = "pool.active_workers";
-inline constexpr char kPoolThreads[] = "pool.threads";
-
-/// Registers every canonical metric above (no-op values). Call before
-/// exporting so dumps always contain the full schema. Latency-valued
-/// serve/engine histograms are registered with LatencyHistogramBounds(),
-/// so calling this before the first observation also fixes their bucket
-/// layout (the creating registration wins).
+/// Registers every row (no-op values). Call before exporting so dumps
+/// always contain the full schema; calling it before the first
+/// observation also fixes each histogram's bucket layout (the creating
+/// registration wins).
 void WarmPipelineMetrics();
-
-/// One-line HELP text for a canonical metric name (nullptr if unknown);
-/// the Prometheus exporter emits it as a `# HELP` line.
-const char* PipelineMetricHelp(const std::string& name);
 
 }  // namespace kpef::obs
 

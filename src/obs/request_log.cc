@@ -4,70 +4,48 @@
 #include <ctime>
 
 #include "common/build_info.h"
+#include "common/json_string.h"
 
 namespace kpef::obs {
 namespace {
 
-// Minimal JSON string escaper (obs/ cannot depend on serve/json_util).
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 // ISO-8601 UTC with millisecond precision ("2026-08-08T12:34:56.789Z").
-std::string NowIso8601() {
-  std::timespec ts{};
-  std::timespec_get(&ts, TIME_UTC);
+std::string FormatIso8601(std::chrono::system_clock::time_point time) {
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      time.time_since_epoch())
+                      .count();
+  const std::time_t seconds = static_cast<std::time_t>(ms / 1000);
   std::tm tm{};
-  gmtime_r(&ts.tv_sec, &tm);
+  gmtime_r(&seconds, &tm);
   char buf[40];
   const size_t n = std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &tm);
-  std::snprintf(buf + n, sizeof(buf) - n, ".%03ldZ", ts.tv_nsec / 1000000);
+  std::snprintf(buf + n, sizeof(buf) - n, ".%03dZ",
+                static_cast<int>(ms % 1000));
   return buf;
 }
 
-void AppendField(std::string* out, const char* key, const std::string& value,
-                 bool* first) {
-  *out += *first ? "{\"" : ",\"";
-  *first = false;
-  *out += key;
-  *out += "\":\"";
-  AppendEscaped(out, value);
-  *out += '"';
-}
-
-void AppendRawField(std::string* out, const char* key,
-                    const std::string& raw, bool* first) {
+void AppendKey(std::string* out, const char* key, bool* first) {
   *out += *first ? "{\"" : ",\"";
   *first = false;
   *out += key;
   *out += "\":";
+}
+
+void AppendField(std::string* out, const char* key, const std::string& value,
+                 bool* first) {
+  AppendKey(out, key, first);
+  AppendJsonString(value, out);
+}
+
+void AppendRawField(std::string* out, const char* key,
+                    const std::string& raw, bool* first) {
+  AppendKey(out, key, first);
   *out += raw;
+}
+
+void AppendBoolField(std::string* out, const char* key, bool value,
+                     bool* first) {
+  AppendRawField(out, key, value ? "true" : "false", first);
 }
 
 std::string FormatMs(double value) {
@@ -77,6 +55,26 @@ std::string FormatMs(double value) {
 }
 
 }  // namespace
+
+void AppendRequestJson(const RequestRecord& r, std::string* out) {
+  bool first = true;
+  AppendField(out, "ts", FormatIso8601(r.time), &first);
+  AppendField(out, "trace_id", r.trace_id, &first);
+  if (!r.query.empty()) AppendField(out, "query", r.query, &first);
+  AppendRawField(out, "status", std::to_string(r.status), &first);
+  AppendRawField(out, "top_n", std::to_string(r.top_n), &first);
+  AppendRawField(out, "batch_size", std::to_string(r.batch_size), &first);
+  AppendRawField(out, "e2e_ms", FormatMs(r.e2e_ms), &first);
+  AppendRawField(out, "queue_wait_ms", FormatMs(r.queue_wait_ms), &first);
+  AppendRawField(out, "encode_ms", FormatMs(r.encode_ms), &first);
+  AppendRawField(out, "search_ms", FormatMs(r.search_ms), &first);
+  AppendRawField(out, "ranking_ms", FormatMs(r.ranking_ms), &first);
+  AppendBoolField(out, "shed", r.shed, &first);
+  AppendBoolField(out, "deadline_exceeded", r.deadline_exceeded, &first);
+  AppendBoolField(out, "sampled", r.sampled, &first);
+  AppendBoolField(out, "trace_kept", r.trace_kept, &first);
+  *out += '}';
+}
 
 RequestLog::~RequestLog() {
   if (file_ != nullptr) {
@@ -105,7 +103,8 @@ void RequestLog::WriteHeader(const std::string& service) {
   std::string line;
   bool first = true;
   AppendField(&line, "event", "start", &first);
-  AppendField(&line, "ts", NowIso8601(), &first);
+  AppendField(&line, "ts", FormatIso8601(std::chrono::system_clock::now()),
+              &first);
   AppendField(&line, "service", service, &first);
   AppendField(&line, "git", BuildGitHash(), &first);
   AppendField(&line, "build", BuildType(), &first);
@@ -113,26 +112,10 @@ void RequestLog::WriteHeader(const std::string& service) {
   Emit(std::move(line));
 }
 
-void RequestLog::Write(const RequestLogRecord& r) {
+void RequestLog::Write(const RequestRecord& record) {
   std::string line;
-  bool first = true;
-  AppendField(&line, "ts", NowIso8601(), &first);
-  AppendField(&line, "trace_id", r.trace_id, &first);
-  AppendRawField(&line, "status", std::to_string(r.status), &first);
-  AppendRawField(&line, "top_n", std::to_string(r.top_n), &first);
-  AppendRawField(&line, "batch_size", std::to_string(r.batch_size), &first);
-  AppendRawField(&line, "e2e_ms", FormatMs(r.e2e_ms), &first);
-  AppendRawField(&line, "queue_wait_ms", FormatMs(r.queue_wait_ms), &first);
-  AppendRawField(&line, "encode_ms", FormatMs(r.encode_ms), &first);
-  AppendRawField(&line, "search_ms", FormatMs(r.search_ms), &first);
-  AppendRawField(&line, "ranking_ms", FormatMs(r.ranking_ms), &first);
-  AppendRawField(&line, "shed", r.shed ? "true" : "false", &first);
-  AppendRawField(&line, "deadline_exceeded",
-                 r.deadline_exceeded ? "true" : "false", &first);
-  AppendRawField(&line, "sampled", r.sampled ? "true" : "false", &first);
-  AppendRawField(&line, "trace_kept", r.trace_kept ? "true" : "false",
-                 &first);
-  line += "}\n";
+  AppendRequestJson(record, &line);
+  line += '\n';
   Emit(std::move(line));
 }
 

@@ -2,11 +2,13 @@
 // trace id, status, batching facts, and the encode/search/ranking latency
 // split, so a grep over the log attributes any slow response without
 // re-running it. The sink is pluggable (tests capture lines in memory;
-// kpef_serve appends to a file or stdout).
+// kpef_serve appends to a file or stdout). The same record, rendered by
+// the same writer, is what the slow-request ring keeps.
 
 #ifndef KPEF_OBS_REQUEST_LOG_H_
 #define KPEF_OBS_REQUEST_LOG_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -17,9 +19,14 @@
 
 namespace kpef::obs {
 
-/// One served request, as logged.
-struct RequestLogRecord {
+/// One finished request: an access-log line, and a /v1/debug/slow entry
+/// when it was slow.
+struct RequestRecord {
+  /// Wall-clock completion time ("ts").
+  std::chrono::system_clock::time_point time;
   std::string trace_id;
+  /// Query text, kept only for slow-ring entries ("" = not rendered).
+  std::string query;
   int status = 0;
   size_t top_n = 0;
   size_t batch_size = 0;
@@ -35,6 +42,9 @@ struct RequestLogRecord {
   bool sampled = false;
   bool trace_kept = false;
 };
+
+/// Appends `record` as one JSON object (no trailing newline).
+void AppendRequestJson(const RequestRecord& record, std::string* out);
 
 /// Thread-safe JSON-lines writer. Each line is a self-contained object;
 /// the first line (WriteHeader) identifies the process and build so a
@@ -57,7 +67,7 @@ class RequestLog {
   /// {"event":"start","service":...,"git":...,"build":...}
   void WriteHeader(const std::string& service);
 
-  void Write(const RequestLogRecord& record);
+  void Write(const RequestRecord& record);
 
   uint64_t lines_written() const { return lines_; }
 

@@ -9,9 +9,16 @@ SlowQueryRing::SlowQueryRing(size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void SlowQueryRing::Push(SlowQueryRecord record) {
-  if (record.query.size() > kMaxQueryBytes) {
-    record.query.resize(kMaxQueryBytes);
+void SlowQueryRing::Push(RequestRecord record) {
+  std::string& query = record.query;
+  if (query.size() > kMaxQueryBytes) {
+    // Back the cut up past continuation bytes (10xxxxxx) so it never
+    // splits a multi-byte character.
+    size_t cut = kMaxQueryBytes;
+    while (cut > 0 && (static_cast<unsigned char>(query[cut]) & 0xC0) == 0x80) {
+      --cut;
+    }
+    query.resize(cut);
   }
   pushed_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -23,9 +30,9 @@ void SlowQueryRing::Push(SlowQueryRecord record) {
   next_ = (next_ + 1) % capacity_;
 }
 
-std::vector<SlowQueryRecord> SlowQueryRing::SnapshotNewestFirst() const {
+std::vector<RequestRecord> SlowQueryRing::SnapshotNewestFirst() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SlowQueryRecord> out;
+  std::vector<RequestRecord> out;
   out.reserve(ring_.size());
   // Insertion order is ring_[next_..end) then ring_[0..next_) once the
   // ring wrapped; before that it is simply ring_[0..size). Walk it

@@ -10,24 +10,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
-namespace kpef::obs {
+#include "obs/request_log.h"
 
-struct SlowQueryRecord {
-  std::string trace_id;
-  /// Query text, truncated to kMaxQueryBytes.
-  std::string query;
-  int status = 0;
-  double e2e_ms = 0.0;
-  double queue_wait_ms = 0.0;
-  double encode_ms = 0.0;
-  double search_ms = 0.0;
-  double ranking_ms = 0.0;
-  size_t batch_size = 0;
-  bool deadline_exceeded = false;
-};
+namespace kpef::obs {
 
 class SlowQueryRing {
  public:
@@ -36,11 +23,12 @@ class SlowQueryRing {
   explicit SlowQueryRing(size_t capacity = 128);
 
   /// Records a slow request, evicting the oldest once full. Truncates
-  /// record.query to kMaxQueryBytes.
-  void Push(SlowQueryRecord record);
+  /// record.query to at most kMaxQueryBytes, at a UTF-8 code-point
+  /// boundary.
+  void Push(RequestRecord record);
 
   /// Newest first.
-  std::vector<SlowQueryRecord> SnapshotNewestFirst() const;
+  std::vector<RequestRecord> SnapshotNewestFirst() const;
 
   size_t capacity() const { return capacity_; }
   uint64_t TotalPushed() const {
@@ -51,7 +39,7 @@ class SlowQueryRing {
  private:
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<SlowQueryRecord> ring_;
+  std::vector<RequestRecord> ring_;
   /// Next slot to overwrite once ring_ reached capacity.
   size_t next_ = 0;
   std::atomic<uint64_t> pushed_{0};

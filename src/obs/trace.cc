@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_string.h"
+
 namespace kpef::obs {
 namespace {
 
@@ -19,37 +21,6 @@ thread_local uint32_t tls_span_depth = 0;
 
 // Request trace key installed on this thread (0 = none).
 thread_local uint64_t tls_trace_key = 0;
-
-// Minimal JSON string escaper (obs/ cannot depend on serve/json_util).
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 void AppendSpanJson(std::string* out, const SpanRecord& s, bool first) {
   char buf[256];
@@ -216,11 +187,11 @@ void Tracer::ClearRequestTraces() {
 
 uint64_t CurrentTraceKey() { return tls_trace_key; }
 
-uint64_t SwapCurrentTraceKey(uint64_t key) {
-  const uint64_t prev = tls_trace_key;
+ScopedTraceContext::ScopedTraceContext(uint64_t key) : prev_(tls_trace_key) {
   tls_trace_key = key;
-  return prev;
 }
+
+ScopedTraceContext::~ScopedTraceContext() { tls_trace_key = prev_; }
 
 void RecordSpan(uint64_t trace_key, const char* name, uint64_t start_ns,
                 uint64_t duration_ns) {
@@ -236,9 +207,9 @@ void RecordSpan(uint64_t trace_key, const char* name, uint64_t start_ns,
 }
 
 std::string ExportTraceJson(const TraceSnapshot& trace) {
-  std::string out = "{\"trace_id\": \"";
-  AppendEscaped(&out, trace.id);
-  out += "\", \"head_sampled\": ";
+  std::string out = "{\"trace_id\": ";
+  AppendJsonString(trace.id, &out);
+  out += ", \"head_sampled\": ";
   out += trace.head_sampled ? "true" : "false";
   out += ", \"kept_tail\": ";
   out += trace.kept_tail ? "true" : "false";
@@ -260,9 +231,9 @@ std::string ExportChromeTrace(const TraceSnapshot& trace) {
   for (size_t i = 0; i < trace.spans.size(); ++i) {
     const SpanRecord& s = trace.spans[i];
     std::string name;
-    AppendEscaped(&name, s.name);
+    AppendJsonString(s.name, &name);
     std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"cat\": \"kpef\", \"ph\": \"X\", "
+                  "%s\n  {\"name\": %s, \"cat\": \"kpef\", \"ph\": \"X\", "
                   "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %" PRIu32
                   ", \"args\": {\"depth\": %" PRIu32 "}}",
                   i == 0 ? "" : ",", name.c_str(),
@@ -271,9 +242,9 @@ std::string ExportChromeTrace(const TraceSnapshot& trace) {
                   s.depth);
     out += buf;
   }
-  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"trace_id\": \"";
-  AppendEscaped(&out, trace.id);
-  out += "\"}}";
+  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"trace_id\": ";
+  AppendJsonString(trace.id, &out);
+  out += "}}";
   return out;
 }
 

@@ -7,13 +7,12 @@
 //    into one bounded global buffer; DumpJson() reconstructs the flame
 //    shape of an offline run.
 //  - Request-scoped spans: the serving layer calls BeginTrace() per
-//    request and installs the returned key as the thread's current
-//    trace context (ScopedTraceContext). Every span opened while a
-//    context is installed — including spans on pool workers, which
-//    inherit the submitter's context through ThreadPool's context
-//    hooks — lands in that request's private buffer, so one request's
-//    flame is reconstructable even when its work interleaves with 15
-//    batchmates across the pool. EndTrace() either retains the buffer
+//    request, and the engine installs the returned key as the thread's
+//    current trace context (ScopedTraceContext) inside that query's own
+//    pool task. Every span opened while a context is installed lands in
+//    that request's private buffer, so one request's flame is
+//    reconstructable even when its work interleaves with 15 batchmates
+//    across the pool. EndTrace() either retains the buffer
 //    (head-sampled, tail-slow, or always-on mode) in a bounded ring
 //    queryable by external id, or drops it.
 //
@@ -183,18 +182,14 @@ class Tracer {
 /// Trace key installed on the calling thread (0 = none).
 uint64_t CurrentTraceKey();
 
-/// Installs `key` as the thread's current trace key and returns the
-/// previous one. Used by ThreadPool's context hooks to hand a
-/// submitter's context to pool workers; prefer ScopedTraceContext in
-/// normal code.
-uint64_t SwapCurrentTraceKey(uint64_t key);
-
-/// RAII: installs a trace key for the enclosing scope (restores the
-/// previous key on exit). Key 0 uninstalls.
+/// RAII: installs a trace key on the calling thread for the enclosing
+/// scope (restores the previous key on exit). Key 0 uninstalls. This is
+/// the only way a key reaches a thread: code that fans one request's
+/// work out to other threads installs the key in each task itself.
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(uint64_t key) : prev_(SwapCurrentTraceKey(key)) {}
-  ~ScopedTraceContext() { SwapCurrentTraceKey(prev_); }
+  explicit ScopedTraceContext(uint64_t key);
+  ~ScopedTraceContext();
 
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;

@@ -1,8 +1,9 @@
 // Minimal dependency-free JSON for the serving boundary: a strict
 // recursive-descent parser (full UTF-8 validation, bounded depth, whole
-// document must be consumed) and escaping helpers for response
-// rendering. The obs/ JSON exporter writes metrics documents; this unit
-// exists because the server must additionally *read* untrusted JSON.
+// document must be consumed) and number formatting for response
+// rendering. Strings are escaped by common/json_string.h, which obs/
+// shares; this unit exists because the server must also *read*
+// untrusted JSON.
 
 #ifndef KPEF_SERVE_JSON_UTIL_H_
 #define KPEF_SERVE_JSON_UTIL_H_
@@ -12,6 +13,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/json_string.h"
 
 namespace kpef::serve {
 
@@ -46,8 +49,8 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error,
 /// and code points above U+10FFFF).
 bool IsValidUtf8(std::string_view text);
 
-/// Appends `s` as a quoted, escaped JSON string literal.
-void AppendJsonString(std::string_view s, std::string* out);
+/// The shared escaper, also reachable as serve::AppendJsonString.
+using ::kpef::AppendJsonString;
 
 /// Formats a double the way the metrics exporter does: shortest
 /// round-trip representation, "0" for zero, no exponent surprises.

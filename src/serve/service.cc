@@ -49,6 +49,34 @@ uint64_t MsToNs(double ms) {
   return ms <= 0.0 ? 0 : static_cast<uint64_t>(ms * 1e6);
 }
 
+/// The record of a finished find_experts request, shared by the 400, 429
+/// and completion paths. Without an engine `result` the stage fields
+/// stay zero.
+obs::RequestRecord RecordFor(const std::string& trace_id, int status,
+                             double e2e_ms, bool sampled,
+                             const BatchResponse* result = nullptr,
+                             size_t top_n = 0, bool trace_kept = false) {
+  obs::RequestRecord record;
+  record.time = std::chrono::system_clock::now();
+  record.trace_id = trace_id;
+  record.status = status;
+  record.top_n = top_n;
+  record.e2e_ms = e2e_ms;
+  record.shed = status == 429;
+  record.sampled = sampled;
+  record.trace_kept = trace_kept;
+  if (result != nullptr) {
+    record.batch_size = result->batch_size;
+    record.queue_wait_ms = result->queue_wait_ms;
+    record.encode_ms = result->stats.encode_ms;
+    record.search_ms =
+        std::max(0.0, result->stats.retrieval_ms - result->stats.encode_ms);
+    record.ranking_ms = result->stats.ranking_ms;
+    record.deadline_exceeded = result->deadline_exceeded;
+  }
+  return record;
+}
+
 /// {"papers":[{"text":..,"authors":[..],"venue":..,"topics":[..],
 /// "cites":[..]}]} -> IngestBatch. Every field but "text" is optional;
 /// anything of the wrong shape is a 400, not a silent skip.
@@ -318,7 +346,7 @@ bool ExpertSearchService::IsSlow(double e2e_ms,
           result.queue_wait_ms >= config_.slow_queue_wait_ms);
 }
 
-void ExpertSearchService::WriteAccessLog(const obs::RequestLogRecord& record) {
+void ExpertSearchService::WriteAccessLog(const obs::RequestRecord& record) {
   if (access_log_) access_log_->Write(record);
 }
 
@@ -337,12 +365,7 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
   const auto reject = [&](std::string_view message) {
     KPEF_COUNTER_ADD(obs::kServeBadRequests, 1);
     tracer.EndTrace(trace_key, false);
-    obs::RequestLogRecord record;
-    record.trace_id = trace_id;
-    record.status = 400;
-    record.e2e_ms = started->ElapsedMillis();
-    record.sampled = head;
-    WriteAccessLog(record);
+    WriteAccessLog(RecordFor(trace_id, 400, started->ElapsedMillis(), head));
     HttpResponse response = JsonError(400, message);
     response.extra_headers.emplace_back("x-request-id", trace_id);
     respond(std::move(response));
@@ -426,43 +449,20 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
       if (kept) KPEF_COUNTER_ADD(obs::kServeTracesRetained, 1);
     }
 
-    const double search_ms =
-        std::max(0.0, result.stats.retrieval_ms - result.stats.encode_ms);
-    if (slow) {
-      KPEF_COUNTER_ADD(obs::kServeSlowQueries, 1);
-      obs::SlowQueryRecord srec;
-      srec.trace_id = trace_id;
-      srec.query = query_text;
-      srec.status = result.deadline_exceeded ? 504 : 200;
-      srec.e2e_ms = e2e_ms;
-      srec.queue_wait_ms = result.queue_wait_ms;
-      srec.encode_ms = result.stats.encode_ms;
-      srec.search_ms = search_ms;
-      srec.ranking_ms = result.stats.ranking_ms;
-      srec.batch_size = result.batch_size;
-      srec.deadline_exceeded = result.deadline_exceeded;
-      slow_ring_.Push(std::move(srec));
-    }
-
+    const int status = result.deadline_exceeded ? 504 : 200;
+    obs::RequestRecord record =
+        RecordFor(trace_id, status, e2e_ms, head, &result, top_n, kept);
     // Log before responding so a client that saw the response can rely
     // on the line existing.
-    obs::RequestLogRecord record;
-    record.trace_id = trace_id;
-    record.status = result.deadline_exceeded ? 504 : 200;
-    record.top_n = top_n;
-    record.batch_size = result.batch_size;
-    record.e2e_ms = e2e_ms;
-    record.queue_wait_ms = result.queue_wait_ms;
-    record.encode_ms = result.stats.encode_ms;
-    record.search_ms = search_ms;
-    record.ranking_ms = result.stats.ranking_ms;
-    record.deadline_exceeded = result.deadline_exceeded;
-    record.sampled = head;
-    record.trace_kept = kept;
     WriteAccessLog(record);
+    if (slow) {
+      KPEF_COUNTER_ADD(obs::kServeSlowQueries, 1);
+      record.query = query_text;
+      slow_ring_.Push(std::move(record));
+    }
 
     HttpResponse response;
-    response.status = result.deadline_exceeded ? 504 : 200;
+    response.status = status;
     response.extra_headers.emplace_back("x-request-id", trace_id);
     std::string& body = response.body;
     body.push_back('{');
@@ -507,13 +507,7 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
   if (!batcher_.Submit(std::move(batch_request), std::move(done))) {
     // Shed (or draining): tell the client when to come back.
     tracer.EndTrace(trace_key, false);
-    obs::RequestLogRecord record;
-    record.trace_id = trace_id;
-    record.status = 429;
-    record.e2e_ms = started->ElapsedMillis();
-    record.shed = true;
-    record.sampled = head;
-    WriteAccessLog(record);
+    WriteAccessLog(RecordFor(trace_id, 429, started->ElapsedMillis(), head));
     HttpResponse response = JsonError(429, "server overloaded, retry later");
     response.extra_headers.emplace_back(
         "retry-after", std::to_string(config_.retry_after_seconds));
@@ -648,37 +642,16 @@ void ExpertSearchService::HandleIngest(const HttpRequest& request,
 }
 
 void ExpertSearchService::HandleDebugSlow(HttpServer::Responder respond) {
-  const std::vector<obs::SlowQueryRecord> records =
-      slow_ring_.SnapshotNewestFirst();
   HttpResponse response;
   std::string& body = response.body;
   body.append("{\"total_recorded\":");
   body.append(std::to_string(slow_ring_.TotalPushed()));
   body.append(",\"slow\":[");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const obs::SlowQueryRecord& r = records[i];
-    if (i > 0) body.push_back(',');
-    body.append("{\"trace_id\":");
-    AppendJsonString(r.trace_id, &body);
-    body.append(",\"query\":");
-    AppendJsonString(r.query, &body);
-    body.append(",\"status\":");
-    body.append(std::to_string(r.status));
-    body.append(",\"e2e_ms\":");
-    body.append(JsonNumber(r.e2e_ms));
-    body.append(",\"queue_wait_ms\":");
-    body.append(JsonNumber(r.queue_wait_ms));
-    body.append(",\"encode_ms\":");
-    body.append(JsonNumber(r.encode_ms));
-    body.append(",\"search_ms\":");
-    body.append(JsonNumber(r.search_ms));
-    body.append(",\"ranking_ms\":");
-    body.append(JsonNumber(r.ranking_ms));
-    body.append(",\"batch_size\":");
-    body.append(std::to_string(r.batch_size));
-    body.append(",\"deadline_exceeded\":");
-    body.append(r.deadline_exceeded ? "true" : "false");
-    body.push_back('}');
+  bool first = true;
+  for (const obs::RequestRecord& record : slow_ring_.SnapshotNewestFirst()) {
+    if (!first) body.push_back(',');
+    first = false;
+    obs::AppendRequestJson(record, &body);
   }
   body.append("]}\n");
   respond(std::move(response));

@@ -181,7 +181,7 @@ class ExpertSearchService {
   /// Tail rule: did this completed request cross a slow threshold?
   bool IsSlow(double e2e_ms, const BatchResponse& result) const;
 
-  void WriteAccessLog(const obs::RequestLogRecord& record);
+  void WriteAccessLog(const obs::RequestRecord& record);
 
   const ServiceConfig config_;
   const EngineInfo info_;

@@ -439,6 +439,20 @@ TEST_F(EngineTest, RegistryDeltasMatchQueryStats) {
   EXPECT_EQ(delta(obs::kEngineQueriesTotal), 1u);
 }
 
+// Serving calls FindExpertsBatch, so that is where the per-query
+// latency histogram must be fed: once per query of the batch.
+TEST_F(EngineTest, FindExpertsBatchObservesQueryLatencyPerQuery) {
+  Shared& s = shared();
+  const obs::Histogram& latency =
+      obs::MetricsRegistry::Global().GetHistogram(obs::kEngineQueryLatencyMs);
+  const uint64_t before = latency.TotalCount();
+  const std::vector<std::string> texts = {s.queries.queries[0].text,
+                                          s.queries.queries[1].text,
+                                          s.queries.queries[2].text};
+  s.engine->FindExpertsBatch(texts, 10, BatchQueryOptions());
+  EXPECT_EQ(latency.TotalCount() - before, 3u);
+}
+
 TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
   Shared& s = shared();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -451,13 +465,14 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
   const size_t num_queries = s.queries.queries.size() * kRounds;
   std::vector<QueryStats> stats(num_queries);
   ThreadPool pool(4);
+  TaskGroup group(pool);
   for (size_t i = 0; i < num_queries; ++i) {
-    pool.Submit([&s, &stats, i] {
+    group.Submit([&s, &stats, i] {
       const Query& q = s.queries.queries[i % s.queries.queries.size()];
       s.engine->FindExpertsWithStats(q.text, 10, &stats[i]);
     });
   }
-  pool.Wait();
+  group.Wait();
   // Per-query tallies are accumulated in locals and merged once at the
   // end, so concurrent queries must neither lose nor double-count: the
   // registry delta equals the sum over all per-query stats.

@@ -94,14 +94,15 @@ TEST(ExecutorStressTest, CancellationUnderLoadNeverWedges) {
     const int cancel_at = round % 3 == 0 ? 0 : 50 * round;
     for (int i = 0; i < 5000; ++i) {
       group.Submit([&, i] {
-        if (i == cancel_at) group.Cancel();
+        if (i == cancel_at) throw std::runtime_error("cancel");
         ran.fetch_add(1);
         std::this_thread::yield();
       });
     }
-    group.Wait();
-    // Tasks dequeued after the Cancel() are skipped, not run.
-    EXPECT_LT(ran.load(), 5000);
+    EXPECT_THROW(group.Wait(), std::runtime_error);
+    // Tasks dequeued after the throw cancelled the group are skipped,
+    // not run.
+    EXPECT_LT(ran.load(), 4999);
   }
   stop.store(true);
   looper.join();

@@ -1,9 +1,11 @@
 // Tests for the observability subsystem: instrument correctness under
 // concurrency, span nesting, and exporter round-trips.
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -231,15 +233,16 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
   constexpr size_t kTasks = 64;
   constexpr size_t kIncrementsPerTask = 1000;
   ThreadPool pool(8);
+  TaskGroup group(pool);
   for (size_t t = 0; t < kTasks; ++t) {
-    pool.Submit([&counter, &hist] {
+    group.Submit([&counter, &hist] {
       for (size_t i = 0; i < kIncrementsPerTask; ++i) {
         counter.Add(1);
         hist.Observe(3.0);
       }
     });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(counter.Value(), kTasks * kIncrementsPerTask);
   EXPECT_EQ(hist.TotalCount(), kTasks * kIncrementsPerTask);
   EXPECT_DOUBLE_EQ(hist.Sum(), 3.0 * kTasks * kIncrementsPerTask);
@@ -264,6 +267,28 @@ TEST(PipelineMetricsTest, WarmRegistersCanonicalSchema) {
   EXPECT_TRUE(snapshot.counters.count(obs::kTaEarlyTerminationTotal));
   EXPECT_TRUE(snapshot.histograms.count(obs::kPgindexSearchHops));
   EXPECT_TRUE(snapshot.gauges.count(obs::kTrainerEpochLoss));
+}
+
+TEST(PipelineMetricsTest, EveryRowExportsItsHelpLine) {
+  obs::WarmPipelineMetrics();
+  const std::string text = obs::ExportPrometheusText();
+  std::set<std::string> names;
+  for (const obs::PipelineMetric& metric : obs::kPipelineMetrics) {
+    EXPECT_TRUE(names.insert(metric.name).second)
+        << "duplicate row " << metric.name;
+    EXPECT_EQ(obs::FindPipelineMetric(metric.name), &metric);
+    std::string id = metric.name;
+    std::replace(id.begin(), id.end(), '.', '_');
+    EXPECT_NE(text.find("# HELP " + id + " " + metric.help + "\n"),
+              std::string::npos)
+        << metric.name;
+    if (metric.quantiles) {
+      EXPECT_NE(text.find("# TYPE " + id + "_quantile summary\n"),
+                std::string::npos)
+          << metric.name;
+    }
+  }
+  EXPECT_EQ(obs::FindPipelineMetric("obs_test.not_a_row"), nullptr);
 }
 
 TEST(TracerTest, SpansNestPerThread) {

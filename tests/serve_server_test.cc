@@ -25,6 +25,7 @@
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
 #include "serve/http_server.h"
+#include "serve/json_util.h"
 #include "serve/service.h"
 
 namespace kpef::serve {
@@ -714,6 +715,38 @@ TEST(ServeObsTest, SlowRequestLandsInDebugSlowAndTrace) {
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(response.body.find("\"ph\": \"X\""), std::string::npos);
+}
+
+// The ring keeps at most 256 bytes of a slow query. A cut through a
+// multi-byte character would make /v1/debug/slow invalid UTF-8 (and so
+// invalid JSON); the cut must back up to a code-point boundary.
+TEST(ServeObsTest, DebugSlowTruncatesQueryAtCodePointBoundary) {
+  ServiceConfig config = FastConfig();
+  config.slow_e2e_ms = 0.0001;  // every request lands in the ring
+  Harness harness(config);
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  std::string euros;
+  for (int i = 0; i < 100; ++i) euros += "\xE2\x82\xAC";  // U+20AC, 3 bytes
+  ASSERT_TRUE(client.PostWithHeaders(
+      "/v1/find_experts", "{\"query\":\"" + euros + "\",\"n\":1}",
+      {"x-request-id: euro-1"}));
+  ClientResponse response;
+  ASSERT_TRUE(client.ReadResponse(&response));
+  ASSERT_EQ(response.status, 200) << response.body;
+
+  ASSERT_TRUE(client.Get("/v1/debug/slow"));
+  ASSERT_TRUE(client.ReadResponse(&response));
+  ASSERT_EQ(response.status, 200);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(response.body, &doc, &error)) << error;
+  const JsonValue* slow = doc.Find("slow");
+  ASSERT_NE(slow, nullptr);
+  ASSERT_FALSE(slow->array_items.empty());
+  const JsonValue* query = slow->array_items[0].Find("query");
+  ASSERT_NE(query, nullptr);
+  EXPECT_EQ(query->string_value, euros.substr(0, 85 * 3));
 }
 
 TEST(ServeObsTest, UnknownTraceIdReturns404) {

@@ -16,16 +16,18 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_threads(), 3u);
   std::atomic<int> counter{0};
+  TaskGroup group(pool);
   for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
   ThreadPool pool(2);
-  pool.Wait();
+  TaskGroup group(pool);
+  group.Wait();
   SUCCEED();
 }
 
@@ -33,8 +35,9 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 20; ++i) pool.Submit([&counter] { ++counter; });
-    pool.Wait();
+    TaskGroup group(pool);
+    for (int i = 0; i < 20; ++i) group.Submit([&counter] { ++counter; });
+    group.Wait();
   }
   EXPECT_EQ(counter.load(), 20);
 }
@@ -127,12 +130,13 @@ TEST(ParallelForTest, ExceptionPropagatesAndPoolSurvives) {
 
 TEST(ThreadPoolTest, SubmittedTaskExceptionRethrownAtWait) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::logic_error("task failed"); });
-  EXPECT_THROW(pool.Wait(), std::logic_error);
+  TaskGroup group(pool);
+  group.Submit([] { throw std::logic_error("task failed"); });
+  EXPECT_THROW(group.Wait(), std::logic_error);
   // The group resets after the throwing join; later batches are clean.
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  group.Submit([&counter] { counter.fetch_add(1); });
+  group.Wait();
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -192,107 +196,15 @@ TEST(ParallelForTest, TwoThreadsDriveOnePoolConcurrently) {
   EXPECT_EQ(total_b.load(), 20u * 19900u);
 }
 
-// --- Context hooks (request-trace propagation seam, PR 6) -------------
-
-namespace context_hooks {
-
-thread_local uint64_t tls_context = 0;
-
-uint64_t Capture() { return tls_context; }
-uint64_t Swap(uint64_t context) {
-  const uint64_t prev = tls_context;
-  tls_context = context;
-  return prev;
-}
-
-/// Installs the test hooks for one test body, then uninstalls them so
-/// the obs layer's real hooks (registered at static init in the full
-/// binary) are not left shadowed for other tests.
-class ScopedHooks {
- public:
-  ScopedHooks() { ThreadPool::SetContextHooks(&Capture, &Swap); }
-  ~ScopedHooks() { ThreadPool::SetContextHooks(nullptr, nullptr); }
-};
-
-}  // namespace context_hooks
-
-TEST(ThreadPoolContextTest, SubmitterContextReachesWorker) {
-  context_hooks::ScopedHooks hooks;
-  ThreadPool pool(2);
-  context_hooks::tls_context = 42;
-  std::vector<uint64_t> seen(64, 0);
-  for (size_t i = 0; i < seen.size(); ++i) {
-    pool.Submit([&seen, i] { seen[i] = context_hooks::tls_context; });
-  }
-  context_hooks::tls_context = 0;
-  pool.Wait();
-  for (size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], 42u) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolContextTest, DistinctSubmittersStayDistinct) {
-  context_hooks::ScopedHooks hooks;
-  ThreadPool pool(4);
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 128;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> submitters;
-  for (int s = 1; s <= kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &mismatches, s] {
-      context_hooks::tls_context = static_cast<uint64_t>(s);
-      for (int i = 0; i < kTasksEach; ++i) {
-        pool.Submit([&mismatches, s] {
-          if (context_hooks::tls_context != static_cast<uint64_t>(s)) {
-            mismatches.fetch_add(1);
-          }
-        });
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.Wait();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ThreadPoolContextTest, WorkerContextRestoredBetweenTasks) {
-  context_hooks::ScopedHooks hooks;
-  ThreadPool pool(1);  // one worker: tasks run back to back
-  context_hooks::tls_context = 7;
-  pool.Submit([] {});
-  pool.Wait();
-  // After the contextful task, an uncontextful submitter's task must not
-  // observe a stale key left on the worker.
-  context_hooks::tls_context = 0;
-  uint64_t observed = 99;
-  pool.Submit([&observed] { observed = context_hooks::tls_context; });
-  pool.Wait();
-  EXPECT_EQ(observed, 0u);
-}
-
-TEST(ThreadPoolContextTest, ContextFlowsThroughNestedParallelFor) {
-  context_hooks::ScopedHooks hooks;
-  ThreadPool pool(3);
-  context_hooks::tls_context = 11;
-  std::atomic<int> wrong{0};
-  ParallelFor(pool, 64, [&](size_t) {
-    if (context_hooks::tls_context != 11) wrong.fetch_add(1);
-    ParallelFor(pool, 8, [&](size_t) {
-      if (context_hooks::tls_context != 11) wrong.fetch_add(1);
-    });
-  });
-  context_hooks::tls_context = 0;
-  EXPECT_EQ(wrong.load(), 0);
-}
-
 TEST(ThreadPoolContextTest, QueueDepthAndActiveWorkersObservable) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.QueueDepth(), 0u);
   EXPECT_EQ(pool.ActiveWorkers(), 0u);
   std::atomic<bool> release{false};
   std::atomic<int> started{0};
+  TaskGroup group(pool);
   for (int i = 0; i < 2; ++i) {
-    pool.Submit([&release, &started] {
+    group.Submit([&release, &started] {
       started.fetch_add(1);
       while (!release.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -303,10 +215,10 @@ TEST(ThreadPoolContextTest, QueueDepthAndActiveWorkersObservable) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(pool.ActiveWorkers(), 2u);
-  pool.Submit([] {});  // both workers busy: this one queues
+  group.Submit([] {});  // both workers busy: this one queues
   EXPECT_GE(pool.QueueDepth(), 1u);
   release.store(true);
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(pool.QueueDepth(), 0u);
   EXPECT_EQ(pool.ActiveWorkers(), 0u);
 }
