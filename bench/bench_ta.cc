@@ -139,7 +139,7 @@ void BM_RankAxisBound(benchmark::State& state) {
   static const TfIdfModel* tfidf = new TfIdfModel(*corpus);
   constexpr size_t kQueries = 500;
   const QuerySet queries = GenerateQueries(*dataset, kQueries, 7);
-  const std::vector<NodeId>& papers = dataset->Papers();
+  const auto& papers = dataset->Papers();
   const size_t m = papers.size() / 10;
   size_t early_apriori = 0, early_per_paper = 0;
   double ratio_apriori = 0.0, ratio_per_paper = 0.0;

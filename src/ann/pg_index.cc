@@ -90,7 +90,7 @@ PGIndex PGIndex::Build(const Matrix& points, const PGIndexConfig& config,
   PGIndexBuildStats local_stats;
   if (n == 0) {
     index.points_ = points;
-    index.adj_offsets_.assign(1, 0);
+    index.points_.ShareRowsOnCopy();
     if (stats) *stats = local_stats;
     return index;
   }
@@ -362,19 +362,19 @@ void PGIndex::FinalizeLayout(const Matrix& ext_points,
   // locality into memory locality. FIFO order with neighbors taken in
   // their stored (refinement) order makes the permutation a pure function
   // of the external graph — Build and a later Load agree bit-for-bit.
-  to_external_.clear();
-  to_external_.reserve(n);
+  std::vector<int32_t> to_external;
+  to_external.reserve(n);
   std::vector<char> seen(n, 0);
   if (n > 0 && navigating_external >= 0) {
     size_t head = 0;
-    to_external_.push_back(navigating_external);
+    to_external.push_back(navigating_external);
     seen[navigating_external] = 1;
-    while (head < to_external_.size()) {
-      const int32_t v = to_external_[head++];
+    while (head < to_external.size()) {
+      const int32_t v = to_external[head++];
       for (int32_t u : ext_adjacency[v]) {
         if (!seen[u]) {
           seen[u] = 1;
-          to_external_.push_back(u);
+          to_external.push_back(u);
         }
       }
     }
@@ -382,43 +382,51 @@ void PGIndex::FinalizeLayout(const Matrix& ext_points,
   // Unreachable stragglers (possible only in degenerate graphs) keep
   // their relative order at the end.
   for (size_t v = 0; v < n; ++v) {
-    if (!seen[v]) to_external_.push_back(static_cast<int32_t>(v));
+    if (!seen[v]) to_external.push_back(static_cast<int32_t>(v));
   }
-  to_internal_.assign(n, -1);
-  for (size_t i = 0; i < n; ++i) to_internal_[to_external_[i]] = static_cast<int32_t>(i);
+  std::vector<int32_t> to_internal(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    to_internal[to_external[i]] = static_cast<int32_t>(i);
+  }
 
   // Permuted copies: points, then the adjacency flattened to CSR (ids
-  // remapped to internal, per-node order preserved).
-  points_ = Matrix(n, d);
+  // remapped to internal, per-node order preserved). Everything is built
+  // fresh, so copies of the previous layout keep reading theirs.
+  Matrix points(n, d);
   for (size_t i = 0; i < n; ++i) {
-    const auto src = ext_points.Row(to_external_[i]);
-    auto dst = points_.Row(i);
+    const auto src = ext_points.Row(to_external[i]);
+    auto dst = points.Row(i);
     std::copy(src.begin(), src.end(), dst.begin());
   }
   size_t total_edges = 0;
   for (const auto& nbrs : ext_adjacency) total_edges += nbrs.size();
-  adj_offsets_.assign(n + 1, 0);
-  adj_.clear();
-  adj_.reserve(total_edges);
+  Adjacency adj;
+  adj.offsets.assign(n + 1, 0);
+  adj.targets.reserve(total_edges);
   for (size_t i = 0; i < n; ++i) {
-    for (int32_t u : ext_adjacency[to_external_[i]]) {
-      adj_.push_back(to_internal_[u]);
+    for (int32_t u : ext_adjacency[to_external[i]]) {
+      adj.targets.push_back(to_internal[u]);
     }
-    adj_offsets_[i + 1] = static_cast<int64_t>(adj_.size());
+    adj.offsets[i + 1] = static_cast<int64_t>(adj.targets.size());
   }
   ext_adjacency.clear();
 
   codes_ = Sq8Codes();
   if (quantize && n > 0) {
     if (ext_codes != nullptr && !ext_codes->empty()) {
-      codes_ = Sq8Codes::Permuted(*ext_codes, to_external_);
+      codes_ = Sq8Codes::Permuted(*ext_codes, to_external);
     } else {
       // Encoding commutes with row permutation (per-dim min/max are
       // order-independent), so encoding the internal-order matrix equals
       // permuting externally-encoded codes.
-      codes_ = Sq8Codes::Encode(points_);
+      codes_ = Sq8Codes::Encode(points);
     }
   }
+  points_ = std::move(points);
+  points_.ShareRowsOnCopy();
+  adj_ = std::make_shared<const Adjacency>(std::move(adj));
+  to_external_ = AppendStore<int32_t>(std::move(to_external));
+  to_internal_ = AppendStore<int32_t>(std::move(to_internal));
   extra_.clear();
   extra_edges_ = 0;
 }
@@ -512,7 +520,6 @@ Status PGIndex::InsertBatch(const Matrix& new_points,
     if (quantized()) codes_.AppendRow(new_points.Row(r));
     to_external_.push_back(fresh);
     to_internal_.push_back(fresh);
-    if (extra_.size() < points_.rows()) extra_.resize(points_.rows());
     const int32_t entry = to_internal_[navigating_node_];
     if (kept.empty()) kept.push_back(entry);
     extra_[fresh].assign(kept.begin(), kept.end());
@@ -523,7 +530,7 @@ Status PGIndex::InsertBatch(const Matrix& new_points,
     size_t reverse_added = 0;
     for (const int32_t q : kept) {
       const size_t degree =
-          InternalNeighbors(q).size() + extra_[q].size();
+          InternalNeighbors(q).size() + ExtraNeighbors(q).size();
       if (degree >= max_degree) continue;
       extra_[q].push_back(fresh);
       ++reverse_added;
@@ -549,7 +556,7 @@ void PGIndex::CompactDelta() {
   // point set.
   Matrix ext_points(n, points_.cols());
   for (size_t v = 0; v < n; ++v) {
-    const auto src = points_.Row(to_internal_[v]);
+    const auto src = std::as_const(points_).Row(to_internal_[v]);
     auto dst = ext_points.Row(v);
     std::copy(src.begin(), src.end(), dst.begin());
   }
@@ -770,12 +777,12 @@ std::vector<std::vector<Neighbor>> PGIndex::SearchBatch(
 
 size_t PGIndex::MemoryUsageBytes() const {
   size_t extra_bytes = 0;
-  for (const auto& list : extra_) {
+  for (const auto& [node, list] : extra_) {
     extra_bytes += list.capacity() * sizeof(int32_t);
   }
   return points_.PaddedSize() * sizeof(float) +
-         adj_.size() * sizeof(int32_t) +
-         adj_offsets_.size() * sizeof(int64_t) +
+         adj_->targets.size() * sizeof(int32_t) +
+         adj_->offsets.size() * sizeof(int64_t) +
          (to_external_.size() + to_internal_.size()) * sizeof(int32_t) +
          extra_bytes + codes_.MemoryUsageBytes();
 }

@@ -16,19 +16,29 @@
 //  - SearchBatch is a ParallelFor over Search's per-query body: one
 //    greedy search per query on its worker's reused arena (no per-query
 //    allocation). The engine itself calls Search, once per query task.
+//
+// Copying an index costs O(pending overlay edges): the points, codes and
+// permutation arrays are AppendStores (InsertBatch appends past every
+// copy's rows), the base CSR is shared immutable until CompactDelta
+// builds a new one, and only the overlay, keyed by node, is copied. So
+// every ingest generation owns a copy that staging's later inserts never
+// touch (DESIGN.md §16).
 
 #ifndef KPEF_ANN_PG_INDEX_H_
 #define KPEF_ANN_PG_INDEX_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ann/neighbor.h"
 #include "ann/nndescent.h"
 #include "ann/sq8.h"
+#include "common/append_store.h"
 #include "common/status.h"
 #include "embed/matrix.h"
 
@@ -149,7 +159,7 @@ class PGIndex {
   /// rows()/cols() for shape checks.
   const Matrix& points() const { return points_; }
   /// Internal row -> external id mapping of the BFS relabeling.
-  const std::vector<int32_t>& permutation() const { return to_external_; }
+  const AppendStore<int32_t>& permutation() const { return to_external_; }
 
   /// True when the index carries SQ8 codes (quantized traversal).
   bool quantized() const { return !codes_.empty(); }
@@ -172,7 +182,7 @@ class PGIndex {
   static StatusOr<PGIndex> Load(std::istream& in);
 
   /// Total directed edges in the refined graph (base CSR + overlay).
-  size_t NumEdges() const { return adj_.size() + extra_edges_; }
+  size_t NumEdges() const { return adj_->targets.size() + extra_edges_; }
   /// Approximate heap footprint: embeddings + adjacency + codes
   /// (Table VI).
   size_t MemoryUsageBytes() const;
@@ -198,8 +208,8 @@ class PGIndex {
   /// base CSR (reverse edges keep the new node reachable). Quantized
   /// indexes encode the new rows against the frozen SQ8 scales — the
   /// exact fp32 rerank absorbs any extra quantization error. NOT
-  /// thread-safe against concurrent searches; callers publish a copy
-  /// (RCU) after mutating a private staging index.
+  /// thread-safe against concurrent searches on this object; callers
+  /// publish a copy (RCU), which later inserts leave untouched.
   Status InsertBatch(const Matrix& new_points, const InsertParams& params,
                      InsertStats* stats = nullptr);
 
@@ -217,6 +227,12 @@ class PGIndex {
   PGIndex() = default;
 
   struct SearchArena;
+
+  /// The base CSR over internal ids.
+  struct Adjacency {
+    std::vector<int64_t> offsets;
+    std::vector<int32_t> targets;
+  };
 
   /// Thread-local scratch (visited bitmap, heap storage, prepared
   /// query) reused across searches on this thread.
@@ -247,16 +263,18 @@ class PGIndex {
   /// Base-CSR out-neighbors; empty span for nodes appended after the
   /// last finalization (their edges live only in the overlay).
   std::span<const int32_t> InternalNeighbors(int32_t internal) const {
-    if (static_cast<size_t>(internal) + 1 >= adj_offsets_.size()) return {};
-    return {adj_.data() + adj_offsets_[internal],
-            static_cast<size_t>(adj_offsets_[internal + 1] -
-                                adj_offsets_[internal])};
+    const std::vector<int64_t>& offsets = adj_->offsets;
+    if (static_cast<size_t>(internal) + 1 >= offsets.size()) return {};
+    return {adj_->targets.data() + offsets[internal],
+            static_cast<size_t>(offsets[internal + 1] - offsets[internal])};
   }
 
   /// Overlay out-neighbors of `internal` (empty when no inserts pend).
   std::span<const int32_t> ExtraNeighbors(int32_t internal) const {
-    if (static_cast<size_t>(internal) >= extra_.size()) return {};
-    return {extra_[internal].data(), extra_[internal].size()};
+    if (extra_.empty()) return {};
+    const auto it = extra_.find(internal);
+    if (it == extra_.end()) return {};
+    return {it->second.data(), it->second.size()};
   }
 
   /// Base + overlay concatenated into `scratch` when the overlay is
@@ -264,15 +282,15 @@ class PGIndex {
   std::span<const int32_t> MergedNeighbors(int32_t internal,
                                            std::vector<int32_t>& scratch) const;
 
-  Matrix points_;                     // internal (BFS) row order
-  std::vector<int64_t> adj_offsets_;  // CSR offsets, internal ids
-  std::vector<int32_t> adj_;          // flat neighbor array, internal ids
-  std::vector<int32_t> to_external_;  // internal -> external
-  std::vector<int32_t> to_internal_;  // external -> internal
-  Sq8Codes codes_;                    // empty when not quantized
-  /// Streaming-insert overlay: per internal id, out-edges appended since
-  /// the last finalization (sized to NumPoints() only while non-empty).
-  std::vector<std::vector<int32_t>> extra_;
+  Matrix points_;                      // internal (BFS) row order
+  /// Never written once built; CompactDelta swaps in a new one.
+  std::shared_ptr<const Adjacency> adj_ = std::make_shared<const Adjacency>();
+  AppendStore<int32_t> to_external_;   // internal -> external
+  AppendStore<int32_t> to_internal_;   // external -> internal
+  Sq8Codes codes_;                     // empty when not quantized
+  /// Streaming-insert overlay: internal id -> out-edges appended since
+  /// the last finalization (only nodes that have some).
+  std::unordered_map<int32_t, std::vector<int32_t>> extra_;
   size_t extra_edges_ = 0;
   double rerank_factor_ = 2.0;
   int32_t navigating_node_ = -1;  // external id

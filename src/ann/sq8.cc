@@ -46,10 +46,10 @@ Sq8Codes Sq8Codes::Encode(const Matrix& points) {
     const float range = hi[k] - lo[k];
     out.steps_[k] = range > 0.0f ? range / 255.0f : 0.0f;
   }
-  out.codes_.assign(out.rows_ * out.stride_, 0);
+  uint8_t* dense = out.codes_.Grow(out.rows_ * out.stride_);
   for (size_t r = 0; r < out.rows_; ++r) {
     const auto row = points.Row(r);
-    uint8_t* codes = out.codes_.data() + r * out.stride_;
+    uint8_t* codes = dense + r * out.stride_;
     for (size_t k = 0; k < d; ++k) {
       if (out.steps_[k] == 0.0f) continue;  // constant dim -> code 0
       const float scaled = (row[k] - out.mins_[k]) / out.steps_[k];
@@ -77,10 +77,9 @@ Sq8Codes Sq8Codes::FromParts(size_t rows, size_t cols,
     out.mins_[k] = mins[k];
     out.steps_[k] = steps[k];
   }
-  out.codes_.assign(rows * out.stride_, 0);
+  uint8_t* codes = out.codes_.Grow(rows * out.stride_);
   for (size_t r = 0; r < rows; ++r) {
-    std::copy_n(dense.data() + r * cols, cols,
-                out.codes_.data() + r * out.stride_);
+    std::copy_n(dense.data() + r * cols, cols, codes + r * out.stride_);
   }
   return out;
 }
@@ -94,19 +93,18 @@ Sq8Codes Sq8Codes::Permuted(const Sq8Codes& src,
   out.stride_ = src.stride_;
   out.mins_ = src.mins_;
   out.steps_ = src.steps_;
-  out.codes_.assign(src.codes_.size(), 0);
+  uint8_t* codes = out.codes_.Grow(src.codes_.size());
   for (size_t r = 0; r < out.rows_; ++r) {
     std::copy_n(src.codes_.data() +
                     static_cast<size_t>(order[r]) * src.stride_,
-                src.stride_, out.codes_.data() + r * out.stride_);
+                src.stride_, codes + r * out.stride_);
   }
   return out;
 }
 
 void Sq8Codes::AppendRow(std::span<const float> values) {
   KPEF_CHECK(values.size() == cols_);
-  codes_.resize((rows_ + 1) * stride_, 0);
-  uint8_t* codes = codes_.data() + rows_ * stride_;
+  uint8_t* codes = codes_.Grow(stride_);
   for (size_t k = 0; k < cols_; ++k) {
     if (steps_[k] == 0.0f) continue;  // constant dim -> code 0
     const float scaled = (values[k] - mins_[k]) / steps_[k];

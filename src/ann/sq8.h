@@ -28,6 +28,7 @@
 #include <span>
 
 #include "common/aligned_buffer.h"
+#include "common/append_store.h"
 #include "embed/matrix.h"
 
 namespace kpef {
@@ -99,7 +100,9 @@ class Sq8Codes {
   size_t rows_ = 0;
   size_t cols_ = 0;
   size_t stride_ = 0;
-  AlignedByteVector codes_;
+  /// Append-only, so copies share the code rows and AppendRow writes
+  /// past every copy's rows.
+  AppendStore<uint8_t, AlignedAllocator<uint8_t, kCacheLineBytes>> codes_;
   AlignedVector mins_;   // stride_ floats, tail zeros
   AlignedVector steps_;  // stride_ floats, tail zeros
 };

@@ -11,7 +11,7 @@ namespace kpef {
 std::vector<NodeId> TopPapersByScore(const Dataset& dataset,
                                      const std::vector<float>& scores,
                                      size_t m) {
-  const std::vector<NodeId>& papers = dataset.Papers();
+  const auto& papers = dataset.Papers();
   std::vector<size_t> order(scores.size());
   std::iota(order.begin(), order.end(), 0);
   const size_t keep = std::min(m, order.size());

@@ -70,10 +70,6 @@ struct AlignedAllocator {
 /// Float vector whose data() is 32-byte aligned.
 using AlignedVector = std::vector<float, AlignedAllocator<float>>;
 
-/// Byte vector whose data() is cache-line (64-byte) aligned.
-using AlignedByteVector =
-    std::vector<uint8_t, AlignedAllocator<uint8_t, kCacheLineBytes>>;
-
 /// Copies `src[0..n)` into an AlignedVector padded with zeros to the
 /// kernel width, so it can be paired with Matrix::PaddedRow spans.
 template <typename Span>

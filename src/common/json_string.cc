@@ -1,5 +1,6 @@
 #include "common/json_string.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace kpef {
@@ -27,6 +28,14 @@ void AppendJsonString(std::string_view s, std::string* out) {
     }
   }
   out->push_back('"');
+}
+
+std::string JsonNumber(double value) {
+  if (value == 0.0) return "0";
+  char buf[32];
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace kpef

@@ -75,9 +75,9 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::Build(
   if (config.use_weighted_pooling) {
     encoder_config.pooling = Pooling::kWeightedMean;
   }
-  engine->encoder_ = std::make_unique<DocumentEncoder>(
+  auto encoder = std::make_shared<DocumentEncoder>(
       corpus->vocabulary().size(), encoder_config);
-  engine->encoder_->SetTokenEmbeddings(tokens);
+  encoder->SetTokenEmbeddings(tokens);
   if (config.use_weighted_pooling) {
     const Vocabulary& vocab = corpus->vocabulary();
     const double n_docs =
@@ -88,7 +88,7 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::Build(
           vocab.DocumentFrequency(static_cast<TokenId>(t)) / n_docs;
       weights[t] = static_cast<float>(config.sif_a / (config.sif_a + p));
     }
-    engine->encoder_->SetTokenWeights(std::move(weights));
+    encoder->SetTokenWeights(std::move(weights));
   }
 
   // --- (k, P)-core based training data (§III-A/B).
@@ -111,7 +111,7 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::Build(
   // --- Triplet fine-tuning (§III-C).
   TrainerConfig trainer_config = config.trainer;
   trainer_config.seed = config.seed + 1;
-  TripletTrainer trainer(engine->encoder_.get(), corpus);
+  TripletTrainer trainer(encoder.get(), corpus);
   {
     KPEF_TRACE_SPAN("engine.training");
     local_report.training =
@@ -122,8 +122,10 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::Build(
   {
     KPEF_TRACE_SPAN("engine.encode_corpus");
     ScopedTimer embed_timer(&local_report.embed_seconds);
-    engine->embeddings_ = engine->encoder_->EncodeCorpus(*corpus);
+    engine->embeddings_ = encoder->EncodeCorpus(*corpus);
+    engine->embeddings_.ShareRowsOnCopy();
   }
+  engine->encoder_ = std::move(encoder);
 
   // --- PG-Index (§IV-A).
   if (config.use_pg_index) {
@@ -166,6 +168,17 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
     const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
     DocumentEncoder encoder, Matrix embeddings, std::unique_ptr<PGIndex> index,
     std::string artifact_dir) {
+  return FromParts(dataset, corpus, config,
+                   std::make_shared<const DocumentEncoder>(std::move(encoder)),
+                   std::move(embeddings), std::move(index),
+                   std::move(artifact_dir));
+}
+
+StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
+    const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
+    std::shared_ptr<const DocumentEncoder> shared_encoder, Matrix embeddings,
+    std::unique_ptr<PGIndex> index, std::string artifact_dir) {
+  const DocumentEncoder& encoder = *shared_encoder;
   auto engine = std::unique_ptr<ExpertFindingEngine>(
       new ExpertFindingEngine(dataset, corpus, config));
   if (encoder.vocab_size() != corpus->vocabulary().size()) {
@@ -197,8 +210,9 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
     // default.
     index->set_rerank_factor(config.pg_index.rerank_factor);
   }
-  engine->encoder_ = std::make_unique<DocumentEncoder>(std::move(encoder));
+  engine->encoder_ = std::move(shared_encoder);
   engine->embeddings_ = std::move(embeddings);
+  engine->embeddings_.ShareRowsOnCopy();
   engine->index_ = std::move(index);
   engine->artifact_dir_ = std::move(artifact_dir);
   return engine;
@@ -225,7 +239,7 @@ std::vector<NodeId> ExpertFindingEngine::RetrievePapers(
   QueryStats local;
   const std::vector<Neighbor> neighbors =
       *RetrieveQuery(query_text, m, BatchQueryOptions(), 0, &local);
-  const std::vector<NodeId>& papers = dataset_->Papers();
+  const auto& papers = dataset_->Papers();
   std::vector<NodeId> result;
   result.reserve(neighbors.size());
   for (const Neighbor& nb : neighbors) result.push_back(papers[nb.id]);
@@ -309,7 +323,7 @@ std::vector<std::vector<ExpertScore>> ExpertFindingEngine::FindExpertsBatch(
   // the query's own deadline, so an expired query stops costing work
   // without waiting on, or holding back, its batchmates. Ranking reads
   // the shared (read-only) graph.
-  const std::vector<NodeId>& papers = dataset_->Papers();
+  const auto& papers = dataset_->Papers();
   ParallelFor(workers, batch, [&](size_t q) {
     obs::ScopedTraceContext trace_scope(TraceKey(options, q));
     Timer query_timer;

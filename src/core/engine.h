@@ -189,10 +189,17 @@ class ExpertFindingEngine : public RetrievalModel {
   /// Assembles a serving engine directly from in-memory parts — the
   /// streaming-ingest path, where the coordinator extends a loaded
   /// encoder/embedding/index set with appended rows and publishes the
-  /// result as a new generation without touching disk. Cross-checks:
-  /// encoder vocab == corpus vocab, embedding rows == corpus documents,
-  /// encoder dim == embedding dim, index (when present) matching the
-  /// embedding shape. The dataset and corpus must outlive the engine.
+  /// result as a new generation without touching disk. The encoder is
+  /// shared, not copied: ingest never changes it. Cross-checks: encoder
+  /// vocab == corpus vocab, embedding rows == corpus documents, encoder
+  /// dim == embedding dim, index (when present) matching the embedding
+  /// shape. The dataset and corpus must outlive the engine.
+  static StatusOr<std::unique_ptr<ExpertFindingEngine>> FromParts(
+      const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
+      std::shared_ptr<const DocumentEncoder> encoder, Matrix embeddings,
+      std::unique_ptr<PGIndex> index, std::string artifact_dir = "");
+
+  /// FromParts over its own copy of `encoder`.
   static StatusOr<std::unique_ptr<ExpertFindingEngine>> FromParts(
       const Dataset* dataset, const Corpus* corpus, const EngineConfig& config,
       DocumentEncoder encoder, Matrix embeddings,
@@ -245,6 +252,10 @@ class ExpertFindingEngine : public RetrievalModel {
   const Corpus& corpus() const { return *corpus_; }
   const Matrix& embeddings() const { return embeddings_; }
   const DocumentEncoder& encoder() const { return *encoder_; }
+  /// The encoder, for a FromParts that shares it.
+  std::shared_ptr<const DocumentEncoder> shared_encoder() const {
+    return encoder_;
+  }
   const PGIndex* index() const { return index_.get(); }
   const EngineConfig& config() const { return config_; }
 
@@ -266,7 +277,8 @@ class ExpertFindingEngine : public RetrievalModel {
   const Dataset* dataset_;
   const Corpus* corpus_;
   EngineConfig config_;
-  std::unique_ptr<DocumentEncoder> encoder_;
+  std::shared_ptr<const DocumentEncoder> encoder_;
+  /// Only appended to (by ingest staging), so its copies share the rows.
   Matrix embeddings_;
   std::unique_ptr<PGIndex> index_;
   /// Set by LoadFromArtifacts; empty for a freshly built engine.

@@ -2,10 +2,6 @@
 
 #include <utility>
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
@@ -55,16 +51,7 @@ StatusOr<uint64_t> EngineGroup::PublishExternal(
     return Status::InvalidArgument("external generation must carry an engine");
   }
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  const uint64_t id = PublishLocked(std::move(generation));
-#ifdef __GLIBC__
-  // Every ingest publish deep-copies the serving state and retires the
-  // previous copy. glibc keeps such freed blocks cached in the
-  // allocating thread's arena (its dynamic mmap threshold rises past
-  // their size), so without a trim peak RSS grows with the publish
-  // rate. Returning them here is cheap next to the copy itself.
-  malloc_trim(0);
-#endif
-  return id;
+  return PublishLocked(std::move(generation));
 }
 
 Status EngineGroup::Reload(const std::string& dir) {

@@ -46,11 +46,15 @@ class EngineGroup {
     uint64_t id = 0;
     std::string artifact_dir;
     double load_seconds = 0.0;
-    /// Streaming-ingest generations own deep copies of the grown
-    /// dataset/corpus (a reload from disk serves the base ones via the
-    /// group's pointers instead and these stay null). Declared before
-    /// `engine`, which holds raw pointers into them, so destruction
-    /// order (reverse declaration) tears the engine down first.
+    /// Streaming-ingest generations own snapshots of the grown
+    /// dataset/corpus: copies that share every appended array's prefix
+    /// with the coordinator's staging state and the base CSRs with the
+    /// previous generation, so they cost O(batch), and that nothing
+    /// writes to once published (a reload from disk serves the base ones
+    /// via the group's pointers instead and these stay null). Declared
+    /// before `engine`, which holds raw pointers into them, so
+    /// destruction order (reverse declaration) tears the engine down
+    /// first.
     std::shared_ptr<const Dataset> owned_dataset;
     std::shared_ptr<const Corpus> owned_corpus;
     /// The loaded engine: encoder + embeddings + the persisted index.
@@ -77,8 +81,8 @@ class EngineGroup {
 
   /// Atomically publishes an externally assembled generation (the
   /// streaming-ingest path: the IngestCoordinator builds a Generation
-  /// holding deep copies of its staging dataset/corpus plus an engine
-  /// over them, then swaps it in here). Assigns the next generation id
+  /// holding snapshots of its staging dataset/corpus plus an engine over
+  /// them, then swaps it in here). Assigns the next generation id
   /// (written into generation->id) under the same serialization as
   /// Reload and returns it.
   StatusOr<uint64_t> PublishExternal(std::shared_ptr<Generation> generation);

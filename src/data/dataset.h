@@ -114,10 +114,10 @@ struct Dataset {
   std::vector<int32_t> author_primary_topic;
 
   /// Convenience accessors.
-  const std::vector<NodeId>& Papers() const {
+  const HeteroGraph::NodeList& Papers() const {
     return graph.NodesOfType(ids.paper);
   }
-  const std::vector<NodeId>& Authors() const {
+  const HeteroGraph::NodeList& Authors() const {
     return graph.NodesOfType(ids.author);
   }
 };

@@ -8,7 +8,7 @@ namespace kpef {
 StatusOr<DripSplit> MakeDripSplit(const Dataset& full, size_t holdout) {
   const HeteroGraph& g = full.graph;
   const AcademicSchema& ids = full.ids;
-  const std::vector<NodeId>& papers = g.NodesOfType(ids.paper);
+  const auto& papers = g.NodesOfType(ids.paper);
   if (holdout == 0 || holdout >= papers.size()) {
     return Status::InvalidArgument("drip holdout must be in [1, num_papers), got " +
                            std::to_string(holdout) + " of " +

@@ -13,7 +13,7 @@ QuerySet GenerateQueries(const Dataset& dataset, size_t num_queries,
   QuerySet set;
   const HeteroGraph& graph = dataset.graph;
   const AcademicSchema& ids = dataset.ids;
-  const std::vector<NodeId>& papers = dataset.Papers();
+  const auto& papers = dataset.Papers();
   if (papers.empty()) return set;
 
   // Precompute topic -> authors once (authors of any paper mentioning the

@@ -10,14 +10,24 @@
 // for kernel calls that want a tail-free 8-wide hot loop (the zero
 // padding contributes exact zero terms, so results are identical to the
 // logical-width call).
+//
+// Copies are deep, except of a matrix marked ShareRowsOnCopy(): one
+// whose owner only appends to it (the engine's embeddings, the PG-Index
+// points). Its rows live in an AppendStore (common/append_store.h), so
+// its copies share them in O(1), AppendRow extends the shared buffer
+// past every copy's rows, and an in-place write through a copy that
+// still shares its rows copies them first. So an ingest generation keeps
+// the rows it was published with while staging appends more.
 
 #ifndef KPEF_EMBED_MATRIX_H_
 #define KPEF_EMBED_MATRIX_H_
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
+#include "common/append_store.h"
 #include "common/logging.h"
 
 namespace kpef {
@@ -35,6 +45,28 @@ class Matrix {
     if (fill != 0.0f) Fill(fill);
   }
 
+  Matrix(const Matrix& other)
+      : rows_(other.rows_),
+        cols_(other.cols_),
+        stride_(other.stride_),
+        share_rows_(other.share_rows_),
+        data_(other.share_rows_
+                  ? other.data_
+                  : Store(std::vector<float, AlignedAllocator<float>>(
+                        other.data_.begin(), other.data_.end()))) {}
+  Matrix& operator=(const Matrix& other) {
+    if (this != &other) *this = Matrix(other);
+    return *this;
+  }
+  Matrix(Matrix&&) = default;
+  Matrix& operator=(Matrix&&) = default;
+
+  /// From now on, copies of this matrix share its rows instead of
+  /// copying them. For matrices whose owner only appends: an in-place
+  /// write through a sharer copies the rows first, so it must not race
+  /// with another write to the same object.
+  void ShareRowsOnCopy() { share_rows_ = true; }
+
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   /// Allocated floats per row (cols rounded up to a multiple of 8).
@@ -42,7 +74,7 @@ class Matrix {
 
   std::span<float> Row(size_t r) {
     KPEF_CHECK(r < rows_);
-    return {data_.data() + r * stride_, cols_};
+    return {data_.MutableData() + r * stride_, cols_};
   }
   std::span<const float> Row(size_t r) const {
     KPEF_CHECK(r < rows_);
@@ -57,13 +89,16 @@ class Matrix {
     return {data_.data() + r * stride_, stride_};
   }
 
-  float& At(size_t r, size_t c) { return data_[r * stride_ + c]; }
+  float& At(size_t r, size_t c) {
+    return data_.MutableData()[r * stride_ + c];
+  }
   float At(size_t r, size_t c) const { return data_[r * stride_ + c]; }
 
   /// Sets every logical value (padding stays zero).
   void Fill(float value) {
+    float* data = data_.MutableData();
     for (size_t r = 0; r < rows_; ++r) {
-      float* row = data_.data() + r * stride_;
+      float* row = data + r * stride_;
       for (size_t c = 0; c < cols_; ++c) row[c] = value;
       for (size_t c = cols_; c < stride_; ++c) row[c] = 0.0f;
     }
@@ -71,11 +106,11 @@ class Matrix {
 
   /// Appends a row (values.size() must equal cols; padding stays zero).
   /// Streaming ingestion appends one embedding per new document; existing
-  /// rows are untouched, so serialized prefixes stay byte-identical.
+  /// rows are untouched, so serialized prefixes stay byte-identical and
+  /// copies taken earlier keep reading theirs.
   void AppendRow(std::span<const float> values) {
     KPEF_CHECK(values.size() == cols_);
-    data_.resize((rows_ + 1) * stride_, 0.0f);
-    float* row = data_.data() + rows_ * stride_;
+    float* row = data_.Grow(stride_);
     for (size_t c = 0; c < cols_; ++c) row[c] = values[c];
     ++rows_;
   }
@@ -98,10 +133,13 @@ class Matrix {
   bool operator!=(const Matrix& other) const { return !(*this == other); }
 
  private:
+  using Store = AppendStore<float, AlignedAllocator<float>>;
+
   size_t rows_ = 0;
   size_t cols_ = 0;
   size_t stride_ = 0;
-  AlignedVector data_;
+  bool share_rows_ = false;
+  Store data_;
 };
 
 }  // namespace kpef

@@ -89,6 +89,8 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
     for (const CoocEntry& e : entries) {
       auto wi = w.Row(e.i);
       auto wj = wt.Row(e.j);
+      auto gwi = gw.Row(e.i);
+      auto gwtj = gwt.Row(e.j);
       double dot = 0.0;
       for (size_t k = 0; k < dim; ++k) dot += static_cast<double>(wi[k]) * wj[k];
       const double diff = dot + bias[e.i] + bias_t[e.j] - e.log_count;
@@ -97,10 +99,10 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
       for (size_t k = 0; k < dim; ++k) {
         const float gi = grad_common * wj[k];
         const float gj = grad_common * wi[k];
-        wi[k] -= lr * gi / std::sqrt(gw.At(e.i, k));
-        wj[k] -= lr * gj / std::sqrt(gwt.At(e.j, k));
-        gw.At(e.i, k) += gi * gi;
-        gwt.At(e.j, k) += gj * gj;
+        wi[k] -= lr * gi / std::sqrt(gwi[k]);
+        wj[k] -= lr * gj / std::sqrt(gwtj[k]);
+        gwi[k] += gi * gi;
+        gwtj[k] += gj * gj;
       }
       bias[e.i] -= lr * grad_common / std::sqrt(gbias[e.i]);
       bias_t[e.j] -= lr * grad_common / std::sqrt(gbias_t[e.j]);

@@ -14,7 +14,7 @@ size_t HeteroGraph::NumEdgesOfType(EdgeTypeId type) const {
 std::span<const NodeId> HeteroGraph::Neighbors(NodeId v,
                                                EdgeTypeId type) const {
   if (static_cast<size_t>(v) >= base_num_nodes_) return {};
-  const Csr& csr = adjacency_[type];
+  const Csr& csr = (*adjacency_)[type];
   const int64_t begin = csr.offsets[v];
   const int64_t end = csr.offsets[v + 1];
   return {csr.targets.data() + begin, static_cast<size_t>(end - begin)};
@@ -82,31 +82,32 @@ void HeteroGraph::CompactDeltas() {
 void HeteroGraph::RebuildCsr() {
   const size_t n = node_types_.size();
   const size_t num_edge_types = schema_.NumEdgeTypes();
-  adjacency_.assign(num_edge_types, {});
+  std::vector<Csr> adjacency(num_edge_types);
   for (size_t r = 0; r < num_edge_types; ++r) {
-    adjacency_[r].offsets.assign(n + 1, 0);
+    adjacency[r].offsets.assign(n + 1, 0);
   }
   for (const auto& e : edges_) {
-    auto& csr = adjacency_[e.type];
+    auto& csr = adjacency[e.type];
     ++csr.offsets[e.src + 1];
     ++csr.offsets[e.dst + 1];
   }
   for (size_t r = 0; r < num_edge_types; ++r) {
-    auto& csr = adjacency_[r];
+    auto& csr = adjacency[r];
     for (size_t v = 0; v < n; ++v) csr.offsets[v + 1] += csr.offsets[v];
     csr.targets.resize(csr.offsets[n]);
   }
   std::vector<std::vector<int64_t>> cursors(num_edge_types);
   for (size_t r = 0; r < num_edge_types; ++r) {
-    cursors[r].assign(adjacency_[r].offsets.begin(),
-                      adjacency_[r].offsets.end() - 1);
+    cursors[r].assign(adjacency[r].offsets.begin(),
+                      adjacency[r].offsets.end() - 1);
   }
   for (const auto& e : edges_) {
-    auto& csr = adjacency_[e.type];
+    auto& csr = adjacency[e.type];
     auto& cur = cursors[e.type];
     csr.targets[cur[e.src]++] = e.dst;
     csr.targets[cur[e.dst]++] = e.src;
   }
+  adjacency_ = std::make_shared<const std::vector<Csr>>(std::move(adjacency));
 }
 
 std::pair<HeteroGraph, std::vector<NodeId>> HeteroGraph::InducedSubgraph(
@@ -117,8 +118,8 @@ std::pair<HeteroGraph, std::vector<NodeId>> HeteroGraph::InducedSubgraph(
     old_to_new[old_id] = builder.AddNode(node_types_[old_id], labels_[old_id]);
   }
   // Emit each undirected edge once: from the canonical src orientation.
-  for (EdgeTypeId r = 0; r < static_cast<EdgeTypeId>(adjacency_.size());
-       ++r) {
+  for (EdgeTypeId r = 0;
+       r < static_cast<EdgeTypeId>(schema_.NumEdgeTypes()); ++r) {
     const NodeTypeId src_type = schema_.EdgeSrcType(r);
     const NodeTypeId dst_type = schema_.EdgeDstType(r);
     const bool self_relation = (src_type == dst_type);
@@ -145,9 +146,11 @@ size_t HeteroGraph::MemoryUsageBytes() const {
   size_t bytes = node_types_.size() * sizeof(NodeTypeId) +
                  local_index_.size() * sizeof(size_t) +
                  edges_.size() * sizeof(EdgeRecord);
-  for (const Csr& csr : adjacency_) {
-    bytes += csr.offsets.size() * sizeof(int64_t) +
-             csr.targets.size() * sizeof(NodeId);
+  if (adjacency_ != nullptr) {
+    for (const Csr& csr : *adjacency_) {
+      bytes += csr.offsets.size() * sizeof(int64_t) +
+               csr.targets.size() * sizeof(NodeId);
+    }
   }
   for (const auto& per_type : nodes_by_type_) {
     bytes += per_type.size() * sizeof(NodeId);
@@ -195,24 +198,30 @@ Status HeteroGraphBuilder::AddEdge(EdgeTypeId type, NodeId src, NodeId dst) {
 HeteroGraph HeteroGraphBuilder::Build() && {
   HeteroGraph g;
   g.schema_ = std::move(schema_);
-  g.node_types_ = std::move(node_types_);
-  g.labels_ = std::move(labels_);
-  const size_t n = g.node_types_.size();
+  const size_t n = node_types_.size();
   const size_t num_edge_types = g.schema_.NumEdgeTypes();
 
-  g.nodes_by_type_.resize(g.schema_.NumNodeTypes());
-  g.local_index_.resize(n);
+  std::vector<std::vector<NodeId>> nodes_by_type(g.schema_.NumNodeTypes());
+  std::vector<size_t> local_index(n);
   for (size_t v = 0; v < n; ++v) {
-    auto& bucket = g.nodes_by_type_[g.node_types_[v]];
-    g.local_index_[v] = bucket.size();
+    auto& bucket = nodes_by_type[node_types_[v]];
+    local_index[v] = bucket.size();
     bucket.push_back(static_cast<NodeId>(v));
   }
+  for (auto& bucket : nodes_by_type) {
+    g.nodes_by_type_.emplace_back(std::move(bucket));
+  }
+  g.local_index_ = AppendStore<size_t>(std::move(local_index));
+  g.node_types_ = AppendStore<NodeTypeId>(std::move(node_types_));
+  g.labels_ = AppendStore<std::string>(std::move(labels_));
 
   g.edges_per_type_.assign(num_edge_types, 0);
   for (const auto& e : edges_) ++g.edges_per_type_[e.type];
   g.num_edges_ = edges_.size();
-  g.edges_.reserve(edges_.size());
-  for (const auto& e : edges_) g.edges_.push_back({e.type, e.src, e.dst});
+  std::vector<HeteroGraph::EdgeRecord> edges;
+  edges.reserve(edges_.size());
+  for (const auto& e : edges_) edges.push_back({e.type, e.src, e.dst});
+  g.edges_ = AppendStore<HeteroGraph::EdgeRecord>(std::move(edges));
 
   // Counting sort into per-type CSR; each undirected edge lands in both
   // endpoints' lists (including self-relations like Cite), in insertion

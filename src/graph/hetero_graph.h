@@ -5,12 +5,14 @@
 #define KPEF_GRAPH_HETERO_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/append_store.h"
 #include "common/status.h"
 #include "graph/schema.h"
 #include "graph/types.h"
@@ -36,6 +38,12 @@ class HeteroGraphBuilder;
 /// neighbor list is its author list ranked first-author-first — the
 /// order the expert ranking score (Eq. 5) depends on. CompactDeltas()
 /// preserves the merged order exactly.
+///
+/// Copies are cheap, which is what lets every ingest publish snapshot
+/// the graph: the per-node arrays and the edge list are AppendStores
+/// (shared prefix, appends past it), the base CSRs are shared immutable
+/// and replaced whole by CompactDeltas(), and only the delta overlay,
+/// bounded by the merge budget, is copied.
 class HeteroGraph {
  public:
   /// One edge as originally inserted (canonical src->dst orientation).
@@ -46,6 +54,8 @@ class HeteroGraph {
 
     bool operator==(const EdgeRecord&) const = default;
   };
+  /// Node ids of one type, ascending (a prefix-shared store).
+  using NodeList = AppendStore<NodeId>;
 
   /// Constructs an empty graph (use HeteroGraphBuilder to populate one).
   HeteroGraph() = default;
@@ -106,7 +116,7 @@ class HeteroGraph {
   }
 
   /// All node ids of the given type, ascending.
-  const std::vector<NodeId>& NodesOfType(NodeTypeId type) const {
+  const NodeList& NodesOfType(NodeTypeId type) const {
     return nodes_by_type_[type];
   }
   size_t NumNodesOfType(NodeTypeId type) const {
@@ -127,7 +137,7 @@ class HeteroGraph {
 
   /// Edges in insertion order (the order that defines per-node neighbor
   /// ordering, e.g. author rank). Basis for serialization.
-  const std::vector<EdgeRecord>& Edges() const { return edges_; }
+  const AppendStore<EdgeRecord>& Edges() const { return edges_; }
 
   /// Approximate heap footprint of the adjacency structures, in bytes.
   size_t MemoryUsageBytes() const;
@@ -143,13 +153,15 @@ class HeteroGraph {
   void RebuildCsr();
 
   Schema schema_;
-  std::vector<NodeTypeId> node_types_;
-  std::vector<std::string> labels_;
-  std::vector<std::vector<NodeId>> nodes_by_type_;
-  std::vector<size_t> local_index_;
-  std::vector<Csr> adjacency_;  // one per edge type, base segment only
+  AppendStore<NodeTypeId> node_types_;
+  AppendStore<std::string> labels_;
+  std::vector<NodeList> nodes_by_type_;
+  AppendStore<size_t> local_index_;
+  /// One CSR per edge type, base segment only; never written once
+  /// built, so copies share it until CompactDeltas() swaps in a new one.
+  std::shared_ptr<const std::vector<Csr>> adjacency_;
   std::vector<size_t> edges_per_type_;
-  std::vector<EdgeRecord> edges_;  // insertion order (base then delta)
+  AppendStore<EdgeRecord> edges_;  // insertion order (base then delta)
   size_t num_edges_ = 0;
   /// Nodes covered by the base CSRs; ids >= this are appended nodes.
   size_t base_num_nodes_ = 0;

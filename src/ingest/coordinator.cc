@@ -88,7 +88,7 @@ Status IngestCoordinator::InitStaging(EngineGroup* group) {
   base_artifact_dir_ = gen->artifact_dir;
   dataset_ = std::make_shared<Dataset>(engine.dataset());
   corpus_ = std::make_shared<Corpus>(engine.corpus());
-  encoder_ = std::make_unique<DocumentEncoder>(engine.encoder());
+  encoder_ = engine.shared_encoder();
   embeddings_ = engine.embeddings();
   if (engine.index() != nullptr) {
     index_ = std::make_unique<PGIndex>(*engine.index());
@@ -132,7 +132,7 @@ StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
   }
 
   IngestApplyResult result;
-  std::vector<size_t> new_rows;
+  Matrix new_rows(0, embeddings_.cols());
   for (const IngestPaper& paper : batch.papers) {
     KPEF_ASSIGN_OR_RETURN(const bool applied, ApplyPaper(paper, &new_rows));
     if (applied) {
@@ -142,13 +142,8 @@ StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
     }
   }
 
-  if (index_ != nullptr && !new_rows.empty()) {
-    Matrix rows(new_rows.size(), embeddings_.cols());
-    for (size_t i = 0; i < new_rows.size(); ++i) {
-      const auto src = embeddings_.Row(new_rows[i]);
-      std::copy(src.begin(), src.end(), rows.Row(i).begin());
-    }
-    KPEF_RETURN_IF_ERROR(index_->InsertBatch(rows, options_.insert));
+  if (index_ != nullptr && new_rows.rows() > 0) {
+    KPEF_RETURN_IF_ERROR(index_->InsertBatch(new_rows, options_.insert));
   }
 
   stats_.records_applied += result.applied;
@@ -180,7 +175,7 @@ StatusOr<IngestApplyResult> IngestCoordinator::ApplyLocked(
 }
 
 StatusOr<bool> IngestCoordinator::ApplyPaper(const IngestPaper& paper,
-                                             std::vector<size_t>* new_rows) {
+                                             Matrix* new_rows) {
   if (paper_by_label_.find(paper.text) != paper_by_label_.end()) {
     return false;
   }
@@ -197,8 +192,10 @@ StatusOr<bool> IngestCoordinator::ApplyPaper(const IngestPaper& paper,
   KPEF_CHECK(doc == paper_local)
       << "corpus/paper alignment broken: doc " << doc << " vs paper "
       << paper_local;
-  embeddings_.AppendRow(encoder_->Encode(corpus_->Document(doc)));
-  new_rows->push_back(paper_local);
+  const std::vector<float> embedding =
+      encoder_->Encode(corpus_->Document(doc));
+  embeddings_.AppendRow(embedding);
+  new_rows->AppendRow(embedding);
 
   // Write edges in author-rank order (Eq. 5's Zipf weights read the
   // adjacency order), duplicates within the paper dropped.
@@ -288,6 +285,9 @@ void IngestCoordinator::CompactAll() {
 
 StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
   Timer timer;
+  // Every copy below is O(batch): the appended arrays share their
+  // prefix with staging, the base CSRs and the encoder are shared
+  // immutable, and only the bounded delta overlays are copied.
   auto dataset = std::make_shared<Dataset>(*dataset_);
   dataset->config.num_papers = dataset->graph.NumNodesOfType(dataset->ids.paper);
   dataset->config.num_authors =
@@ -301,8 +301,8 @@ StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
   KPEF_ASSIGN_OR_RETURN(
       std::unique_ptr<ExpertFindingEngine> engine,
       ExpertFindingEngine::FromParts(dataset.get(), corpus.get(), config_,
-                                     *encoder_, Matrix(embeddings_),
-                                     std::move(index), base_artifact_dir_));
+                                     encoder_, embeddings_, std::move(index),
+                                     base_artifact_dir_));
   auto generation = std::make_shared<EngineGroup::Generation>();
   generation->artifact_dir = base_artifact_dir_;
   generation->owned_dataset = dataset;
@@ -316,6 +316,7 @@ StatusOr<uint64_t> IngestCoordinator::PublishSnapshot() {
     merged_since_publish_ = false;
   }
   stats_.last_publish_generation = id;
+  KPEF_HISTOGRAM_OBSERVE(obs::kIngestPublishMs, timer.ElapsedMillis());
   return id;
 }
 

@@ -10,13 +10,20 @@
 //   embed — DocumentEncoder::Encode of the new doc -> Matrix row
 //   ann   — PGIndex::InsertBatch local-join insertion (when indexed)
 //
-// and then publishes an immutable Generation (deep copies of the staging
-// dataset/corpus plus an ExpertFindingEngine::FromParts engine) through
-// EngineGroup::PublishExternal — queries never observe the mutable
-// staging state, so concurrent query traffic needs no locks (the RCU
-// contract of DESIGN.md §14). When the graph and index delta overlays
-// together cross the merge budget the coordinator compacts both back
-// into flat CSRs before publishing.
+// and then publishes an immutable Generation (copies of the staging
+// dataset/corpus/embeddings/index plus an ExpertFindingEngine::FromParts
+// engine) through EngineGroup::PublishExternal. A publish costs
+// O(batch), not O(corpus): the appended arrays are AppendStores whose
+// copies share the prefix, and staging writes only past every length a
+// generation reads; the encoder, the frozen vocabulary and the base
+// CSRs are shared immutable; only the delta overlays, bounded by the
+// merge budget, are copied (DESIGN.md §16). Nothing a generation reaches
+// is written after it is published, so concurrent query traffic needs no
+// locks (the RCU contract of DESIGN.md §14). When the graph and index
+// delta overlays together cross the merge budget the coordinator
+// compacts both back into flat CSRs before publishing; a compaction
+// builds new CSRs and leaves the old ones to the generations that read
+// them.
 //
 // (k,P)-cores and meta-path projections are offline training inputs
 // (triple sampling, DESIGN.md §10); serving never reads them, so ingest
@@ -100,10 +107,10 @@ class IngestCoordinator {
   Status InitStaging(EngineGroup* group);
   StatusOr<IngestApplyResult> ApplyLocked(const IngestBatch& batch,
                                           bool log_to_wal, bool publish);
-  /// Appends one validated paper to every staging layer; false =
+  /// Appends one validated paper to every staging layer, and its
+  /// embedding to `new_rows` (the index's insert batch); false =
   /// duplicate.
-  StatusOr<bool> ApplyPaper(const IngestPaper& paper,
-                            std::vector<size_t>* new_rows);
+  StatusOr<bool> ApplyPaper(const IngestPaper& paper, Matrix* new_rows);
   size_t PendingDeltaEdges() const;
   void CompactAll();
   StatusOr<uint64_t> PublishSnapshot();
@@ -114,10 +121,11 @@ class IngestCoordinator {
   std::string base_artifact_dir_;
 
   mutable std::mutex mutex_;
-  // --- Staging state (guarded by mutex_; published as deep copies).
+  // --- Staging state (guarded by mutex_; published as prefix-sharing
+  // copies).
   std::shared_ptr<Dataset> dataset_;
   std::shared_ptr<Corpus> corpus_;
-  std::unique_ptr<DocumentEncoder> encoder_;
+  std::shared_ptr<const DocumentEncoder> encoder_;
   Matrix embeddings_;
   std::unique_ptr<PGIndex> index_;
   /// Label -> node id per entity kind (papers key on their text).

@@ -70,7 +70,7 @@ HomogeneousProjection ProjectHomogeneous(const HeteroGraph& graph,
   ThreadPool& pool = options.pool != nullptr ? *options.pool
                                              : ThreadPool::Default();
   const NodeTypeId node_type = path.SourceType();
-  const std::vector<NodeId>& nodes = graph.NodesOfType(node_type);
+  const auto& nodes = graph.NodesOfType(node_type);
   const size_t n = nodes.size();
 
   // Pass 1 (count): offsets[i + 1] <- deg(i), then prefix-summed. Knowing
@@ -104,7 +104,8 @@ HomogeneousProjection ProjectHomogeneous(const HeteroGraph& graph,
   });
 
   HomogeneousProjection proj = HomogeneousProjection::FromCsr(
-      node_type, nodes, std::move(offsets), std::move(neighbors));
+      node_type, std::vector<NodeId>(nodes), std::move(offsets),
+      std::move(neighbors));
   KPEF_COUNTER_ADD(obs::kProjectionBuildsTotal, 1);
   KPEF_COUNTER_ADD(obs::kProjectionEdges, entries);
   KPEF_HISTOGRAM_OBSERVE(obs::kProjectionBuildMs, build_timer.ElapsedMillis());

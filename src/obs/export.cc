@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/json_string.h"
 #include "obs/pipeline_metrics.h"
 
 namespace kpef::obs {
@@ -24,12 +25,6 @@ std::string Sanitize(const std::string& name) {
     out.insert(out.begin(), '_');
   }
   return out;
-}
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 std::string FormatU64(uint64_t value) {
@@ -103,7 +98,7 @@ std::string ExportPrometheusText(const MetricsSnapshot& snapshot) {
     const std::string id = Sanitize(name);
     AppendHelp(&out, name, id);
     out += "# TYPE " + id + " gauge\n";
-    out += id + " " + FormatDouble(value) + "\n";
+    out += id + " " + JsonNumber(value) + "\n";
   }
   for (const auto& [name, data] : snapshot.histograms) {
     const std::string id = Sanitize(name);
@@ -113,11 +108,11 @@ std::string ExportPrometheusText(const MetricsSnapshot& snapshot) {
     for (size_t i = 0; i < data.bucket_counts.size(); ++i) {
       cumulative += data.bucket_counts[i];
       const std::string le = i < data.upper_bounds.size()
-                                 ? FormatDouble(data.upper_bounds[i])
+                                 ? JsonNumber(data.upper_bounds[i])
                                  : "+Inf";
       out += id + "_bucket{le=\"" + le + "\"} " + FormatU64(cumulative) + "\n";
     }
-    out += id + "_sum " + FormatDouble(data.sum) + "\n";
+    out += id + "_sum " + JsonNumber(data.sum) + "\n";
     out += id + "_count " + FormatU64(data.total_count) + "\n";
   }
   // Summary-style tail quantiles for the rows that ask for them,
@@ -135,9 +130,9 @@ std::string ExportPrometheusText(const MetricsSnapshot& snapshot) {
       char qbuf[16];
       std::snprintf(qbuf, sizeof(qbuf), "%g", q);
       out += id + "{quantile=\"" + qbuf + "\"} " +
-             FormatDouble(HistogramQuantile(data, q)) + "\n";
+             JsonNumber(HistogramQuantile(data, q)) + "\n";
     }
-    out += id + "_sum " + FormatDouble(data.sum) + "\n";
+    out += id + "_sum " + JsonNumber(data.sum) + "\n";
     out += id + "_count " + FormatU64(data.total_count) + "\n";
   }
   return out;
@@ -160,7 +155,7 @@ std::string ExportMetricsJson(const MetricsSnapshot& snapshot) {
   first = true;
   for (const auto& [name, value] : snapshot.gauges) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + FormatDouble(value);
+    out += "    \"" + name + "\": " + JsonNumber(value);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -169,14 +164,14 @@ std::string ExportMetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, data] : snapshot.histograms) {
     out += first ? "\n" : ",\n";
     out += "    \"" + name + "\": {\"count\": " + FormatU64(data.total_count) +
-           ", \"sum\": " + FormatDouble(data.sum) + ", \"buckets\": [";
+           ", \"sum\": " + JsonNumber(data.sum) + ", \"buckets\": [";
     uint64_t cumulative = 0;
     for (size_t i = 0; i < data.bucket_counts.size(); ++i) {
       cumulative += data.bucket_counts[i];
       if (i > 0) out += ", ";
       out += "{\"le\": ";
       out += i < data.upper_bounds.size()
-                 ? FormatDouble(data.upper_bounds[i])
+                 ? JsonNumber(data.upper_bounds[i])
                  : std::string("\"+Inf\"");
       out += ", \"count\": " + FormatU64(cumulative) + "}";
     }

@@ -42,7 +42,7 @@ enum class MetricKind {
   X(kProjectionEdges, "projection.edges", kCounter, false, \
     "Directed adjacency entries materialized across all projection " \
     "builds.") \
-  X(kProjectionBuildMs, "projection.build_ms", kCountHistogram, false, \
+  X(kProjectionBuildMs, "projection.build_ms", kLatencyHistogram, false, \
     "Wall-clock per projection build (count + fill), milliseconds.") \
   /* Training-data sampling (§III-B). */ \
   X(kSamplingSeedsTotal, "sampling.seeds_total", kCounter, false, \
@@ -194,6 +194,8 @@ enum class MetricKind {
     "Wall-clock per delta merge (compaction), milliseconds.") \
   X(kIngestApplyMs, "ingest.apply_ms", kLatencyHistogram, false, \
     "Wall-clock per applied ingest batch, milliseconds.") \
+  X(kIngestPublishMs, "ingest.publish_ms", kLatencyHistogram, false, \
+    "Wall-clock per ingest generation publish, milliseconds.") \
   /* Process self-metrics (gauges, sampled on /metrics scrape). */ \
   X(kProcessRssBytes, "process.rss_bytes", kGauge, false, \
     "Resident set size, bytes (sampled on scrape).") \

@@ -46,7 +46,7 @@ SamplingResult TrainingDataGenerator::Generate(
   KPEF_TRACE_SPAN("sampling.generate");
   SamplingResult result;
   Rng rng(config.rng_seed);
-  const std::vector<NodeId>& papers = graph_->NodesOfType(paper_type_);
+  const auto& papers = graph_->NodesOfType(paper_type_);
   const size_t num_papers = papers.size();
   if (num_papers == 0) return result;
 

@@ -320,19 +320,4 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error,
   return true;
 }
 
-std::string JsonNumber(double value) {
-  if (value == 0.0) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    if (std::strtod(candidate, nullptr) == value) {
-      return candidate;
-    }
-  }
-  return buf;
-}
-
 }  // namespace kpef::serve

@@ -49,12 +49,10 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error,
 /// and code points above U+10FFFF).
 bool IsValidUtf8(std::string_view text);
 
-/// The shared escaper, also reachable as serve::AppendJsonString.
+/// The shared escaper and number formatter, also reachable as
+/// serve::AppendJsonString and serve::JsonNumber.
 using ::kpef::AppendJsonString;
-
-/// Formats a double the way the metrics exporter does: shortest
-/// round-trip representation, "0" for zero, no exponent surprises.
-std::string JsonNumber(double value);
+using ::kpef::JsonNumber;
 
 }  // namespace kpef::serve
 

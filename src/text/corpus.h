@@ -4,10 +4,12 @@
 #ifndef KPEF_TEXT_CORPUS_H_
 #define KPEF_TEXT_CORPUS_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/append_store.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
@@ -17,6 +19,12 @@ namespace kpef {
 ///
 /// Documents are appended in order; the document id is the append index
 /// (papers use their paper index, so Corpus doc i == paper i).
+///
+/// Copies are cheap: they share the documents (an AppendStore) and the
+/// vocabulary, which AddDocument, its one writer, clones first while
+/// another copy shares it. Streaming ingest appends through
+/// AddDocumentFrozen, so its published snapshots all share one frozen
+/// vocabulary.
 class Corpus {
  public:
   explicit Corpus(TokenizerOptions tokenizer_options = {})
@@ -42,17 +50,19 @@ class Corpus {
     return documents_[doc];
   }
 
-  const Vocabulary& vocabulary() const { return vocabulary_; }
-  Vocabulary& mutable_vocabulary() { return vocabulary_; }
+  const Vocabulary& vocabulary() const { return *vocabulary_; }
   const Tokenizer& tokenizer() const { return tokenizer_; }
 
   /// Total token count over all documents.
   size_t TotalTokens() const { return total_tokens_; }
 
  private:
+  /// The vocabulary, unshared first (AddDocument's copy on write).
+  Vocabulary& OwnVocabulary();
+
   Tokenizer tokenizer_;
-  Vocabulary vocabulary_;
-  std::vector<std::vector<TokenId>> documents_;
+  std::shared_ptr<Vocabulary> vocabulary_ = std::make_shared<Vocabulary>();
+  AppendStore<std::vector<TokenId>> documents_;
   size_t total_tokens_ = 0;
 };
 

@@ -88,7 +88,7 @@ TEST_F(HeteroGraphTest, CiteIsTraversableBothWays) {
 
 TEST_F(HeteroGraphTest, NodesOfTypeAndLocalIndex) {
   const auto& papers = graph_.NodesOfType(ids_.paper);
-  EXPECT_EQ(papers, (std::vector<NodeId>{p1_, p2_}));
+  EXPECT_EQ(std::vector<NodeId>(papers), (std::vector<NodeId>{p1_, p2_}));
   EXPECT_EQ(graph_.LocalIndex(p1_), 0u);
   EXPECT_EQ(graph_.LocalIndex(p2_), 1u);
   EXPECT_EQ(graph_.LocalIndex(a2_), 1u);

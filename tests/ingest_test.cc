@@ -12,11 +12,17 @@
 //    every batch serves the same answers as never compacting, and the
 //    pending count the budget reads is exactly the published graph and
 //    index overlays.
+//  - Snapshot isolation: a pinned generation answers, and reads, exactly
+//    what it did at publish while later batches (and compactions)
+//    publish past it; consecutive generations share their base storage.
 
+#include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +35,8 @@
 #include "data/queries.h"
 #include "embed/pretrain.h"
 #include "ingest/coordinator.h"
+#include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "scoped_temp_dir.h"
 
 #include <unordered_map>
@@ -74,7 +82,7 @@ Dataset BuildUnionDataset(const Dataset& base,
     remap[v] = builder.AddNode(fresh.topic, g.Label(v));
     topics[g.Label(v)] = remap[v];
   }
-  const std::vector<NodeId>& base_papers = g.NodesOfType(ids.paper);
+  const auto& base_papers = g.NodesOfType(ids.paper);
   for (NodeId v : base_papers) {
     remap[v] = builder.AddNode(fresh.paper, g.Label(v));
     papers[g.Label(v)] = remap[v];
@@ -498,7 +506,7 @@ TEST(IngestTest, InvalidBatchLeavesLogAndStagingUntouched) {
             s.split.base.Papers().size() + 1);
 }
 
-TEST(IngestTest, RejectsEmptyTextAndShardedGroups) {
+TEST(IngestTest, RejectsEmptyTextAndKeepsIngesting) {
   SharedIngest& s = SharedIngest::Get();
   auto group = s.LoadGroup(SharedIngest::BruteConfig(), s.dir_brute);
   ASSERT_NE(group, nullptr);
@@ -517,6 +525,191 @@ TEST(IngestTest, RejectsEmptyTextAndShardedGroups) {
       ToIngestBatch({s.split.tail.begin(), s.split.tail.begin() + 2}));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->applied, 2u);
+}
+
+/// What a generation serves and reads: its answers to `texts`, and
+/// deep copies of its sizes and embedding values.
+struct GenerationState {
+  std::vector<std::vector<ExpertScore>> answers;
+  size_t nodes = 0;
+  size_t documents = 0;
+  size_t points = 0;
+  std::vector<float> embeddings;
+};
+
+GenerationState Capture(const EngineGroup::Generation& generation,
+                        const std::vector<std::string>& texts) {
+  GenerationState state;
+  state.answers = generation.engine->FindExpertsBatch(texts, kTopN);
+  state.nodes = generation.owned_dataset->graph.NumNodes();
+  state.documents = generation.owned_corpus->NumDocuments();
+  if (const PGIndex* index = generation.engine->index()) {
+    state.points = index->NumPoints();
+  }
+  const Matrix& embeddings = generation.engine->embeddings();
+  for (size_t r = 0; r < embeddings.rows(); ++r) {
+    for (const float v : embeddings.Row(r)) state.embeddings.push_back(v);
+  }
+  return state;
+}
+
+/// Same authors and bit-identical scores, rank by rank.
+bool SameAnswerBits(const std::vector<std::vector<ExpertScore>>& a,
+                    const std::vector<std::vector<ExpertScore>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t q = 0; q < a.size(); ++q) {
+    if (a[q].size() != b[q].size()) return false;
+    for (size_t i = 0; i < a[q].size(); ++i) {
+      if (a[q][i].author != b[q][i].author ||
+          std::memcmp(&a[q][i].score, &b[q][i].score, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Generations share storage with staging and with each other, so the
+// contract that matters is that nothing a published generation reads
+// changes: pin one after the first batch, keep querying it from another
+// thread while the rest of the tail drains (with a compaction every
+// batch, and with the default budget), and it must still answer, and
+// hold, exactly what it did at publish.
+TEST(IngestTest, PinnedGenerationKeepsItsPublishState) {
+  SharedIngest& s = SharedIngest::Get();
+  const std::vector<std::string> texts = s.Texts();
+  const auto batches =
+      DripBatches(std::vector<DripPaper>(s.split.tail), kBatchSize);
+  ASSERT_GE(batches.size(), 3u);
+  struct Case {
+    std::string name;
+    EngineConfig config;
+    fs::path dir;
+    size_t merge_budget;
+  };
+  const size_t default_budget = IngestOptions().merge_pending_edge_budget;
+  const std::vector<Case> cases = {
+      {"brute_merge_every_batch", SharedIngest::BruteConfig(), s.dir_brute, 0},
+      {"brute_default_budget", SharedIngest::BruteConfig(), s.dir_brute,
+       default_budget},
+      {"pg_merge_every_batch", SharedIngest::PgConfig(), s.dir_pg, 0},
+      {"pg_default_budget", SharedIngest::PgConfig(), s.dir_pg,
+       default_budget},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto group = s.LoadGroup(c.config, c.dir);
+    ASSERT_NE(group, nullptr);
+    IngestOptions options;
+    options.wal_path = s.WalPath("pinned_" + c.name).string();
+    options.merge_pending_edge_budget = c.merge_budget;
+    auto coordinator = IngestCoordinator::Create(group.get(), c.config, options);
+    ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+    ASSERT_TRUE((*coordinator)->Apply(ToIngestBatch(batches[0])).ok());
+
+    const std::shared_ptr<const EngineGroup::Generation> pinned =
+        group->Snapshot();
+    const GenerationState at_publish = Capture(*pinned, texts);
+    ASSERT_EQ(at_publish.documents,
+              s.split.base.Papers().size() + batches[0].size());
+
+    std::atomic<bool> draining{true};
+    std::atomic<size_t> reads{0};
+    std::atomic<size_t> mismatches{0};
+    std::thread reader([&] {
+      do {
+        if (!SameAnswerBits(pinned->engine->FindExpertsBatch(texts, kTopN),
+                            at_publish.answers)) {
+          ++mismatches;
+        }
+        ++reads;
+      } while (draining.load());
+    });
+    size_t applied = batches[0].size();
+    for (size_t b = 1; b < batches.size(); ++b) {
+      const auto result = (*coordinator)->Apply(ToIngestBatch(batches[b]));
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) applied += result->applied;
+    }
+    draining = false;
+    reader.join();
+    EXPECT_EQ(applied, kHoldout);
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+    if (c.merge_budget == 0) {
+      EXPECT_GT((*coordinator)->Stats().merges, 0u);
+    }
+
+    const GenerationState after = Capture(*pinned, texts);
+    EXPECT_TRUE(SameAnswerBits(after.answers, at_publish.answers));
+    EXPECT_EQ(after.nodes, at_publish.nodes);
+    EXPECT_EQ(after.documents, at_publish.documents);
+    EXPECT_EQ(after.points, at_publish.points);
+    EXPECT_EQ(after.embeddings, at_publish.embeddings);
+    // The group moved on to the drained state.
+    EXPECT_EQ(group->Snapshot()->owned_corpus->NumDocuments(),
+              s.full.Papers().size());
+  }
+}
+
+// Publishing copies what a batch appended, not the corpus: two
+// consecutive generations read the same bytes for everything the base
+// held.
+TEST(IngestTest, ConsecutiveGenerationsShareBaseStorage) {
+  SharedIngest& s = SharedIngest::Get();
+  auto group = s.LoadGroup(SharedIngest::PgConfig(), s.dir_pg);
+  ASSERT_NE(group, nullptr);
+  IngestOptions options;
+  options.wal_path = s.WalPath("shared_storage").string();
+  options.merge_pending_edge_budget = 1u << 30;  // never compacts
+  auto coordinator =
+      IngestCoordinator::Create(group.get(), SharedIngest::PgConfig(), options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  const auto batches =
+      DripBatches(std::vector<DripPaper>(s.split.tail), kBatchSize);
+  ASSERT_GE(batches.size(), 2u);
+
+  ASSERT_TRUE((*coordinator)->Apply(ToIngestBatch(batches[0])).ok());
+  const auto first = group->Snapshot();
+  ASSERT_TRUE((*coordinator)->Apply(ToIngestBatch(batches[1])).ok());
+  const auto second = group->Snapshot();
+  ASSERT_GT(second->id, first->id);
+
+  const ExpertFindingEngine& a = *first->engine;
+  const ExpertFindingEngine& b = *second->engine;
+  EXPECT_EQ(&first->owned_dataset->graph.Label(0),
+            &second->owned_dataset->graph.Label(0));
+  EXPECT_EQ(&first->owned_corpus->Document(0),
+            &second->owned_corpus->Document(0));
+  EXPECT_EQ(a.embeddings().Row(0).data(), b.embeddings().Row(0).data());
+  ASSERT_NE(a.index(), nullptr);
+  ASSERT_NE(b.index(), nullptr);
+  EXPECT_EQ(a.index()->points().Row(0).data(),
+            b.index()->points().Row(0).data());
+  EXPECT_EQ(&a.encoder(), &b.encoder());
+  // Each reads only its own prefix of the shared rows.
+  EXPECT_EQ(b.embeddings().rows(),
+            a.embeddings().rows() + batches[1].size());
+  EXPECT_EQ(b.index()->NumPoints(), a.index()->NumPoints() + batches[1].size());
+}
+
+TEST(IngestTest, ApplyObservesOnePublish) {
+  SharedIngest& s = SharedIngest::Get();
+  auto group = s.LoadGroup(SharedIngest::BruteConfig(), s.dir_brute);
+  ASSERT_NE(group, nullptr);
+  IngestOptions options;
+  options.wal_path = s.WalPath("publish_metric").string();
+  auto coordinator = IngestCoordinator::Create(
+      group.get(), SharedIngest::BruteConfig(), options);
+  ASSERT_TRUE(coordinator.ok());
+  obs::WarmPipelineMetrics();
+  const obs::Histogram& publish =
+      obs::MetricsRegistry::Global().GetHistogram(obs::kIngestPublishMs);
+  const uint64_t before = publish.TotalCount();
+  auto applied = (*coordinator)->Apply(
+      ToIngestBatch({s.split.tail.begin(), s.split.tail.begin() + 2}));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(publish.TotalCount(), before + 1);
 }
 
 }  // namespace

@@ -711,5 +711,27 @@ TEST(ExportTest, PrometheusBucketsAreMonotonic) {
   EXPECT_TRUE(saw_any_bucket);
 }
 
+// Bucket bounds print in their shortest round-trip form, so a rule
+// keyed on le="0.05" matches the exported series.
+TEST(ExportTest, LatencyBucketBoundsExportShortestForm) {
+  obs::WarmPipelineMetrics();
+  const std::string text = obs::ExportPrometheusText();
+  EXPECT_NE(text.find("serve_queue_wait_ms_bucket{le=\"0.05\"} "),
+            std::string::npos);
+  EXPECT_NE(text.find("serve_queue_wait_ms_bucket{le=\"0.1\"} "),
+            std::string::npos);
+  EXPECT_EQ(text.find("0.050000000000000003"), std::string::npos);
+}
+
+// Projection builds take well under a millisecond on small graphs; the
+// latency bounds resolve them, the power-of-two count bounds did not.
+TEST(PipelineMetricsTest, ProjectionBuildMsHasSubMillisecondBuckets) {
+  obs::WarmPipelineMetrics();
+  const obs::Histogram& hist =
+      MetricsRegistry::Global().GetHistogram(obs::kProjectionBuildMs);
+  ASSERT_FALSE(hist.upper_bounds().empty());
+  EXPECT_LT(hist.upper_bounds().front(), 1.0);
+}
+
 }  // namespace
 }  // namespace kpef
