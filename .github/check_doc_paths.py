@@ -5,7 +5,7 @@ Collects every file path inside an inline code span (`...`) of the given
 Markdown files that ends in .cc, .h, .cpp, .json, .py or .md, and checks
 it against `git ls-files`. A path matches a tracked file when it equals
 the file's path or a trailing part of it, so `serve/service.cc` and
-`sq8_test.cc` both match `src/serve/service.cc` / `tests/sq8_test.cc`.
+`ann_test.cc` both match `src/serve/service.cc` / `tests/ann_test.cc`.
 Fenced code blocks are skipped; names that only exist as command output
 (EXEMPT) are allowed.
 

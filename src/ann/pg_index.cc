@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "embed/model_io.h"
 #include "embed/vector_ops.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
@@ -20,6 +21,8 @@
 namespace kpef {
 
 namespace {
+
+constexpr size_t kCacheLineBytes = 64;
 
 // Pull a whole point row into cache ahead of its distance evaluation.
 inline void PrefetchBytes(const void* p, size_t bytes) {
@@ -37,15 +40,13 @@ inline void PrefetchBytes(const void* p, size_t bytes) {
 }  // namespace
 
 // Thread-local scratch reused across searches: the visited bitmap, heap
-// storage, the prepared SQ8 query and the per-hop list of fresh
-// neighbors. A steady-state search allocates nothing.
+// storage and the per-hop list of fresh neighbors. A steady-state search
+// allocates nothing.
 struct PGIndex::SearchArena {
   VisitedBitset visited;
   std::vector<Neighbor> cand;   // min-heap (std::greater)
   std::vector<Neighbor> pool;   // max-heap (worst on top)
-  AlignedVector qt;             // prepared SQ8 query
   std::vector<int32_t> fresh;   // unvisited neighbors of the popped node
-  std::vector<Neighbor> rerank;
   // Base+overlay concatenation scratch (used only while inserts pend).
   std::vector<int32_t> merged;
 };
@@ -84,7 +85,6 @@ PGIndex PGIndex::Build(const Matrix& points, const PGIndexConfig& config,
   KPEF_TRACE_SPAN("pgindex.build");
   Timer total_timer;
   PGIndex index;
-  index.rerank_factor_ = std::max(1.0, config.rerank_factor);
   const size_t n = points.rows();
   const size_t d = points.cols();
   PGIndexBuildStats local_stats;
@@ -337,8 +337,7 @@ PGIndex PGIndex::Build(const Matrix& points, const PGIndexConfig& config,
     }
   }
 
-  index.FinalizeLayout(points, std::move(adjacency), navigating,
-                       config.quantize, /*ext_codes=*/nullptr);
+  index.FinalizeLayout(points, std::move(adjacency), navigating);
 
   local_stats.edges_final = index.NumEdges();
   local_stats.build_seconds = total_timer.ElapsedSeconds();
@@ -351,8 +350,7 @@ PGIndex PGIndex::Build(const Matrix& points, const PGIndexConfig& config,
 
 void PGIndex::FinalizeLayout(const Matrix& ext_points,
                              std::vector<std::vector<int32_t>>&& ext_adjacency,
-                             int32_t navigating_external, bool quantize,
-                             const Sq8Codes* ext_codes) {
+                             int32_t navigating_external) {
   const size_t n = ext_points.rows();
   const size_t d = ext_points.cols();
   navigating_node_ = navigating_external;
@@ -411,17 +409,6 @@ void PGIndex::FinalizeLayout(const Matrix& ext_points,
   }
   ext_adjacency.clear();
 
-  codes_ = Sq8Codes();
-  if (quantize && n > 0) {
-    if (ext_codes != nullptr && !ext_codes->empty()) {
-      codes_ = Sq8Codes::Permuted(*ext_codes, to_external);
-    } else {
-      // Encoding commutes with row permutation (per-dim min/max are
-      // order-independent), so encoding the internal-order matrix equals
-      // permuting externally-encoded codes.
-      codes_ = Sq8Codes::Encode(points);
-    }
-  }
   points_ = std::move(points);
   points_.ShareRowsOnCopy();
   adj_ = std::make_shared<const Adjacency>(std::move(adj));
@@ -451,10 +438,6 @@ std::vector<int32_t> PGIndex::NeighborsOf(int32_t node) const {
   return out;
 }
 
-void PGIndex::set_rerank_factor(double factor) {
-  rerank_factor_ = std::max(1.0, factor);
-}
-
 Status PGIndex::InsertBatch(const Matrix& new_points,
                             const InsertParams& params, InsertStats* stats) {
   if (new_points.rows() == 0) return Status::OK();
@@ -477,16 +460,10 @@ Status PGIndex::InsertBatch(const Matrix& new_points,
   std::vector<std::pair<float, int32_t>> cands;  // (squared dist, internal)
   std::vector<int32_t> kept;
   for (size_t r = 0; r < new_points.rows(); ++r) {
-    // Locate the neighborhood with the regular greedy search (rerank
-    // makes the candidate distances exact fp32 on the quantized path).
+    // Locate the neighborhood with the regular greedy search.
     SearchParams sp;
     sp.m = max_degree;
     sp.ef = std::max(params.ef, max_degree + 8);
-    sp.rerank_factor =
-        quantized() ? std::max(rerank_factor_,
-                               static_cast<double>(sp.ef) /
-                                   static_cast<double>(std::max<size_t>(1, sp.m)))
-                    : 0.0;
     SearchStats search_stats;
     const std::vector<Neighbor> found =
         Search(new_points.Row(r), sp, &search_stats);
@@ -517,7 +494,6 @@ Status PGIndex::InsertBatch(const Matrix& new_points,
     // touching existing entries.
     const int32_t fresh = static_cast<int32_t>(points_.rows());
     points_.AppendRow(new_points.Row(r));
-    if (quantized()) codes_.AppendRow(new_points.Row(r));
     to_external_.push_back(fresh);
     to_internal_.push_back(fresh);
     const int32_t entry = to_internal_[navigating_node_];
@@ -552,8 +528,7 @@ void PGIndex::CompactDelta() {
   const size_t n = points_.rows();
   // Reassemble the external-order view (the layout Save writes), then
   // re-run the exact Build/Load finalization over the merged graph: BFS
-  // relabel, CSR flatten, SQ8 re-encode with scales covering the full
-  // point set.
+  // relabel, CSR flatten.
   Matrix ext_points(n, points_.cols());
   for (size_t v = 0; v < n; ++v) {
     const auto src = std::as_const(points_).Row(to_internal_[v]);
@@ -568,8 +543,7 @@ void PGIndex::CompactDelta() {
     out.reserve(merged.size());
     for (int32_t u : merged) out.push_back(to_external_[u]);
   }
-  FinalizeLayout(ext_points, std::move(ext_adjacency), navigating_node_,
-                 quantized(), /*ext_codes=*/nullptr);
+  FinalizeLayout(ext_points, std::move(ext_adjacency), navigating_node_);
 }
 
 size_t PGIndex::GreedySearch(std::span<const float> query,
@@ -579,39 +553,14 @@ size_t PGIndex::GreedySearch(std::span<const float> query,
   const size_t n = points_.rows();
   const size_t m = params.m;
   if (n == 0 || m == 0) return 0;
-  const bool use_sq8 = quantized() && !params.force_exact;
-  double rf = params.rerank_factor > 0.0 ? params.rerank_factor
-                                         : rerank_factor_;
-  rf = std::max(1.0, rf);
-  const size_t rerank_depth =
-      use_sq8 ? std::max(m, static_cast<size_t>(rf * static_cast<double>(m)))
-              : m;
-  const size_t pool_size = std::max(params.ef, rerank_depth);
+  const size_t pool_size = std::max(params.ef, m);
 
   const DistanceKernel& kernel = ActiveKernel();
-  const size_t fp32_width = points_.stride();
-  const float* steps = use_sq8 ? codes_.steps().data() : nullptr;
-  const size_t code_width = use_sq8 ? codes_.stride() : 0;
-
-  auto fp32_distance = [&](int32_t u) {
+  const size_t width = points_.stride();
+  auto distance = [&](int32_t u) {
     ++stats->distance_computations;
     return kernel.squared_l2(points_.PaddedRow(u).data(), query.data(),
-                             fp32_width);
-  };
-  auto traversal_distance = [&](int32_t u) {
-    if (use_sq8) {
-      ++stats->sq8_distance_computations;
-      return kernel.sq8_asym_l2(arena.qt.data(), steps, codes_.RowPtr(u),
-                                code_width);
-    }
-    return fp32_distance(u);
-  };
-  auto prefetch_point = [&](int32_t u) {
-    if (use_sq8) {
-      PrefetchBytes(codes_.RowPtr(u), code_width);
-    } else {
-      PrefetchBytes(points_.PaddedRow(u).data(), fp32_width * sizeof(float));
-    }
+                             width);
   };
   const auto min_cmp = std::greater<Neighbor>{};
 
@@ -621,9 +570,8 @@ size_t PGIndex::GreedySearch(std::span<const float> query,
   visited.Begin(n);
   cand.clear();
   pool.clear();
-  if (use_sq8) codes_.PrepareQuery(query, arena.qt);
   const int32_t entry = to_internal_[navigating_node_];
-  const Neighbor first{entry, traversal_distance(entry)};
+  const Neighbor first{entry, distance(entry)};
   cand.push_back(first);
   pool.push_back(first);
   visited.TestAndSet(entry);
@@ -653,11 +601,11 @@ size_t PGIndex::GreedySearch(std::span<const float> query,
     fresh.clear();
     for (const int32_t u : nbrs) {
       if (visited.TestAndSet(u)) continue;
-      prefetch_point(u);
+      PrefetchBytes(points_.PaddedRow(u).data(), width * sizeof(float));
       fresh.push_back(u);
     }
     for (const int32_t u : fresh) {
-      const float dist = traversal_distance(u);
+      const float dist = distance(u);
       if (pool.size() < pool_size || dist < pool.front().distance) {
         const Neighbor next{u, dist};
         cand.push_back(next);
@@ -672,38 +620,16 @@ size_t PGIndex::GreedySearch(std::span<const float> query,
     }
   }
 
-  // Finalization: order the surviving pool, exact-rerank the SQ8
-  // frontrunners in fp32, cut to m, and translate internal ids back to
-  // external. Distances returned are true (rooted) L2.
+  // Finalization: order the surviving pool, cut to m, and translate
+  // internal ids back to external. Distances returned are true (rooted)
+  // L2.
   const size_t occupancy = pool.size();
   std::sort_heap(pool.begin(), pool.end());  // ascending (dist, id)
+  const size_t count = std::min(pool.size(), m);
   out->clear();
-  if (use_sq8) {
-    const size_t rcount = std::min(pool.size(), rerank_depth);
-    stats->rerank_candidates += rcount;
-    auto& rr = arena.rerank;
-    rr.clear();
-    rr.reserve(rcount);
-    for (size_t r = 0; r < rcount; ++r) {
-      PrefetchBytes(points_.PaddedRow(pool[r].id).data(),
-                    fp32_width * sizeof(float));
-    }
-    for (size_t r = 0; r < rcount; ++r) {
-      const int32_t u = pool[r].id;
-      rr.push_back({u, fp32_distance(u)});
-    }
-    std::sort(rr.begin(), rr.end());
-    if (rr.size() > m) rr.resize(m);
-    out->reserve(rr.size());
-    for (const Neighbor& nb : rr) {
-      out->push_back({to_external_[nb.id], std::sqrt(nb.distance)});
-    }
-  } else {
-    const size_t rcount = std::min(pool.size(), m);
-    out->reserve(rcount);
-    for (size_t r = 0; r < rcount; ++r) {
-      out->push_back({to_external_[pool[r].id], std::sqrt(pool[r].distance)});
-    }
+  out->reserve(count);
+  for (size_t r = 0; r < count; ++r) {
+    out->push_back({to_external_[pool[r].id], std::sqrt(pool[r].distance)});
   }
   return occupancy;
 }
@@ -735,10 +661,6 @@ std::vector<Neighbor> PGIndex::SearchPadded(std::span<const float> padded,
   KPEF_COUNTER_ADD(obs::kPgindexSearchesTotal, 1);
   KPEF_COUNTER_ADD(obs::kPgindexDistanceComputations,
                    local_stats.distance_computations);
-  KPEF_COUNTER_ADD(obs::kPgindexSq8DistanceComputations,
-                   local_stats.sq8_distance_computations);
-  KPEF_COUNTER_ADD(obs::kPgindexRerankCandidates,
-                   local_stats.rerank_candidates);
   KPEF_HISTOGRAM_OBSERVE(obs::kPgindexSearchHops, local_stats.hops);
   KPEF_HISTOGRAM_OBSERVE(obs::kPgindexCandidatePoolOccupancy, occupancy);
   if (stats) *stats = local_stats;
@@ -784,17 +706,15 @@ size_t PGIndex::MemoryUsageBytes() const {
          adj_->targets.size() * sizeof(int32_t) +
          adj_->offsets.size() * sizeof(int64_t) +
          (to_external_.size() + to_internal_.size()) * sizeof(int32_t) +
-         extra_bytes + codes_.MemoryUsageBytes();
+         extra_bytes;
 }
 
 namespace {
 
 constexpr uint32_t kPGIndexMagic = 0x4B504749;  // "KPGI"
-// v1: fp32 points + adjacency. v2 appends a has-codes flag and, when
-// set, the SQ8 mins/steps and dense code rows. The v1 prefix layout is
-// byte-identical, so the header checks (and their tests) carry over.
-constexpr uint32_t kPGIndexVersionFp32 = 1;
-constexpr uint32_t kPGIndexVersion = 2;
+// fp32 points + adjacency, in external-id order. Older versions are
+// refused, not converted.
+constexpr uint32_t kPGIndexVersion = 3;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -835,20 +755,6 @@ Status PGIndex::Save(std::ostream& out) const {
     out.write(reinterpret_cast<const char*>(nbrs.data()),
               static_cast<std::streamsize>(nbrs.size() * sizeof(int32_t)));
   }
-  const uint8_t has_codes = quantized() ? 1 : 0;
-  WritePod(out, has_codes);
-  if (has_codes) {
-    const size_t d = points_.cols();
-    out.write(reinterpret_cast<const char*>(codes_.mins().data()),
-              static_cast<std::streamsize>(d * sizeof(float)));
-    out.write(reinterpret_cast<const char*>(codes_.steps().data()),
-              static_cast<std::streamsize>(d * sizeof(float)));
-    for (size_t r = 0; r < n; ++r) {
-      const auto row = codes_.Row(to_internal_[r]);
-      out.write(reinterpret_cast<const char*>(row.data()),
-                static_cast<std::streamsize>(d));
-    }
-  }
   if (!out) return Status::IOError("write failed");
   return Status::OK();
 }
@@ -869,17 +775,19 @@ StatusOr<PGIndex> PGIndex::Load(std::istream& in) {
   if (!ReadPod(in, magic) || magic != kPGIndexMagic) {
     return Status::InvalidArgument("not a kpef PG-Index file");
   }
-  if (!ReadPod(in, version) ||
-      (version != kPGIndexVersionFp32 && version != kPGIndexVersion)) {
-    return Status::InvalidArgument("unsupported PG-Index version");
+  if (!ReadPod(in, version)) {
+    return Status::InvalidArgument("corrupt PG-Index header");
+  }
+  if (version != kPGIndexVersion) {
+    return Status::InvalidArgument(
+        "unsupported PG-Index version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kPGIndexVersion) +
+        "); rebuild the model directory with kpef_cli build");
   }
   if (!ReadPod(in, rows) || !ReadPod(in, cols) || !ReadPod(in, navigating)) {
     return Status::InvalidArgument("corrupt PG-Index header");
   }
-  // Bound rows and cols individually before touching the product so the
-  // multiplication cannot wrap (mirrors model_io's PlausibleMatrixDims).
-  if (rows > (1ull << 32) || cols > (1ull << 20) ||
-      rows * cols > (1ull << 31)) {
+  if (!PlausibleMatrixDims(rows, cols)) {
     return Status::InvalidArgument("implausible PG-Index dimensions");
   }
   if (rows > 0 &&
@@ -910,42 +818,8 @@ StatusOr<PGIndex> PGIndex::Load(std::istream& in) {
       }
     }
   }
-  // v2 carries the codes; a v1 artifact is re-encoded below (encoding is
-  // deterministic, so this reproduces exactly what a v2 save would hold).
-  bool quantize = true;
-  Sq8Codes ext_codes;
-  bool have_codes = false;
-  if (version >= kPGIndexVersion) {
-    uint8_t has_codes = 0;
-    if (!ReadPod(in, has_codes) || has_codes > 1) {
-      return Status::InvalidArgument("corrupt PG-Index code flag");
-    }
-    if (has_codes == 0) {
-      quantize = false;  // explicitly-unquantized artifact
-    } else {
-      std::vector<float> mins(cols), steps(cols);
-      in.read(reinterpret_cast<char*>(mins.data()),
-              static_cast<std::streamsize>(cols * sizeof(float)));
-      in.read(reinterpret_cast<char*>(steps.data()),
-              static_cast<std::streamsize>(cols * sizeof(float)));
-      if (!in) return Status::InvalidArgument("truncated SQ8 scales");
-      for (size_t k = 0; k < cols; ++k) {
-        if (!std::isfinite(mins[k]) || !std::isfinite(steps[k]) ||
-            steps[k] < 0.0f) {
-          return Status::InvalidArgument("corrupt SQ8 scales");
-        }
-      }
-      std::vector<uint8_t> dense(rows * cols);
-      in.read(reinterpret_cast<char*>(dense.data()),
-              static_cast<std::streamsize>(dense.size()));
-      if (!in) return Status::InvalidArgument("truncated SQ8 codes");
-      ext_codes = Sq8Codes::FromParts(rows, cols, mins, steps, dense);
-      have_codes = true;
-    }
-  }
   PGIndex index;
-  index.FinalizeLayout(ext_points, std::move(ext_adjacency), navigating,
-                       quantize, have_codes ? &ext_codes : nullptr);
+  index.FinalizeLayout(ext_points, std::move(ext_adjacency), navigating);
   return index;
 }
 

@@ -2,22 +2,21 @@
 // greedy best-first search over it (§IV-B).
 //
 // Since PR 7 the index is laid out for the traversal's memory access
-// pattern (DESIGN.md §12):
+// pattern (DESIGN.md §13):
 //  - nodes are relabeled into BFS order from the navigating node at
 //    Build/Load finalization, so graph neighbors tend to be memory
 //    neighbors (the permutation is kept internally; every public id —
 //    navigating_node(), NeighborsOf(), search results — is an *external*
 //    id, i.e. the row number of the original point matrix);
 //  - adjacency is one flat CSR array instead of per-node vectors;
-//  - stored vectors are SQ8-quantized (ann/sq8.h) and the greedy loop
-//    scores 64-byte-aligned code rows with the dispatched asymmetric
-//    int8 kernel, then exact-reranks the top rerank_factor * m
-//    candidates in fp32 so recall stays contractual;
+//  - the greedy loop scores the stored fp32 rows (32-byte aligned,
+//    zero-padded) with the dispatched kernel, prefetching each hop's
+//    fresh rows before scoring them;
 //  - SearchBatch is a ParallelFor over Search's per-query body: one
 //    greedy search per query on its worker's reused arena (no per-query
 //    allocation). The engine itself calls Search, once per query task.
 //
-// Copying an index costs O(pending overlay edges): the points, codes and
+// Copying an index costs O(pending overlay edges): the points and
 // permutation arrays are AppendStores (InsertBatch appends past every
 // copy's rows), the base CSR is shared immutable until CompactDelta
 // builds a new one, and only the overlay, keyed by node, is copied. So
@@ -37,7 +36,6 @@
 
 #include "ann/neighbor.h"
 #include "ann/nndescent.h"
-#include "ann/sq8.h"
 #include "common/append_store.h"
 #include "common/status.h"
 #include "embed/matrix.h"
@@ -56,13 +54,9 @@ struct PGIndexConfig {
   bool remove_redundant = true;
   /// Hard cap on a node's out-degree after refinement.
   size_t max_degree = 48;
-  /// SQ8-quantize the stored vectors at finalization: the greedy
-  /// traversal then runs over compressed code rows with an exact fp32
-  /// rerank of the survivors. OFF keeps the pure-fp32 traversal.
-  bool quantize = true;
-  /// Exact-rerank depth of the quantized path: the top
-  /// rerank_factor * m SQ8 candidates are re-scored in fp32 before the
-  /// final top-m cut (values < 1 are clamped to 1).
+  /// Unread: the index has one traversal, with no rerank pass. Kept
+  /// only so servebench, which sets it, still builds; delete it with
+  /// servebench's next change.
   double rerank_factor = 2.0;
 };
 
@@ -93,13 +87,11 @@ class PGIndex {
                        PGIndexBuildStats* stats = nullptr);
 
   struct SearchStats {
-    /// fp32 distance evaluations (the whole traversal on the exact
-    /// path; only the rerank pass on the quantized path).
+    /// fp32 distance evaluations of the traversal.
     uint64_t distance_computations = 0;
-    /// SQ8 asymmetric distance evaluations (quantized traversal only).
+    /// Always 0: kept only so servebench, which reads it, still builds;
+    /// delete it with servebench's next change.
     uint64_t sq8_distance_computations = 0;
-    /// Candidates exact-reranked in fp32 (quantized path only).
-    uint64_t rerank_candidates = 0;
     /// Nodes whose adjacency lists were expanded.
     uint64_t hops = 0;
     /// Wall-clock time of this query's own greedy search.
@@ -110,13 +102,10 @@ class PGIndex {
   struct SearchParams {
     /// Results returned (ascending by true L2 distance).
     size_t m = 10;
-    /// Candidate-pool size of the greedy loop (clamped up to the rerank
-    /// depth; 0 = just the rerank depth / m).
+    /// Candidate-pool size of the greedy loop (clamped up to m).
     size_t ef = 0;
-    /// Overrides the index's rerank factor for this call (0 = keep).
-    double rerank_factor = 0.0;
-    /// Forces the pure-fp32 traversal even on a quantized index
-    /// (ablation/bench baseline; no-op when the index has no codes).
+    /// Unread: there is one traversal. Kept only so servebench, which
+    /// sets it, still builds; delete it with servebench's next change.
     bool force_exact = false;
   };
 
@@ -161,30 +150,22 @@ class PGIndex {
   /// Internal row -> external id mapping of the BFS relabeling.
   const AppendStore<int32_t>& permutation() const { return to_external_; }
 
-  /// True when the index carries SQ8 codes (quantized traversal).
-  bool quantized() const { return !codes_.empty(); }
-  double rerank_factor() const { return rerank_factor_; }
-  /// Serving-time recall knob (quantized path); values < 1 clamp to 1.
-  void set_rerank_factor(double factor);
-
-  /// Persists the index (embeddings + adjacency + navigating node and,
-  /// when quantized, the SQ8 code matrix) in a host-endian binary
-  /// format, enabling the paper's offline-build / online-serve split.
-  /// Everything is written in external-id order, so version-1 readers'
-  /// expectations about row identity still hold.
+  /// Persists the index (embeddings + adjacency + navigating node) in a
+  /// host-endian binary format, enabling the paper's offline-build /
+  /// online-serve split. Everything is written in external-id order, so
+  /// the artifact is independent of the in-memory relabeling.
   Status Save(const std::string& path) const;
   Status Save(std::ostream& out) const;
 
-  /// Loads an index written by Save. Accepts version 1 (fp32-only, pre
-  /// PR 7) and version 2 (fp32 + optional SQ8 codes) artifacts; a v1
-  /// artifact is quantized on load so old artifacts get the fast path.
+  /// Loads an index written by Save. Only the current format version is
+  /// accepted; any other version is refused by number (rebuild the
+  /// artifact with `kpef_cli build`).
   static StatusOr<PGIndex> Load(const std::string& path);
   static StatusOr<PGIndex> Load(std::istream& in);
 
   /// Total directed edges in the refined graph (base CSR + overlay).
   size_t NumEdges() const { return adj_->targets.size() + extra_edges_; }
-  /// Approximate heap footprint: embeddings + adjacency + codes
-  /// (Table VI).
+  /// Approximate heap footprint: embeddings + adjacency (Table VI).
   size_t MemoryUsageBytes() const;
 
   /// Per-insert knobs of the streaming append path.
@@ -205,9 +186,7 @@ class PGIndex {
   /// Each point is located by a greedy search from the navigating node,
   /// its candidate list occlusion-pruned with Algorithm 2's rule, and
   /// the surviving edges placed in a delta overlay on top of the frozen
-  /// base CSR (reverse edges keep the new node reachable). Quantized
-  /// indexes encode the new rows against the frozen SQ8 scales — the
-  /// exact fp32 rerank absorbs any extra quantization error. NOT
+  /// base CSR (reverse edges keep the new node reachable). NOT
   /// thread-safe against concurrent searches on this object; callers
   /// publish a copy (RCU), which later inserts leave untouched.
   Status InsertBatch(const Matrix& new_points, const InsertParams& params,
@@ -217,10 +196,9 @@ class PGIndex {
   size_t PendingDeltaEdges() const { return extra_edges_; }
 
   /// Folds the overlay into a fresh base layout: re-runs the BFS
-  /// relabeling + CSR flatten (and re-encodes SQ8 scales over the full
-  /// point set) exactly as Build/Load finalization would on the merged
-  /// graph. After this PendingDeltaEdges() == 0 and the hot path walks
-  /// pure CSR again.
+  /// relabeling + CSR flatten exactly as Build/Load finalization would
+  /// on the merged graph. After this PendingDeltaEdges() == 0 and the
+  /// hot path walks pure CSR again.
   void CompactDelta();
 
  private:
@@ -234,18 +212,15 @@ class PGIndex {
     std::vector<int32_t> targets;
   };
 
-  /// Thread-local scratch (visited bitmap, heap storage, prepared
-  /// query) reused across searches on this thread.
+  /// Thread-local scratch (visited bitmap, heap storage) reused across
+  /// searches on this thread.
   static SearchArena& LocalArena();
 
-  /// Shared by Build and Load: BFS-relabels the external-order graph
-  /// into the cache-aware internal layout and installs the SQ8 codes
-  /// (`codes` non-null reuses pre-encoded external-order rows; else the
-  /// permuted points are encoded when `quantize`).
+  /// Shared by Build, Load and CompactDelta: BFS-relabels the
+  /// external-order graph into the cache-aware internal layout.
   void FinalizeLayout(const Matrix& ext_points,
                       std::vector<std::vector<int32_t>>&& ext_adjacency,
-                      int32_t navigating_external, bool quantize,
-                      const Sq8Codes* ext_codes);
+                      int32_t navigating_external);
 
   /// Search's body for an already padded query (SearchBatch's rows):
   /// the timed greedy search plus its metrics-registry update.
@@ -287,12 +262,10 @@ class PGIndex {
   std::shared_ptr<const Adjacency> adj_ = std::make_shared<const Adjacency>();
   AppendStore<int32_t> to_external_;   // internal -> external
   AppendStore<int32_t> to_internal_;   // external -> internal
-  Sq8Codes codes_;                     // empty when not quantized
   /// Streaming-insert overlay: internal id -> out-edges appended since
   /// the last finalization (only nodes that have some).
   std::unordered_map<int32_t, std::vector<int32_t>> extra_;
   size_t extra_edges_ = 0;
-  double rerank_factor_ = 2.0;
   int32_t navigating_node_ = -1;  // external id
 };
 

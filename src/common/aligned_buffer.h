@@ -28,10 +28,6 @@ constexpr size_t PadToKernelWidth(size_t n) {
          kKernelWidthFloats;
 }
 
-/// Alignment (bytes) for structures laid out on cache-line boundaries
-/// (e.g. the SQ8 code matrix rows in ann/sq8.h).
-inline constexpr size_t kCacheLineBytes = 64;
-
 /// Minimal C++17 allocator handing out `Alignment`-aligned blocks
 /// (defaults to the kernel operand alignment).
 template <typename T, size_t Alignment = kKernelAlignment>

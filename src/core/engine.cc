@@ -205,10 +205,6 @@ StatusOr<std::unique_ptr<ExpertFindingEngine>> ExpertFindingEngine::FromParts(
       return Status::FailedPrecondition(
           "index dimension does not match the embeddings");
     }
-    // Whether the index is quantized follows the artifact; the rerank
-    // depth is a serving-time knob, so the config wins over the saved
-    // default.
-    index->set_rerank_factor(config.pg_index.rerank_factor);
   }
   engine->encoder_ = std::move(shared_encoder);
   engine->embeddings_ = std::move(embeddings);
@@ -225,7 +221,6 @@ EngineInfo ExpertFindingEngine::Info() const {
   info.num_experts = dataset_->Authors().size();
   info.embedding_dim = embeddings_.cols();
   info.has_index = index_ != nullptr;
-  info.quantized_index = index_ != nullptr && index_->quantized();
   info.top_m = config_.top_m;
   info.git_hash = BuildGitHash();
   info.build_type = BuildType();
@@ -295,8 +290,7 @@ std::optional<std::vector<Neighbor>> ExpertFindingEngine::RetrieveQuery(
     neighbors = BruteForceSearch(embeddings_, query, m);
     search_stats.distance_computations = embeddings_.rows();
   }
-  stats->distance_computations = search_stats.distance_computations +
-                                 search_stats.sq8_distance_computations;
+  stats->distance_computations = search_stats.distance_computations;
   stats->retrieval_ms += search_timer.ElapsedMillis();
   return neighbors;
 }

@@ -109,9 +109,6 @@ struct EngineInfo {
   size_t num_experts = 0;
   size_t embedding_dim = 0;
   bool has_index = false;
-  /// The index traverses SQ8 codes with fp32 rerank (PGIndexConfig
-  /// quantize / the loaded artifact's codes).
-  bool quantized_index = false;
   size_t top_m = 0;
   /// Build stamp (common/build_info.h): short git hash and build type.
   std::string git_hash;
@@ -134,8 +131,7 @@ struct QueryStats {
   /// index/brute-force search).
   double encode_ms = 0.0;
   double ranking_ms = 0.0;
-  /// All retrieval distance evaluations: SQ8 traversal + fp32 rerank on
-  /// a quantized index, plain fp32 otherwise — comparable across modes.
+  /// Retrieval distance evaluations (greedy search or brute-force scan).
   uint64_t distance_computations = 0;
   /// S(a, p) entries the one-pass ranking summed.
   size_t ranking_entries_accessed = 0;

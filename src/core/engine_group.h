@@ -31,7 +31,7 @@ class EngineGroup {
  public:
   struct Options {
     /// Serving configuration applied to every generation (retrieval
-    /// depth, rerank factor, ...). use_pg_index selects the persisted
+    /// depth, pool size, ...). use_pg_index selects the persisted
     /// PG-Index vs a brute-force scan.
     EngineConfig engine;
     /// Unread: kept only so servebench, which sets it, still builds;

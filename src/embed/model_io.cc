@@ -21,19 +21,6 @@ bool ReadPod(std::istream& in, T& value) {
   return static_cast<bool>(in);
 }
 
-// Overflow-safe plausibility check for serialized matrix dimensions.
-// Bounds rows and cols individually *before* touching the product: a
-// hostile header like rows = 2^33, cols = 2^31 wraps rows * cols to a
-// small uint64_t, so a product-only check would pass and the subsequent
-// Matrix(rows, cols) would attempt an enormous allocation.
-bool PlausibleMatrixDims(uint64_t rows, uint64_t cols) {
-  constexpr uint64_t kMaxRows = 1ull << 32;
-  constexpr uint64_t kMaxCols = 1ull << 20;
-  constexpr uint64_t kMaxElements = 1ull << 31;
-  if (rows > kMaxRows || cols > kMaxCols) return false;
-  return cols == 0 || rows <= kMaxElements / cols;
-}
-
 Status WriteFloats(std::ostream& out, const std::vector<float>& data) {
   const uint64_t count = data.size();
   WritePod(out, count);
@@ -90,6 +77,16 @@ Status ReadMatrixValues(std::istream& in, Matrix& matrix) {
 }
 
 }  // namespace
+
+bool PlausibleMatrixDims(uint64_t rows, uint64_t cols) {
+  constexpr uint64_t kMaxRows = 1ull << 32;
+  constexpr uint64_t kMaxCols = 1ull << 20;
+  constexpr uint64_t kMaxFloats = 1ull << 31;
+  if (rows > kMaxRows || cols > kMaxCols) return false;
+  if (rows == 0) return true;
+  if (cols == 0) return false;
+  return rows <= kMaxFloats / PadToKernelWidth(cols);
+}
 
 Status SaveMatrix(const Matrix& matrix, std::ostream& out) {
   WritePod(out, kMatrixMagic);
@@ -172,7 +169,9 @@ StatusOr<DocumentEncoder> LoadEncoder(std::istream& in) {
   if (pooling < 0 || pooling > static_cast<int32_t>(Pooling::kWeightedMean)) {
     return Status::InvalidArgument("unknown pooling mode");
   }
-  if (!PlausibleMatrixDims(vocab, dim)) {
+  // The encoder allocates a vocab x dim token table and a dim x dim
+  // projection.
+  if (!PlausibleMatrixDims(vocab, dim) || !PlausibleMatrixDims(dim, dim)) {
     return Status::InvalidArgument("implausible encoder dimensions");
   }
   EncoderConfig config;

@@ -10,6 +10,7 @@
 #ifndef KPEF_EMBED_MODEL_IO_H_
 #define KPEF_EMBED_MODEL_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -18,6 +19,15 @@
 #include "embed/matrix.h"
 
 namespace kpef {
+
+/// The one plausibility rule for a serialized header's matrix
+/// dimensions, checked before anything is allocated. rows and cols are
+/// bounded individually first, so nothing below can wrap; then the
+/// allocation Matrix(rows, cols) would make, rows * PadToKernelWidth(cols)
+/// floats, must stay within 2^31; and rows > 0 needs cols > 0 (zero-width
+/// rows would let a header claim 2^32 rows for free). LoadMatrix,
+/// LoadEncoder and PGIndex::Load all call it.
+bool PlausibleMatrixDims(uint64_t rows, uint64_t cols);
 
 /// Writes a matrix (magic, rows, cols, row-major float data).
 Status SaveMatrix(const Matrix& matrix, const std::string& path);

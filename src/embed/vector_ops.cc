@@ -56,39 +56,6 @@ void ScaleScalar(float alpha, float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-float Sq8AsymL2Scalar(const float* qt, const float* step,
-                      const uint8_t* codes, size_t n) {
-  // Sixteen virtual lanes as two 8-lane chains (element i goes to
-  // chain (i % 16) / 8, lane i % 8), folded chain0 + chain1 per lane
-  // before the standard reduction — see the sq8 accumulation contract
-  // in vector_ops.h. Unlike the fp32 kernels, the uint8 -> float
-  // conversion feeds the accumulate, so a single 8-lane chain is
-  // latency-bound; two chains let consecutive 8-groups overlap.
-  float chain0[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  float chain1[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  const size_t n16 = n - n % 16;
-  for (size_t i = 0; i < n16; i += 16) {
-    for (size_t j = 0; j < 8; ++j) {
-      const float d =
-          qt[i + j] - step[i + j] * static_cast<float>(codes[i + j]);
-      chain0[j] += d * d;
-    }
-    for (size_t j = 0; j < 8; ++j) {
-      const float d =
-          qt[i + 8 + j] - step[i + 8 + j] * static_cast<float>(codes[i + 8 + j]);
-      chain1[j] += d * d;
-    }
-  }
-  for (size_t i = n16; i < n; ++i) {
-    const size_t off = i - n16;
-    const float d = qt[i] - step[i] * static_cast<float>(codes[i]);
-    (off < 8 ? chain0[off] : chain1[off - 8]) += d * d;
-  }
-  float lanes[8];
-  for (size_t j = 0; j < 8; ++j) lanes[j] = chain0[j] + chain1[j];
-  return ReduceLanes(lanes);
-}
-
 // --- Trainer kernels: purely elementwise (no accumulator lanes), so the
 // scalar and AVX2 paths are bit-identical as long as neither contracts
 // mul+add into FMA (this TU targets baseline x86-64, which has no FMA;
@@ -127,9 +94,8 @@ void AdamUpdateScalar(float* params, const float* grads, float* m, float* v,
 }
 
 constexpr DistanceKernel kScalarKernel = {
-    "scalar",        DotScalar,         SquaredL2Scalar,
-    AxpyScalar,      ScaleScalar,       Sq8AsymL2Scalar,
-    Axpy2Scalar,     TripletGradScalar, AdamUpdateScalar};
+    "scalar",    DotScalar,   SquaredL2Scalar,   AxpyScalar,
+    ScaleScalar, Axpy2Scalar, TripletGradScalar, AdamUpdateScalar};
 
 }  // namespace
 
@@ -173,14 +139,6 @@ float Dot(std::span<const float> a, std::span<const float> b) {
 float SquaredL2Distance(std::span<const float> a, std::span<const float> b) {
   assert(a.size() == b.size());
   return ActiveKernel().squared_l2(a.data(), b.data(), a.size());
-}
-
-float Sq8AsymmetricSquaredL2(std::span<const float> qt,
-                             std::span<const float> step,
-                             std::span<const uint8_t> codes) {
-  assert(qt.size() == step.size() && qt.size() == codes.size());
-  return ActiveKernel().sq8_asym_l2(qt.data(), step.data(), codes.data(),
-                                    qt.size());
 }
 
 float L2Distance(std::span<const float> a, std::span<const float> b) {

@@ -39,7 +39,6 @@
 #define KPEF_EMBED_VECTOR_OPS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace kpef {
@@ -54,22 +53,6 @@ struct DistanceKernel {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   /// x *= alpha
   void (*scale)(float alpha, float* x, size_t n);
-  /// Asymmetric squared L2 between a prepared fp32 query and one SQ8
-  /// code row (ann/sq8.h): sum over i of (qt[i] - step[i] * codes[i])^2,
-  /// where qt[i] = query[i] - min[i] was precomputed once per query.
-  ///
-  /// Sq8 accumulation contract: *sixteen* virtual lanes as two 8-lane
-  /// chains — element i accumulates into chain (i % 16) / 8, lane
-  /// i % 8; the chains are added lane-wise and the result reduced in
-  /// the same fixed order as the fp32 kernels. The extra chain exists
-  /// because the uint8 -> float convert + dequantize feeding each
-  /// accumulate makes a single 8-lane chain latency-bound; the fp32
-  /// kernels keep the plain 8-lane scheme. Scalar and AVX2 paths
-  /// implement the identical order and stay bit-identical (the
-  /// conversion is exact; no FMA contraction on either path). Padding
-  /// tails with qt = step = 0 contribute exact zero terms.
-  float (*sq8_asym_l2)(const float* qt, const float* step,
-                       const uint8_t* codes, size_t n);
   /// Fused two-term axpy: y += a * x1 + b * x2. Elementwise in index
   /// order — y[i] + (a*x1[i] + b*x2[i]) with one rounding per arithmetic
   /// op and no FMA contraction — so, having no accumulator lanes at all,
@@ -118,13 +101,6 @@ float Dot(std::span<const float> a, std::span<const float> b);
 
 /// Squared L2 distance ||a - b||^2.
 float SquaredL2Distance(std::span<const float> a, std::span<const float> b);
-
-/// Asymmetric squared L2 between a prepared query (qt = query - mins)
-/// and an SQ8 code row, with per-dimension dequantization steps. All
-/// three spans must have equal size.
-float Sq8AsymmetricSquaredL2(std::span<const float> qt,
-                             std::span<const float> step,
-                             std::span<const uint8_t> codes);
 
 /// L2 norm distance δ(a, b) = ||a - b||_2 (the paper's distance).
 float L2Distance(std::span<const float> a, std::span<const float> b);

@@ -79,46 +79,6 @@ void ScaleAvx2(float alpha, float* x, size_t n) {
   for (size_t i = n8; i < n; ++i) x[i] *= alpha;
 }
 
-// One 8-code block: codes -> exact float values (uint8 fits a float
-// mantissa), dequantize against step, subtract from the prepared query.
-inline __m256 Sq8Delta(const float* qt, const float* step,
-                       const uint8_t* codes) {
-  const __m128i c8 =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes));
-  const __m256 cf = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(c8));
-  return _mm256_sub_ps(_mm256_loadu_ps(qt),
-                       _mm256_mul_ps(_mm256_loadu_ps(step), cf));
-}
-
-float Sq8AsymL2Avx2(const float* qt, const float* step, const uint8_t* codes,
-                    size_t n) {
-  // Two accumulator chains over 16-code blocks (the sq8 accumulation
-  // contract in vector_ops.h): the convert->sub->mul feeding each add
-  // makes a single chain latency-bound, two chains overlap it.
-  __m256 chain0 = _mm256_setzero_ps();
-  __m256 chain1 = _mm256_setzero_ps();
-  const size_t n16 = n - n % 16;
-  for (size_t i = 0; i < n16; i += 16) {
-    const __m256 d0 = Sq8Delta(qt + i, step + i, codes + i);
-    chain0 = _mm256_add_ps(chain0, _mm256_mul_ps(d0, d0));
-    const __m256 d1 = Sq8Delta(qt + i + 8, step + i + 8, codes + i + 8);
-    chain1 = _mm256_add_ps(chain1, _mm256_mul_ps(d1, d1));
-  }
-  if (n16 == n) {
-    return ReduceAvx2(_mm256_add_ps(chain0, chain1));
-  }
-  alignas(32) float tail[16];
-  _mm256_store_ps(tail, chain0);
-  _mm256_store_ps(tail + 8, chain1);
-  for (size_t i = n16; i < n; ++i) {
-    const float d = qt[i] - step[i] * static_cast<float>(codes[i]);
-    tail[i - n16] += d * d;
-  }
-  const __m256 merged = _mm256_add_ps(_mm256_load_ps(tail),
-                                      _mm256_load_ps(tail + 8));
-  return ReduceAvx2(merged);
-}
-
 // --- Trainer kernels: elementwise, mirroring the scalar baseline's
 // per-element operation order exactly (no FMA: -ffp-contract=off), so
 // results are bit-identical to vector_ops.cc. vsqrtps and vdivps are
@@ -201,9 +161,8 @@ void AdamUpdateAvx2(float* params, const float* grads, float* m, float* v,
 }
 
 constexpr DistanceKernel kAvx2Kernel = {
-    "avx2",          DotAvx2,         SquaredL2Avx2,
-    AxpyAvx2,        ScaleAvx2,       Sq8AsymL2Avx2,
-    Axpy2Avx2,       TripletGradAvx2, AdamUpdateAvx2};
+    "avx2",    DotAvx2,   SquaredL2Avx2,   AxpyAvx2,
+    ScaleAvx2, Axpy2Avx2, TripletGradAvx2, AdamUpdateAvx2};
 
 }  // namespace
 

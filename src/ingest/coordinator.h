@@ -32,7 +32,7 @@
 // Determinism contract (asserted by ingest_test.cc): a drained snapshot
 // is query-equivalent to a full offline assembly over the unioned graph
 // — identical top-n on the brute-force path, scores within fp tolerance
-// on the reranked PG path.
+// on the PG path.
 
 #ifndef KPEF_INGEST_COORDINATOR_H_
 #define KPEF_INGEST_COORDINATOR_H_

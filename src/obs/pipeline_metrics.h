@@ -86,11 +86,6 @@ enum class MetricKind {
   X(kPgindexDistanceComputations, "pgindex.distance_computations", \
     kCounter, false, \
     "Full-precision distance evaluations in PG-Index searches.") \
-  X(kPgindexSq8DistanceComputations, "pgindex.sq8_distance_computations", \
-    kCounter, false, \
-    "SQ8 asymmetric distance evaluations (quantized traversal).") \
-  X(kPgindexRerankCandidates, "pgindex.rerank_candidates", kCounter, false, \
-    "Candidates exact-reranked in fp32 after the SQ8 traversal.") \
   X(kPgindexSearchHops, "pgindex.search_hops", kCountHistogram, false, \
     "Adjacency expansions per PG-Index search.") \
   X(kPgindexCandidatePoolOccupancy, "pgindex.candidate_pool_occupancy", \

@@ -9,7 +9,7 @@
 //              [--metrics-out path]
 //              [--access-log path|-] [--trace-mode off|sampled|always]
 //              [--trace-head-every 64] [--slow-ms 100] [--slow-queue-ms 50]
-//              [--rerank-factor 2.0] [--wal path]
+//              [--wal path]
 //
 // Every flag takes one value. Ranges: `--port` is an integer in
 // [0, 65535] (0 = an ephemeral port); `--threads` is in [0, 256];
@@ -17,10 +17,10 @@
 // `--default-n` is an integer in [1, --max-n] (default 10, or --max-n
 // when that is smaller); `--trace-head-every` is an integer >= 0;
 // `--reload-watch`, `--default-deadline-ms`, `--slow-ms` and
-// `--slow-queue-ms` are finite numbers >= 0; `--rerank-factor` is a
-// finite number >= 1. An unknown, repeated or valueless flag, a stray
-// argument, a malformed or out-of-range value, or a conflicting pair
-// (below) exits 1 naming the flag, before any file is read.
+// `--slow-queue-ms` are finite numbers >= 0. An unknown, repeated or
+// valueless flag, a stray argument, a malformed or out-of-range value,
+// or a conflicting pair (below) exits 1 naming the flag, before any
+// file is read.
 //
 // --wal PATH enables streaming ingestion: the WAL at PATH is replayed
 // over the loaded artifacts at startup (creating the file when absent),
@@ -95,13 +95,6 @@ int main(int argc, char** argv) {
   const size_t threads = flags.Int<size_t>("threads", 0, 0, 256);
   const std::string metrics_out = flags.String("metrics-out", "");
 
-  EngineGroup::Options group_options;
-  // Serving-time recall knob of the quantized index: depth of the exact
-  // fp32 rerank, as a multiple of the result count (ignored when the
-  // loaded artifact carries no SQ8 codes).
-  group_options.engine.pg_index.rerank_factor =
-      flags.Double("rerank-factor", 2.0, 1.0);
-
   serve::ServiceConfig service_config;
   service_config.batcher.max_batch_size =
       flags.Int<size_t>("batch-size", 16, 1);
@@ -161,6 +154,7 @@ int main(int argc, char** argv) {
   if (!dataset.ok()) return Fail(dataset.status());
   const Corpus corpus = BuildPaperCorpus(*dataset);
 
+  EngineGroup::Options group_options;
   group_options.engine.top_m = TopMForCorpus(dataset->Papers().size());
   auto group = EngineGroup::Load(&*dataset, &corpus, group_options, model_dir);
   if (!group.ok()) return Fail(group.status());
@@ -171,9 +165,7 @@ int main(int argc, char** argv) {
       "generation=%llu\n",
       model_dir.c_str(), info.num_papers, info.num_experts,
       info.embedding_dim,
-      !info.has_index        ? "brute"
-      : info.quantized_index ? "pg-sq8"
-                             : "pg",
+      info.has_index ? "pg" : "brute",
       static_cast<unsigned long long>(info.generation));
 
   // --wal: streaming-ingest coordinator (replays the log before the

@@ -230,6 +230,85 @@ TEST_F(PGIndexTest, SearchBatchMatchesSearch) {
   }
 }
 
+TEST_F(PGIndexTest, BatchMatchesSerialForAnyPoolAndComposition) {
+  // SearchBatch fans its queries over the pool, each running Search's
+  // greedy loop on its worker's reused arena. It must return
+  // byte-identical results and counters to per-query Search for every
+  // thread count and batch size: batches narrower and wider than the
+  // pool, and arenas reused across queries of different batches.
+  const size_t dim = points_.cols();
+  Rng rng(31);
+  constexpr size_t kBatch = 21;
+  Matrix queries(kBatch, dim);
+  for (size_t q = 0; q < kBatch; ++q) {
+    for (float& v : queries.Row(q)) v = static_cast<float>(rng.Normal(0, 4));
+  }
+  const size_t m = 10, ef = 40;
+  std::vector<std::vector<Neighbor>> serial(kBatch);
+  std::vector<PGIndex::SearchStats> serial_stats(kBatch);
+  for (size_t q = 0; q < kBatch; ++q) {
+    serial[q] = index_->Search(queries.Row(q), m, ef, &serial_stats[q]);
+  }
+  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    for (size_t prefix : {1u, 2u, 3u, 4u, 5u, 8u, 13u, 21u}) {
+      Matrix sub(prefix, dim);
+      for (size_t q = 0; q < prefix; ++q) {
+        const auto src = queries.Row(q);
+        std::copy(src.begin(), src.end(), sub.Row(q).begin());
+      }
+      std::vector<PGIndex::SearchStats> stats;
+      const auto batched = index_->SearchBatch(sub, m, ef, &stats, &pool);
+      ASSERT_EQ(batched.size(), prefix);
+      ASSERT_EQ(stats.size(), prefix);
+      for (size_t q = 0; q < prefix; ++q) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " prefix=" << prefix
+                                          << " q=" << q);
+        ASSERT_EQ(batched[q].size(), serial[q].size());
+        for (size_t i = 0; i < serial[q].size(); ++i) {
+          EXPECT_EQ(batched[q][i].id, serial[q][i].id);
+          EXPECT_EQ(batched[q][i].distance, serial[q][i].distance);
+        }
+        EXPECT_EQ(stats[q].hops, serial_stats[q].hops);
+        EXPECT_EQ(stats[q].distance_computations,
+                  serial_stats[q].distance_computations);
+      }
+    }
+  }
+}
+
+TEST_F(PGIndexTest, RelabelPermutationKeepsExternalContract) {
+  const size_t n = points_.rows();
+  const auto& perm = index_->permutation();
+  ASSERT_EQ(perm.size(), n);
+  // A valid permutation whose row i of the internal matrix is the
+  // external point perm[i].
+  std::vector<char> hit(n, 0);
+  for (int32_t e : perm) {
+    ASSERT_GE(e, 0);
+    ASSERT_LT(static_cast<size_t>(e), n);
+    ASSERT_FALSE(hit[e]) << "duplicate external id " << e;
+    hit[e] = 1;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const auto internal = index_->points().Row(i);
+    const auto original = points_.Row(perm[i]);
+    ASSERT_TRUE(std::equal(internal.begin(), internal.end(),
+                           original.begin()));
+  }
+  // The navigating node is relabeled to internal row 0 (BFS root), but
+  // its public id stays external.
+  EXPECT_EQ(perm[0], index_->navigating_node());
+  // Neighbors are reported as external ids.
+  for (size_t v = 0; v < n; ++v) {
+    for (int32_t u : index_->NeighborsOf(static_cast<int32_t>(v))) {
+      EXPECT_GE(u, 0);
+      EXPECT_LT(static_cast<size_t>(u), n);
+    }
+  }
+}
+
 TEST_F(PGIndexTest, SearchBatchEmptyBatch) {
   const Matrix no_queries(0, points_.cols());
   std::vector<PGIndex::SearchStats> stats(3);

@@ -203,7 +203,6 @@ void ReadServe(Flags& f) {
   }
   f.Double("reload-watch", 0.0, 0.0);
   f.Int<size_t>("threads", 0, 0, 256);
-  f.Double("rerank-factor", 2.0, 1.0);
   f.Int<size_t>("batch-size", 16, 1);
   f.Int<size_t>("max-pending", 256, 1);
   const size_t max_n = f.Int<size_t>("max-n", 400, 1);
@@ -256,13 +255,11 @@ TEST(FlagsTest, RejectsMalformedInputNamingTheFlag) {
       {{"--max-pending", "-1"}, ReadServe, "--max-pending"},
       {{"--default-n", "-1"}, ReadServe, "--default-n"},
       {{"--trace-head-every", "-1"}, ReadServe, "--trace-head-every"},
-      {{"--rerank-factor", "abc"}, ReadServe, "--rerank-factor"},
-      {{"--rerank-factor", "0.5"}, ReadServe, "--rerank-factor"},
-      {{"--rerank-factor", "nan"}, ReadServe, "--rerank-factor"},
       {{"--trace-mode", "bogus"}, ReadServe, "--trace-mode"},
       {{"--threads", "1000000"}, ReadServe, "--threads"},
       {{"--batch-size", "0"}, ReadServe, "--batch-size"},
       {{"--shards", "2"}, ReadServe, "--shards"},
+      {{"--rerank-factor", "2"}, ReadServe, "--rerank-factor"},
       {{"--max-pending", "0"}, ReadServe, "--max-pending"},
       {{"--max-n", "0"}, ReadServe, "--max-n"},
       {{"--default-n", "0"}, ReadServe, "--default-n"},
@@ -291,14 +288,14 @@ TEST(FlagsTest, RejectsMalformedInputNamingTheFlag) {
 
 TEST(FlagsTest, ReadsValidValuesAndDefaults) {
   const std::vector<const char*> args = {
-      "--port", "0", "--rerank-factor", "1", "--count",
+      "--port", "0", "--slow-ms", "1", "--count",
       "18446744073709551615", "--text", "graph mining"};
   std::vector<const char*> argv = {"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
   auto flags = Flags::Parse(static_cast<int>(argv.size()), argv.data(), 1);
   ASSERT_TRUE(flags.ok()) << flags.status().ToString();
   EXPECT_EQ(flags->Int<int>("port", 8080, 0, 65535), 0);
-  EXPECT_EQ(flags->Double("rerank-factor", 2.0, 1.0), 1.0);
+  EXPECT_EQ(flags->Double("slow-ms", 100.0, 0.0), 1.0);
   EXPECT_EQ(flags->Int<size_t>("count", 1, 0),
             std::numeric_limits<size_t>::max());
   EXPECT_EQ(flags->String("text", ""), "graph mining");

@@ -85,13 +85,11 @@ class EngineGroupTest : public ::testing::Test {
   }
 
   /// Serving config whose retrieval is exact: brute mode scans every
-  /// row; PG mode disables SQ8 and searches with an exhaustive
-  /// candidate pool.
+  /// row; PG mode searches with an exhaustive candidate pool.
   static EngineConfig ExactConfig(bool use_pg_index) {
     EngineConfig config = Shared::SmallConfig();
     config.use_pg_index = use_pg_index;
     if (use_pg_index) {
-      config.pg_index.quantize = false;
       config.search_ef = shared().dataset.Papers().size();
     }
     return config;

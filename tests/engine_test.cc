@@ -427,11 +427,8 @@ TEST_F(EngineTest, RegistryDeltasMatchQueryStats) {
     return after.at(name) - before.at(name);
   };
   // The registry is fed from the same per-query locals as QueryStats, so
-  // for a single serial query the deltas must agree exactly. QueryStats
-  // sums the SQ8 traversal and the fp32 rerank; the registry splits them
-  // across two counters.
-  EXPECT_EQ(delta(obs::kPgindexDistanceComputations) +
-                delta(obs::kPgindexSq8DistanceComputations),
+  // for a single serial query the deltas must agree exactly.
+  EXPECT_EQ(delta(obs::kPgindexDistanceComputations),
             stats.distance_computations);
   EXPECT_EQ(delta(obs::kRankingFullScanEntriesAccessed),
             stats.ranking_entries_accessed);
@@ -457,8 +454,7 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
   Shared& s = shared();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const uint64_t dist_before =
-      registry.GetCounter(obs::kPgindexDistanceComputations).Value() +
-      registry.GetCounter(obs::kPgindexSq8DistanceComputations).Value();
+      registry.GetCounter(obs::kPgindexDistanceComputations).Value();
   const uint64_t entries_before =
       registry.GetCounter(obs::kRankingFullScanEntriesAccessed).Value();
   constexpr size_t kRounds = 4;
@@ -483,8 +479,7 @@ TEST_F(EngineTest, ConcurrentQueriesMergeStatsExactly) {
     entries_sum += st.ranking_entries_accessed;
   }
   EXPECT_EQ(
-      registry.GetCounter(obs::kPgindexDistanceComputations).Value() +
-          registry.GetCounter(obs::kPgindexSq8DistanceComputations).Value() -
+      registry.GetCounter(obs::kPgindexDistanceComputations).Value() -
           dist_before,
       dist_sum);
   EXPECT_EQ(registry.GetCounter(obs::kRankingFullScanEntriesAccessed).Value() -

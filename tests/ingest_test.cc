@@ -3,7 +3,7 @@
 //  - Snapshot equivalence: after draining a drip-fed tail, the published
 //    generation is query-equivalent to a full offline FromParts assembly
 //    over the unioned graph (exact top-n on the brute path; same top-n
-//    with fp-tolerant scores on the PG rerank path).
+//    with fp-tolerant scores on the PG path).
 //  - Duplicate papers are skipped, never double-applied — including
 //    across a WAL replay.
 //  - A restart (new coordinator over the same WAL + base artifacts)
@@ -185,13 +185,12 @@ struct SharedIngest {
     return config;
   }
 
-  /// PG configuration whose retrieval is exact (unquantized, exhaustive
-  /// ef), so the rerank path's top-n must match brute up to fp noise.
+  /// PG configuration whose retrieval is exact (exhaustive ef), so the
+  /// PG path's top-n must match brute up to fp noise.
   static EngineConfig PgConfig() {
     EngineConfig config = BruteConfig();
     config.use_pg_index = true;
     config.pg_index.knn_k = 8;
-    config.pg_index.quantize = false;
     config.search_ef = 4096;
     return config;
   }
@@ -307,8 +306,8 @@ TEST(IngestTest, PgRerankPathMatchesBruteReferenceWithinTolerance) {
   ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
   DrainTail(coordinator->get(), s);
 
-  // Brute reference over the union: with an unquantized, exhaustive-ef
-  // index the PG retrieval is exact, so the reranked top-n must match.
+  // Brute reference over the union: with an exhaustive-ef index the PG
+  // retrieval is exact, so the PG path's top-n must match.
   OfflineReference reference(s, SharedIngest::BruteConfig(), s.dir_brute);
   const std::vector<std::string> texts = s.Texts();
   const auto got = group->FindExpertsBatch(texts, kTopN);

@@ -1,4 +1,6 @@
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +88,8 @@ TEST(MatrixIoTest, RejectsOverflowWrappingHeaderDims) {
       {1ull << 33, 1},           // honest oversize rows
       {1, 1ull << 21},           // honest oversize cols
       {1ull << 20, 1ull << 20},  // individually fine, product too large
+      {1ull << 31, 1},           // product fine, 8-float padded rows not
+      {1ull << 32, 0},           // zero-width rows
   };
   for (const auto& [rows, cols] : hostile) {
     std::stringstream buffer = HostileMatrixHeader(rows, cols);
@@ -109,6 +113,9 @@ TEST(EncoderIoHeaderTest, RejectsOverflowWrappingHeaderDims) {
       {1ull << 33, 1ull << 31},  // vocab * dim wraps to 0
       {0xFFFFFFFFFFFFFFFFull, 2},
       {1ull << 20, 1ull << 20},  // product over the element cap
+      {1ull << 31, 1},           // product fine, 8-float padded rows not
+      {1ull << 32, 0},           // zero-width rows
+      {1, 1ull << 20},           // the dim x dim projection too large
   };
   for (const auto& [vocab, dim] : hostile) {
     std::stringstream buffer;
@@ -259,73 +266,48 @@ TEST_F(PGIndexIoTest, RejectsTruncation) {
   }
 }
 
-TEST_F(PGIndexIoTest, RoundTripKeepsQuantization) {
+TEST_F(PGIndexIoTest, RejectsOtherVersions) {
+  // Version 1 (fp32 only) and version 2 (fp32 plus an optional SQ8 code
+  // section) are no longer read: an otherwise intact artifact carrying
+  // either number is refused, and the error names it.
   std::stringstream buffer;
   ASSERT_TRUE(index_->Save(buffer).ok());
-  auto loaded = PGIndex::Load(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->quantized(), index_->quantized());
+  const std::string current = buffer.str();
+  for (const uint32_t version : {1u, 2u}) {
+    std::string data = current;
+    std::memcpy(data.data() + sizeof(uint32_t), &version, sizeof(version));
+    std::stringstream old(data);
+    auto loaded = PGIndex::Load(old);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
-TEST_F(PGIndexIoTest, UnquantizedIndexRoundTripsUnquantized) {
-  // An artifact saved without codes must load without codes: the
-  // has-codes byte is an explicit escape, not a default.
-  PGIndexConfig config;
-  config.knn_k = 8;
-  config.quantize = false;
-  const PGIndex exact = PGIndex::Build(points_, config);
-  ASSERT_FALSE(exact.quantized());
-  std::stringstream buffer;
-  ASSERT_TRUE(exact.Save(buffer).ok());
-  auto loaded = PGIndex::Load(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->quantized());
-}
-
-TEST_F(PGIndexIoTest, LoadsVersion1ArtifactAndQuantizesIt) {
-  // Synthesize a pre-PR-7 (version 1) artifact from public accessors:
-  // same header prefix, fp32 rows + adjacency in external order, no
-  // code section. Load must accept it and re-encode the codes, giving
-  // old artifacts the quantized fast path with identical results.
-  std::stringstream v1;
-  auto write_pod = [&v1](const auto& value) {
-    v1.write(reinterpret_cast<const char*>(&value),
-             sizeof(value));
+// A header whose rows * cols fits the element cap, but whose row-padded
+// allocation (rows * PadToKernelWidth(cols)) does not, or which claims
+// 2^32 zero-width rows, must be refused before anything is allocated.
+TEST_F(PGIndexIoTest, RejectsHeaderWhosePaddedAllocationOverflows) {
+  std::stringstream saved;
+  ASSERT_TRUE(index_->Save(saved).ok());
+  // Magic and the current version, so the dims are what gets refused.
+  const std::string prefix = saved.str().substr(0, 2 * sizeof(uint32_t));
+  const std::pair<uint64_t, uint64_t> hostile[] = {
+      {1ull << 31, 1},  // product fine, 8-float padded rows not
+      {1ull << 32, 0},  // zero-width rows
   };
-  write_pod(static_cast<uint32_t>(0x4B504749));  // magic "KPGI"
-  write_pod(static_cast<uint32_t>(1));           // version 1
-  write_pod(static_cast<uint64_t>(points_.rows()));
-  write_pod(static_cast<uint64_t>(points_.cols()));
-  write_pod(index_->navigating_node());
-  for (size_t r = 0; r < points_.rows(); ++r) {
-    const auto row = points_.Row(r);
-    v1.write(reinterpret_cast<const char*>(row.data()),
-             static_cast<std::streamsize>(row.size() * sizeof(float)));
-  }
-  for (size_t v = 0; v < points_.rows(); ++v) {
-    const auto nbrs = index_->NeighborsOf(static_cast<int32_t>(v));
-    write_pod(static_cast<uint32_t>(nbrs.size()));
-    v1.write(reinterpret_cast<const char*>(nbrs.data()),
-             static_cast<std::streamsize>(nbrs.size() * sizeof(int32_t)));
-  }
-  auto loaded = PGIndex::Load(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->quantized());
-  EXPECT_EQ(loaded->NumPoints(), index_->NumPoints());
-  EXPECT_EQ(loaded->NumEdges(), index_->NumEdges());
-  // Re-encoded codes are deterministic, so searches agree exactly with
-  // the index the bytes came from.
-  Rng rng(29);
-  for (int q = 0; q < 5; ++q) {
-    std::vector<float> query(points_.cols());
-    for (float& v : query) v = static_cast<float>(rng.Normal());
-    const auto a = index_->Search(query, 10, 30);
-    const auto b = loaded->Search(query, 10, 30);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_FLOAT_EQ(a[i].distance, b[i].distance);
-    }
+  for (const auto& [rows, cols] : hostile) {
+    std::stringstream buffer;
+    buffer.write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
+    PutPod<uint64_t>(buffer, rows);
+    PutPod<uint64_t>(buffer, cols);
+    PutPod<int32_t>(buffer, 0);  // navigating node
+    auto loaded = PGIndex::Load(buffer);
+    ASSERT_FALSE(loaded.ok()) << "rows=" << rows << " cols=" << cols;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
