@@ -794,6 +794,11 @@ StatusOr<PGIndex> PGIndex::Load(std::istream& in) {
       (navigating < 0 || static_cast<uint64_t>(navigating) >= rows)) {
     return Status::InvalidArgument("navigating node out of range");
   }
+  // rows * cols floats, then at least a degree word per node.
+  if (!StreamHolds(in, rows * (cols * sizeof(float) + sizeof(uint32_t)))) {
+    return Status::InvalidArgument("PG-Index header declares more data "
+                                   "than the file holds");
+  }
   Matrix ext_points(rows, cols);
   for (uint64_t r = 0; r < rows; ++r) {
     auto row = ext_points.Row(r);

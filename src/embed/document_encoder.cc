@@ -78,10 +78,14 @@ void DocumentEncoder::Pool(std::span<const TokenId> tokens,
         << "SetTokenWeights before weighted pooling";
     float total = 0.0f;
     for (TokenId t : tokens) {
-      const float w = weighted ? token_weights_[t] : 1.0f;
-      total += w;
-      kernel.axpy(w, token_embeddings_.Row(t).data(), pooled.data(), d);
+      // axpy_rows gathers rows by id without a bounds check.
+      KPEF_CHECK(static_cast<size_t>(t) < token_embeddings_.rows());
+      total += weighted ? token_weights_[t] : 1.0f;
     }
+    kernel.axpy_rows(token_embeddings_.data(),
+                     token_embeddings_.stride(), tokens.data(),
+                     weighted ? token_weights_.data() : nullptr,
+                     tokens.size(), pooled.data(), d);
     if (total > 0.0f) kernel.scale(1.0f / total, pooled.data(), d);
   } else {
     pooled.assign(d, -std::numeric_limits<float>::infinity());
@@ -131,10 +135,8 @@ void DocumentEncoder::ForwardInto(std::span<const TokenId> tokens,
   Pool(tokens, cache.pooled,
        config_.pooling == Pooling::kMax ? &cache.argmax : nullptr, k);
   cache.projected.assign(bias_.begin(), bias_.end());
-  for (size_t i = 0; i < d; ++i) {
-    cache.projected[i] +=
-        k.dot(projection_.Row(i).data(), cache.pooled.data(), d);
-  }
+  k.dot_rows(projection_.data(), projection_.stride(), d,
+             cache.pooled.data(), cache.projected.data(), d);
   cache.output.assign(cache.projected.begin(), cache.projected.end());
   cache.norm = 1.0f;
   if (config_.normalize_output) {
@@ -165,19 +167,15 @@ void DocumentEncoder::Backward(const ForwardCache& cache,
     grad_projected.assign(grad_output.begin(), grad_output.end());
   }
   // dL/dW[i][k] = g[i] * h[k];  dL/db[i] = g[i].
-  for (size_t i = 0; i < d; ++i) {
-    const float g = grad_projected[i];
-    grads.d_bias[i] += g;
-    k.axpy(g, cache.pooled.data(), grads.d_projection.Row(i).data(), d);
-  }
+  for (size_t i = 0; i < d; ++i) grads.d_bias[i] += grad_projected[i];
+  k.rank1_update(grads.d_projection.data(), grads.d_projection.stride(),
+                 d, grad_projected.data(), cache.pooled.data(), d);
   if (cache.tokens.empty()) return;
   // dL/dh = W^T g.
   std::vector<float>& grad_pooled = grads.scratch_grad_pooled;
   grad_pooled.assign(d, 0.0f);
-  for (size_t i = 0; i < d; ++i) {
-    k.axpy(grad_projected[i], projection_.Row(i).data(), grad_pooled.data(),
-           d);
-  }
+  k.axpy_rows(projection_.data(), projection_.stride(), nullptr,
+              grad_projected.data(), d, grad_pooled.data(), d);
   if (config_.pooling == Pooling::kMean ||
       config_.pooling == Pooling::kWeightedMean) {
     const bool weighted = config_.pooling == Pooling::kWeightedMean;

@@ -72,6 +72,11 @@ class Matrix {
   /// Allocated floats per row (cols rounded up to a multiple of 8).
   size_t stride() const { return stride_; }
 
+  /// Row 0's first float; row r starts r * stride() floats after it. For
+  /// the batched kernels, which take a base pointer and a stride.
+  float* data() { return data_.MutableData(); }
+  const float* data() const { return data_.data(); }
+
   std::span<float> Row(size_t r) {
     KPEF_CHECK(r < rows_);
     return {data_.MutableData() + r * stride_, cols_};

@@ -36,6 +36,9 @@ StatusOr<std::vector<float>> ReadFloats(std::istream& in,
   if (!ReadPod(in, count) || count > max_count) {
     return Status::InvalidArgument("corrupt float array header");
   }
+  if (!StreamHolds(in, count * sizeof(float))) {
+    return Status::InvalidArgument("truncated float array");
+  }
   std::vector<float> data(count);
   in.read(reinterpret_cast<char*>(data.data()),
           static_cast<std::streamsize>(count * sizeof(float)));
@@ -78,6 +81,17 @@ Status ReadMatrixValues(std::istream& in, Matrix& matrix) {
 
 }  // namespace
 
+bool StreamHolds(std::istream& in, uint64_t bytes) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return true;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1)) return true;
+  return static_cast<uint64_t>(end - here) >= bytes;
+}
+
 bool PlausibleMatrixDims(uint64_t rows, uint64_t cols) {
   constexpr uint64_t kMaxRows = 1ull << 32;
   constexpr uint64_t kMaxCols = 1ull << 20;
@@ -117,6 +131,11 @@ StatusOr<Matrix> LoadMatrix(std::istream& in) {
   if (!ReadPod(in, rows) || !ReadPod(in, cols) ||
       !PlausibleMatrixDims(rows, cols)) {
     return Status::InvalidArgument("corrupt matrix header");
+  }
+  // The value count, then rows * cols floats.
+  if (!StreamHolds(in, sizeof(uint64_t) + rows * cols * sizeof(float))) {
+    return Status::InvalidArgument("matrix header declares more data than "
+                                   "the file holds");
   }
   Matrix matrix(rows, cols);
   KPEF_RETURN_IF_ERROR(ReadMatrixValues(in, matrix));
@@ -173,6 +192,13 @@ StatusOr<DocumentEncoder> LoadEncoder(std::istream& in) {
   // projection.
   if (!PlausibleMatrixDims(vocab, dim) || !PlausibleMatrixDims(dim, dim)) {
     return Status::InvalidArgument("implausible encoder dimensions");
+  }
+  // Four counted arrays: the token table, the projection, the bias and
+  // the (possibly empty) token weights.
+  if (!StreamHolds(in, 4 * sizeof(uint64_t) +
+                           (vocab * dim + dim * dim + dim) * sizeof(float))) {
+    return Status::InvalidArgument("encoder header declares more data than "
+                                   "the file holds");
   }
   EncoderConfig config;
   config.dim = dim;

@@ -26,8 +26,16 @@ namespace kpef {
 /// allocation Matrix(rows, cols) would make, rows * PadToKernelWidth(cols)
 /// floats, must stay within 2^31; and rows > 0 needs cols > 0 (zero-width
 /// rows would let a header claim 2^32 rows for free). LoadMatrix,
-/// LoadEncoder and PGIndex::Load all call it.
+/// LoadEncoder and PGIndex::Load all call it, and then StreamHolds.
 bool PlausibleMatrixDims(uint64_t rows, uint64_t cols);
+
+/// Whether at least `bytes` bytes are left in `in` past its read
+/// position. Each loader checks the payload its header declares with
+/// this before it allocates for it, so a short file is refused instead
+/// of committing memory it could never fill. A stream that cannot
+/// report its size (not seekable) passes; the read that follows then
+/// fails on truncation as before.
+bool StreamHolds(std::istream& in, uint64_t bytes);
 
 /// Writes a matrix (magic, rows, cols, row-major float data).
 Status SaveMatrix(const Matrix& matrix, const std::string& path);

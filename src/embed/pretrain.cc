@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "embed/vector_ops.h"
 
 namespace kpef {
 namespace {
@@ -82,6 +83,7 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
   std::vector<float> gbias(vocab, 1.0f), gbias_t(vocab, 1.0f);
 
   const float lr = static_cast<float>(config.learning_rate);
+  const DistanceKernel& kernel = ActiveKernel();
   double loss = 0.0;
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(entries);
@@ -96,14 +98,8 @@ PretrainResult PretrainTokenEmbeddings(const Corpus& corpus,
       const double diff = dot + bias[e.i] + bias_t[e.j] - e.log_count;
       loss += 0.5 * e.weight * diff * diff;
       const float grad_common = static_cast<float>(e.weight * diff);
-      for (size_t k = 0; k < dim; ++k) {
-        const float gi = grad_common * wj[k];
-        const float gj = grad_common * wi[k];
-        wi[k] -= lr * gi / std::sqrt(gwi[k]);
-        wj[k] -= lr * gj / std::sqrt(gwtj[k]);
-        gwi[k] += gi * gi;
-        gwtj[k] += gj * gj;
-      }
+      kernel.adagrad_pair(wi.data(), wj.data(), gwi.data(), gwtj.data(),
+                          grad_common, lr, dim);
       bias[e.i] -= lr * grad_common / std::sqrt(gbias[e.i]);
       bias_t[e.j] -= lr * grad_common / std::sqrt(gbias_t[e.j]);
       gbias[e.i] += grad_common * grad_common;

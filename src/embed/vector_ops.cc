@@ -93,9 +93,43 @@ void AdamUpdateScalar(float* params, const float* grads, float* m, float* v,
   }
 }
 
+// --- Batched slots: each is the loop of single-row calls it stands for.
+
+void AdagradPairScalar(float* wi, float* wj, float* gwi, float* gwj,
+                       float grad, float lr, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float gi = grad * wj[i];
+    const float gj = grad * wi[i];
+    wi[i] -= lr * gi / std::sqrt(gwi[i]);
+    wj[i] -= lr * gj / std::sqrt(gwj[i]);
+    gwi[i] += gi * gi;
+    gwj[i] += gj * gj;
+  }
+}
+
+void DotRowsScalar(const float* rows, size_t stride, size_t m, const float* x,
+                   float* out, size_t n) {
+  for (size_t r = 0; r < m; ++r) out[r] += DotScalar(rows + r * stride, x, n);
+}
+
+void AxpyRowsScalar(const float* rows, size_t stride, const int32_t* index,
+                    const float* alpha, size_t m, float* y, size_t n) {
+  for (size_t r = 0; r < m; ++r) {
+    const size_t id = index != nullptr ? static_cast<size_t>(index[r]) : r;
+    AxpyScalar(alpha != nullptr ? alpha[id] : 1.0f, rows + id * stride, y, n);
+  }
+}
+
+void Rank1UpdateScalar(float* rows, size_t stride, size_t m,
+                       const float* alpha, const float* x, size_t n) {
+  for (size_t r = 0; r < m; ++r) AxpyScalar(alpha[r], x, rows + r * stride, n);
+}
+
 constexpr DistanceKernel kScalarKernel = {
-    "scalar",    DotScalar,   SquaredL2Scalar,   AxpyScalar,
-    ScaleScalar, Axpy2Scalar, TripletGradScalar, AdamUpdateScalar};
+    "scalar",          DotScalar,         SquaredL2Scalar,
+    AxpyScalar,        ScaleScalar,       Axpy2Scalar,
+    TripletGradScalar, AdamUpdateScalar,  AdagradPairScalar,
+    DotRowsScalar,     AxpyRowsScalar,    Rank1UpdateScalar};
 
 }  // namespace
 

@@ -39,6 +39,7 @@
 #define KPEF_EMBED_VECTOR_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace kpef {
@@ -82,6 +83,37 @@ struct DistanceKernel {
   void (*adam_update)(float* params, const float* grads, float* m, float* v,
                       float beta1, float beta2, float alpha, float eps,
                       size_t n);
+
+  // --- Batched slots. Each stands for a loop of single-row calls and, for
+  // every output element, performs exactly the float operations of that
+  // loop in the same order, so it is bit-identical to the loop and the
+  // scalar and AVX2 paths are bit-identical to each other. Rows are
+  // `stride` floats apart; any n, with the same tail handling as the
+  // single-row kernels.
+
+  /// GloVe's AdaGrad step for one co-occurring pair (embed/pretrain.cc).
+  /// For each i, in this order, with no FMA:
+  ///   gi = grad*wj[i];  gj = grad*wi[i]
+  ///   wi[i] -= (lr*gi) / sqrt(gwi[i]);  wj[i] -= (lr*gj) / sqrt(gwj[i])
+  ///   gwi[i] += gi*gi;  gwj[i] += gj*gj
+  /// The four arrays must not overlap.
+  void (*adagrad_pair)(float* wi, float* wj, float* gwi, float* gwj,
+                       float grad, float lr, size_t n);
+  /// out[r] += dot(row_r, x) for r in [0, m), row_r = rows + r*stride.
+  /// Each row keeps dot's eight lanes and reduction order; several rows
+  /// run per pass so their add chains overlap.
+  void (*dot_rows)(const float* rows, size_t stride, size_t m, const float* x,
+                   float* out, size_t n);
+  /// y += alpha_r * row_r for r = 0, 1, ..., m-1 in that order, where
+  /// id_r = index ? index[r] : r, row_r = rows + id_r*stride and alpha_r
+  /// = alpha ? alpha[id_r] : 1 — the same as m axpy calls. The AVX2
+  /// kernel keeps y in registers across the rows.
+  void (*axpy_rows)(const float* rows, size_t stride, const int32_t* index,
+                    const float* alpha, size_t m, float* y, size_t n);
+  /// Rank-1 update: row_r += alpha[r] * x for r in [0, m), row_r = rows +
+  /// r*stride — the same as m axpy calls. x must not overlap the rows.
+  void (*rank1_update)(float* rows, size_t stride, size_t m,
+                       const float* alpha, const float* x, size_t n);
 };
 
 /// The portable 8-lane-unrolled baseline. Always available.

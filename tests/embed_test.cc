@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -349,6 +351,49 @@ TEST(PretrainTest, CooccurringTokensEndUpCloser) {
   const auto va1 = result.token_embeddings.Row(vocab.Lookup("a1"));
   const auto vb0 = result.token_embeddings.Row(vocab.Lookup("b0"));
   EXPECT_GT(CosineSimilarity(va0, va1), CosineSimilarity(va0, vb0));
+}
+
+TEST(PretrainTest, MatchesParentChecksum) {
+  // Pins pre-training's exact bits: FNV-1a over every token embedding and
+  // the bits of the final loss. Dim 20 runs the AdaGrad kernel's
+  // non-multiple-of-8 tail, dim 64 the full 8-float groups only. The
+  // constants are the bits of the per-element loop the batched AdaGrad
+  // kernel replaced; changing them changes every pre-trained model.
+  Corpus corpus;
+  Rng rng(23);
+  for (int i = 0; i < 40; ++i) {
+    std::string text;
+    for (int w = 0; w < 10; ++w) {
+      text += "t" + std::to_string(rng.Uniform(i % 3 == 0 ? 30 : 12)) + " ";
+    }
+    corpus.AddDocument(text);
+  }
+  struct Case {
+    size_t dim;
+    uint64_t checksum;
+  };
+  for (const Case& c : {Case{20, 0xe74f68910c8a2599ULL},
+                       Case{64, 0xd023634906445d0cULL}}) {
+    SCOPED_TRACE("dim=" + std::to_string(c.dim));
+    PretrainConfig config;
+    config.dim = c.dim;
+    config.epochs = 4;
+    const PretrainResult result = PretrainTokenEmbeddings(corpus, config);
+    uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](const void* data, size_t bytes) {
+      const auto* p = static_cast<const unsigned char*>(data);
+      for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+      }
+    };
+    for (size_t r = 0; r < result.token_embeddings.rows(); ++r) {
+      const auto row = result.token_embeddings.Row(r);
+      mix(row.data(), row.size() * sizeof(float));
+    }
+    mix(&result.final_loss, sizeof(result.final_loss));
+    EXPECT_EQ(h, c.checksum) << std::hex << "0x" << h;
+  }
 }
 
 TEST(TrainerTest, LossDecreasesAndSeparatesClusters) {

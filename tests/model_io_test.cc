@@ -1,3 +1,6 @@
+#include <sys/resource.h>
+
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -309,6 +312,82 @@ TEST_F(PGIndexIoTest, RejectsHeaderWhosePaddedAllocationOverflows) {
     ASSERT_FALSE(loaded.ok()) << "rows=" << rows << " cols=" << cols;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// A header-only artifact whose dimensions pass PlausibleMatrixDims but
+// declare gigabytes of payload the stream does not hold: rows = 2^28,
+// cols = 1 asks for 2^28 rows padded to 8 floats, 8 GiB.
+enum class Loader { kMatrix, kEncoder, kPGIndex };
+
+std::stringstream HeaderOnlyArtifact(Loader loader) {
+  constexpr uint64_t kRows = 1ull << 28;
+  if (loader == Loader::kMatrix) return HostileMatrixHeader(kRows, 1);
+  std::stringstream buffer;
+  if (loader == Loader::kEncoder) {
+    PutPod<uint32_t>(buffer, 0x4B504645);  // "KPFE"
+    PutPod<uint32_t>(buffer, 1);           // version
+    PutPod<uint64_t>(buffer, kRows);       // vocab
+    PutPod<uint64_t>(buffer, 1);           // dim
+    PutPod<int32_t>(buffer, 0);            // pooling
+    PutPod<uint8_t>(buffer, 1);            // normalize_output
+  } else {
+    PutPod<uint32_t>(buffer, 0x4B504749);  // "KPGI"
+    PutPod<uint32_t>(buffer, 3);           // version
+    PutPod<uint64_t>(buffer, kRows);
+    PutPod<uint64_t>(buffer, 1);
+    PutPod<int32_t>(buffer, 0);            // navigating node
+  }
+  return buffer;
+}
+
+// Runs in the death-test child: caps the address space at 1 GiB, loads
+// the header-only artifact and exits 0 only on kInvalidArgument. A
+// loader that allocates from the header first dies of std::bad_alloc.
+// Unused in sanitizer builds, which skip the test.
+[[noreturn, maybe_unused]] void LoadUnderAddressSpaceCap(Loader loader) {
+  const rlimit cap{1ull << 30, 1ull << 30};
+  if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+  std::stringstream buffer = HeaderOnlyArtifact(loader);
+  Status status;
+  switch (loader) {
+    case Loader::kMatrix:
+      status = LoadMatrix(buffer).status();
+      break;
+    case Loader::kEncoder:
+      status = LoadEncoder(buffer).status();
+      break;
+    case Loader::kPGIndex:
+      status = PGIndex::Load(buffer).status();
+      break;
+  }
+  std::_Exit(status.code() == StatusCode::kInvalidArgument ? 0 : 1);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define KPEF_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define KPEF_SANITIZED_BUILD 1
+#endif
+#endif
+
+TEST(ArtifactHeaderTest, PayloadBeyondTheFileIsRefusedBeforeAllocating) {
+#if defined(KPEF_SANITIZED_BUILD)
+  GTEST_SKIP() << "ASan and TSan reserve more address space than the cap";
+#else
+  // Re-executes the test binary for the child instead of forking this
+  // process, which may already run thread-pool workers.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(LoadUnderAddressSpaceCap(Loader::kMatrix),
+              ::testing::ExitedWithCode(0), "")
+      << "LoadMatrix";
+  EXPECT_EXIT(LoadUnderAddressSpaceCap(Loader::kEncoder),
+              ::testing::ExitedWithCode(0), "")
+      << "LoadEncoder";
+  EXPECT_EXIT(LoadUnderAddressSpaceCap(Loader::kPGIndex),
+              ::testing::ExitedWithCode(0), "")
+      << "PGIndex::Load";
+#endif
 }
 
 }  // namespace
