@@ -95,12 +95,14 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
 }
 
 size_t Rng::Discrete(const std::vector<double>& weights) {
+  assert(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
     assert(w >= 0.0);
     total += w;
   }
-  assert(total > 0.0);
+  // All-zero weights fall through to the last index below, after the
+  // same one draw as any other call.
   double r = UniformDouble() * total;
   for (size_t i = 0; i < weights.size(); ++i) {
     r -= weights[i];

@@ -71,7 +71,9 @@ class Rng {
   uint64_t Zipf(uint64_t n, double s);
 
   /// Samples an index according to the (unnormalized, non-negative) weights.
-  /// Requires at least one strictly positive weight.
+  /// Requires a non-empty vector; when every weight is zero it returns the
+  /// last index (k-means++ seeding reaches that once every point coincides
+  /// with a chosen centre). Consumes one draw either way.
   size_t Discrete(const std::vector<double>& weights);
 
   /// In-place Fisher-Yates shuffle.

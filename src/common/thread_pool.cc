@@ -49,9 +49,11 @@ ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
+  waiters_ = std::make_unique<Waiter[]>(num_threads);
+  idle_.reserve(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -59,23 +61,36 @@ ThreadPool::~ThreadPool() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_ = true;
+    for (const size_t index : idle_) waiters_[index].woken = true;
+    idle_.clear();
   }
-  task_available_.notify_all();
+  for (size_t i = 0; i < workers_.size(); ++i) waiters_[i].cv.notify_one();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::SubmitToGroup(TaskGroup& group, std::function<void()> task) {
+  Waiter* wake = nullptr;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++group.pending_;
     tasks_.push_back({&group, std::move(task)});
+    if (!idle_.empty()) {
+      wake = &waiters_[idle_.back()];
+      idle_.pop_back();
+      wake->woken = true;
+    }
   }
-  task_available_.notify_one();
+  if (wake != nullptr) wake->cv.notify_one();
 }
 
 size_t ThreadPool::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tasks_.size();
+}
+
+size_t ThreadPool::IdleWorkersForTest() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return idle_.size();
 }
 
 void ThreadPool::RunTask(QueuedTask task) {
@@ -107,16 +122,20 @@ void ThreadPool::RunTask(QueuedTask task) {
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t index) {
+  Waiter& self = waiters_[index];
   for (;;) {
     QueuedTask task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
+      // Park on top of the idle stack until a submit (or the destructor)
+      // pops this worker. A helping waiter may claim the task first; the
+      // worker then finds the deque empty and parks again.
+      while (tasks_.empty()) {
         if (shutting_down_) return;
-        continue;  // Woken but a helping waiter claimed the task.
+        self.woken = false;
+        idle_.push_back(index);
+        self.cv.wait(lock, [&self] { return self.woken; });
       }
       task = std::move(tasks_.front());
       tasks_.pop_front();

@@ -15,6 +15,11 @@
 // exception thrown by a group task is captured, the group's remaining
 // queued tasks are cancelled (skipped, not run), and the exception is
 // rethrown from Wait(); the pool itself survives and stays reusable.
+//
+// Tasks are claimed FIFO, but a submit wakes the most recently parked
+// worker (a LIFO idle stack, one wake channel per worker): sequential
+// work on an idle pool keeps landing on the one core whose caches hold
+// its state instead of rotating across cold ones.
 
 #ifndef KPEF_COMMON_THREAD_POOL_H_
 #define KPEF_COMMON_THREAD_POOL_H_
@@ -26,6 +31,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -78,7 +84,8 @@ class TaskGroup {
   std::exception_ptr first_exception_;
 };
 
-/// A fixed pool of worker threads executing submitted tasks FIFO.
+/// A fixed pool of worker threads executing submitted tasks FIFO; a
+/// submit wakes the most recently idle worker.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 = hardware concurrency, min 1).
@@ -111,6 +118,9 @@ class ThreadPool {
     return active_workers_.load(std::memory_order_relaxed);
   }
 
+  /// Workers parked on the idle stack, waiting for a submit.
+  size_t IdleWorkersForTest() const;
+
  private:
   friend class TaskGroup;
 
@@ -119,7 +129,13 @@ class ThreadPool {
     std::function<void()> fn;
   };
 
-  void WorkerLoop();
+  /// A parked worker's own wake channel; `woken` is guarded by mutex_.
+  struct Waiter {
+    std::condition_variable cv;
+    bool woken = false;
+  };
+
+  void WorkerLoop(size_t index);
   /// Runs (or, for a cancelled group, skips) one dequeued task, captures
   /// exceptions into the group, and settles the group's latch.
   void RunTask(QueuedTask task);
@@ -131,9 +147,11 @@ class ThreadPool {
   static void EmitMetric(const char* counter, uint64_t delta);
 
   mutable std::mutex mutex_;
-  std::condition_variable task_available_;
   std::condition_variable group_settled_;
   std::deque<QueuedTask> tasks_;
+  /// Indices of parked workers, most recently parked last.
+  std::vector<size_t> idle_;
+  std::unique_ptr<Waiter[]> waiters_;
   bool shutting_down_ = false;
   std::atomic<size_t> active_workers_{0};
   std::vector<std::thread> workers_;

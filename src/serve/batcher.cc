@@ -19,23 +19,29 @@ double MillisBetween(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 MicroBatcher::MicroBatcher(BatcherConfig config, BatchExecuteFn execute)
-    : config_(config), execute_(std::move(execute)) {
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
+    : config_(config),
+      execute_(std::move(execute)),
+      own_pool_(config.pool == nullptr ? std::make_unique<ThreadPool>(1)
+                                       : nullptr),
+      pool_(config.pool != nullptr ? *config.pool : *own_pool_),
+      slot_tasks_(pool_) {}
 
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
 bool MicroBatcher::Submit(BatchRequest request, CompletionFn done) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_ || queue_.size() >= config_.max_pending) {
-      if (!draining_) KPEF_COUNTER_ADD(obs::kServeShed, 1);
-      return false;
-    }
-    queue_.push_back(Pending{std::move(request), std::move(done),
-                             Clock::now()});
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (draining_ || queue_.size() >= config_.max_pending) {
+    if (!draining_) KPEF_COUNTER_ADD(obs::kServeShed, 1);
+    return false;
   }
-  cv_.notify_one();
+  queue_.push_back(Pending{std::move(request), std::move(done),
+                           Clock::now()});
+  // A free slot starts a slot task now. It is submitted under the lock,
+  // so a Shutdown() that follows always finds it in slot_tasks_.
+  if (busy_slots_ < pool_.num_threads()) {
+    ++busy_slots_;
+    slot_tasks_.Submit([this] { RunSlot(); });
+  }
   return true;
 }
 
@@ -44,11 +50,9 @@ void MicroBatcher::Shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
   }
-  cv_.notify_all();
-  // Serialize concurrent Shutdown() callers on the join itself;
-  // joinable() flips false after the first join completes.
-  std::lock_guard<std::mutex> join_lock(join_mutex_);
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Every slot task keeps cutting until the queue is empty; joining them
+  // (the join may run a not-yet-started one on this thread) drains it.
+  slot_tasks_.Wait();
 }
 
 size_t MicroBatcher::PendingForTest() const {
@@ -56,13 +60,11 @@ size_t MicroBatcher::PendingForTest() const {
   return queue_.size();
 }
 
-void MicroBatcher::DispatchLoop() {
+void MicroBatcher::RunSlot() noexcept {
   std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
-    if (queue_.empty()) return;  // draining, and every request answered
-    // Idle with work queued: cut the batch now. It holds whatever
-    // arrived while the previous batch ran, oldest first.
+  while (!queue_.empty()) {
+    // Cut the batch now: whatever queued while every slot was busy,
+    // oldest first.
     const size_t take = std::min(queue_.size(), config_.max_batch_size);
     std::vector<Pending> batch;
     batch.reserve(take);
@@ -74,6 +76,7 @@ void MicroBatcher::DispatchLoop() {
     RunBatch(std::move(batch));
     lock.lock();
   }
+  --busy_slots_;
 }
 
 void MicroBatcher::RunBatch(std::vector<Pending> batch) {

@@ -1,12 +1,15 @@
 // Dynamic micro-batching scheduler: coalesces concurrent find_experts
-// requests into one FindExpertsBatch call (DESIGN.md §11).
+// requests into FindExpertsBatch calls (DESIGN.md §11).
 //
-// Requests enter a bounded queue drained by one dispatch thread. The
-// dispatcher is work-conserving: whenever it is idle and work is queued
-// it cuts a batch at once, so a batch holds exactly what arrived while
-// the previous engine call ran (capped at max_batch_size). There is no
-// timer: a lone request on an idle server goes straight to the engine,
-// and under load the engine's own busy time is the coalescing window.
+// Requests enter a bounded queue. Batches run as tasks on the serving
+// pool, at most one per pool worker at once; each in-flight batch holds
+// one *slot*. Submit starts a slot task whenever a slot is free, and a
+// slot task keeps cutting batches (oldest first, capped at
+// max_batch_size) until the queue is empty, then frees its slot. So the
+// batcher is work-conserving: there is no timer, a lone request on an
+// idle server goes straight to the engine, and under load a batch is
+// what queued while every slot was busy. A batcher without a pool runs
+// on a private one-worker pool: one batch in flight.
 // Admission control is synchronous: Submit() fails immediately when the
 // queue is full, so the caller can shed load (HTTP 429) without ever
 // blocking the event loop. Per-request deadlines propagate into the
@@ -22,15 +25,15 @@
 #define KPEF_SERVE_BATCHER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "ranking/expert_score.h"
 
@@ -43,7 +46,9 @@ struct BatcherConfig {
   /// Admission bound (>= 1): Submit() sheds once this many requests are
   /// queued (requests already dispatched to the engine do not count).
   size_t max_pending = 256;
-  /// Pool forwarded to BatchQueryOptions (nullptr = engine default).
+  /// Pool the batches run on, one in flight per worker; also forwarded
+  /// to BatchQueryOptions. nullptr = a private one-worker pool, and the
+  /// engine's default pool for the queries.
   ThreadPool* pool = nullptr;
 };
 
@@ -75,7 +80,8 @@ struct BatchResult {
   LabelFn label;
 };
 
-/// Delivered to the completion callback, on the dispatch thread.
+/// Delivered to the completion callback, on the pool worker that ran the
+/// batch.
 struct BatchResponse {
   std::vector<ExpertScore> experts;
   QueryStats stats;
@@ -85,7 +91,8 @@ struct BatchResponse {
   /// True when the request missed its deadline (results may be empty or
   /// partial — the partial flag for the HTTP 504 body).
   bool deadline_exceeded = false;
-  /// Milliseconds the request sat queued before dispatch.
+  /// Milliseconds the request sat queued before its batch was cut (the
+  /// wait for a free slot).
   double queue_wait_ms = 0.0;
   /// Size of the engine batch this request rode in (0 when the request
   /// expired before dispatch or the batcher shut down mid-drain).
@@ -103,20 +110,22 @@ class MicroBatcher {
   using CompletionFn = std::function<void(BatchResponse)>;
 
   MicroBatcher(BatcherConfig config, BatchExecuteFn execute);
-  /// Drains and joins (equivalent to Shutdown()).
+  /// Drains (equivalent to Shutdown()).
   ~MicroBatcher();
 
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  /// Enqueues a request; `done` is invoked exactly once, on the dispatch
-  /// thread. Returns false (without invoking `done`) when the queue is
+  /// Enqueues a request; `done` is invoked exactly once, on the thread
+  /// that runs its batch (a pool worker, or a Shutdown() caller helping
+  /// drain). Returns false (without invoking `done`) when the queue is
   /// full — the caller sheds the request. Returns false after Shutdown()
   /// began.
   bool Submit(BatchRequest request, CompletionFn done);
 
-  /// Stops admission, flushes every queued request (their callbacks
-  /// run), then joins the dispatch thread. Idempotent.
+  /// Stops admission and returns once every queued request was answered
+  /// (their callbacks ran) and every slot is free; no slot task runs
+  /// after it returns. Idempotent and safe to call concurrently.
   void Shutdown();
 
   /// Requests queued but not yet dispatched (admission-control gauge).
@@ -129,21 +138,27 @@ class MicroBatcher {
     std::chrono::steady_clock::time_point enqueue_time;
   };
 
-  void DispatchLoop();
+  /// One slot task: cuts and runs batches until the queue is empty, then
+  /// frees its slot. Nothing may escape it (an engine exception ends the
+  /// process, as it would on any serving thread).
+  void RunSlot() noexcept;
   /// Runs one cut batch as one engine call, invoking completions.
   /// Caller must NOT hold mutex_.
   void RunBatch(std::vector<Pending> batch);
 
   const BatcherConfig config_;
   const BatchExecuteFn execute_;
+  /// The private one-worker pool of a batcher configured without one.
+  const std::unique_ptr<ThreadPool> own_pool_;
+  ThreadPool& pool_;
+  /// Slot tasks in flight on pool_; Shutdown() joins it.
+  TaskGroup slot_tasks_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Pending> queue_;
+  /// Slots holding a submitted-or-running slot task (<= pool width).
+  size_t busy_slots_ = 0;
   bool draining_ = false;
-  /// Serializes Shutdown() callers around the thread join.
-  std::mutex join_mutex_;
-  std::thread dispatcher_;
 };
 
 }  // namespace kpef::serve

@@ -36,13 +36,14 @@
 // (EngineGroup); POST /v1/admin/reload hot-swaps the artifact
 // generation with zero downtime, and --reload-watch S polls the model
 // dir every S seconds (0 = off) and reloads automatically when an
-// artifact file's mtime changes. --threads N sizes the serving pool each
-// batch's per-query tasks run on (0 = hardware concurrency).
+// artifact file's mtime changes. --threads N sizes the serving pool
+// (0 = hardware concurrency): batches run on it, at most N in flight,
+// and so do their per-query tasks.
 //
 // The micro-batcher is work-conserving: it hands the engine a batch the
-// moment its dispatcher is idle, so a lone request is never held back,
-// and under load a batch is what queued while the engine was busy (at
-// most --batch-size requests).
+// moment a pool worker is free to run one, so a lone request is never
+// held back, and under load a batch is what queued while every worker
+// was busy (at most --batch-size requests).
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, flush queued batches,
 // answer in-flight requests, then exit 0.
@@ -186,8 +187,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ingest_stats.wal_bytes));
   }
 
-  // The pool the micro-batcher hands to FindExpertsBatch: each query's
-  // encode -> search -> rank task runs on it.
+  // The serving pool: the micro-batcher runs its batches on it, one per
+  // worker at once, and hands it to FindExpertsBatch, whose per-query
+  // encode -> search -> rank tasks run on it too.
   ThreadPool serving_pool(threads);
   service_config.batcher.pool = &serving_pool;
 

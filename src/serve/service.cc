@@ -420,8 +420,8 @@ void ExpertSearchService::HandleFindExperts(const HttpRequest& request,
             std::chrono::duration<double, std::milli>(deadline_ms));
   }
 
-  // Completion runs on the batcher's dispatch thread; the responder
-  // routes the rendered response back to the event loop. A copy stays
+  // Completion runs on the pool worker that ran the batch; the
+  // responder routes the rendered response back to the event loop. A copy stays
   // behind for the shed path (Submit never invokes `done` on failure).
   HttpServer::Responder respond_on_shed = respond;
   auto done = [this, respond = std::move(respond), started, trace_id,

@@ -144,6 +144,20 @@ TEST(RngTest, DiscreteFollowsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.4);
 }
 
+// All-zero weights are legal: the last index comes back, after the same
+// one draw as any other call, so the stream stays aligned.
+TEST(RngTest, DiscreteAllZeroWeightsReturnsLastIndex) {
+  Rng rng(31);
+  Rng reference(31);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(rng.Discrete({0.0, 0.0, 0.0}), 2u);
+    reference.UniformDouble();
+  }
+  EXPECT_EQ(rng.Discrete({0.0}), 0u);
+  reference.UniformDouble();
+  EXPECT_EQ(rng.UniformDouble(), reference.UniformDouble());
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};

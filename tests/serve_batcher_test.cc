@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -137,7 +138,8 @@ std::string Numbered(int i) {
   return std::string("q").append(std::to_string(i));
 }
 
-/// Wedges the dispatcher inside the engine on a "plug" request, so every
+/// Wedges the batcher's one slot inside the engine on a "plug" request
+/// (these tests run without a pool, so one batch is in flight), so every
 /// request submitted afterwards queues until engine.Release(); the next
 /// engine call then takes exactly those (up to max_batch_size). The
 /// plug's own completion lands in `plug_done`.
@@ -344,13 +346,13 @@ TEST(MicroBatcherTest, MissedDeadlineFlaggedAfterSlowBatch) {
 
 TEST(MicroBatcherTest, ShedsWhenQueueFull) {
   FakeEngine engine;
-  engine.Block();  // first batch wedges the dispatcher
+  engine.Block();  // first batch wedges the only slot
   BatcherConfig config;
   config.max_batch_size = 1;
   config.max_pending = 2;
   MicroBatcher batcher(config, engine.AsFn());
   Collector collector;
-  // First submit is popped by the dispatcher (blocked in the engine);
+  // First submit is cut into a batch (blocked in the engine);
   // wait until it is inside before filling the queue.
   ASSERT_TRUE(batcher.Submit(Request("in-engine"), collector.Fn()));
   EXPECT_TRUE(engine.WaitForCalls(1));
@@ -436,6 +438,132 @@ TEST(MicroBatcherTest, ConcurrentSubmittersAllComplete) {
   EXPECT_EQ(collector.responses.size(),
             static_cast<size_t>(accepted.load()));
   EXPECT_EQ(accepted.load(), kThreads * kPerThread);  // queue never filled
+}
+
+// Batches run one per pool worker: on a 3-worker pool three lone
+// requests enter the engine together, and a fourth waits in the queue
+// until a slot frees, then rides the next batch alone.
+TEST(MicroBatcherTest, RunsOneBatchPerPoolWorkerAtOnce) {
+  FakeEngine engine;
+  engine.Block();
+  ThreadPool pool(3);
+  BatcherConfig config;
+  config.max_batch_size = 8;
+  config.pool = &pool;
+  MicroBatcher batcher(config, engine.AsFn());
+  Collector collector;
+  // Each request is submitted once the previous one is inside the
+  // engine, so it arrives alone; EXPECT, not ASSERT, so the engine is
+  // released whatever happens.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(i)), collector.Fn()));
+    EXPECT_TRUE(engine.WaitForCalls(static_cast<size_t>(i) + 1));
+  }
+  EXPECT_EQ(batcher.PendingForTest(), 0u);
+  ASSERT_TRUE(batcher.Submit(Request("q3"), collector.Fn()));
+  EXPECT_EQ(batcher.PendingForTest(), 1u);  // every slot is busy
+  engine.Release();
+  ASSERT_TRUE(collector.WaitForCount(4));
+  ASSERT_EQ(engine.NumCalls(), 4u);
+  EXPECT_EQ(engine.batch_sizes, (std::vector<size_t>{1, 1, 1, 1}));
+  EXPECT_EQ(engine.texts_seen[3], (std::vector<std::string>{"q3"}));
+  for (const BatchResponse& r : collector.responses) {
+    EXPECT_EQ(r.batch_size, 1u);
+  }
+}
+
+// Shutdown with every slot wedged and more requests queued behind them:
+// it returns only after each callback ran exactly once, and none runs
+// after it returned.
+TEST(MicroBatcherTest, ShutdownWaitsForEverySlot) {
+  constexpr size_t kSlots = 3;
+  constexpr int kQueued = 5;
+  FakeEngine engine;
+  engine.Block();
+  ThreadPool pool(kSlots);
+  BatcherConfig config;
+  config.max_batch_size = 2;
+  config.pool = &pool;
+  MicroBatcher batcher(config, engine.AsFn());
+  constexpr size_t kTotal = kSlots + kQueued;
+  std::vector<std::atomic<int>> calls(kTotal);
+  std::atomic<bool> returned{false};
+  std::atomic<int> late{0};
+  auto done_for = [&](size_t i) {
+    return [&, i](BatchResponse) {
+      if (returned.load()) late.fetch_add(1);
+      calls[i].fetch_add(1);
+    };
+  };
+  for (size_t i = 0; i < kSlots; ++i) {
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(static_cast<int>(i))),
+                               done_for(i)));
+    EXPECT_TRUE(engine.WaitForCalls(i + 1));  // one batch per slot
+  }
+  for (size_t i = kSlots; i < kTotal; ++i) {
+    ASSERT_TRUE(batcher.Submit(Request(Numbered(static_cast<int>(i))),
+                               done_for(i)));
+  }
+  EXPECT_EQ(batcher.PendingForTest(), static_cast<size_t>(kQueued));
+  std::thread release([&engine] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    engine.Release();
+  });
+  batcher.Shutdown();
+  returned.store(true);
+  release.join();
+  for (size_t i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "request " << i;
+  }
+  EXPECT_EQ(late.load(), 0);
+  EXPECT_EQ(batcher.PendingForTest(), 0u);
+  EXPECT_FALSE(batcher.Submit(Request("late"), done_for(0)));
+}
+
+// Submit racing Shutdown (and the destructor racing slot tasks that are
+// still starting or finishing): every accepted request is answered once,
+// before Shutdown or the destructor returns.
+TEST(MicroBatcherTest, SubmitRacingShutdownAnswersEveryAcceptedRequest) {
+  FakeEngine engine;
+  ThreadPool shared_pool(2);
+  for (int round = 0; round < 200; ++round) {
+    const bool via_shutdown = round % 2 == 0;
+    BatcherConfig config;
+    config.max_batch_size = 3;
+    config.max_pending = 1024;
+    // Odd rounds run on the batcher's private one-worker pool.
+    config.pool = via_shutdown ? &shared_pool : nullptr;
+    auto batcher = std::make_unique<MicroBatcher>(config, engine.AsFn());
+    std::atomic<int> accepted{0};
+    std::atomic<int> answered{0};
+    std::atomic<bool> returned{false};
+    std::atomic<int> late{0};
+    auto done = [&](BatchResponse) {
+      if (returned.load()) late.fetch_add(1);
+      answered.fetch_add(1);
+    };
+    if (via_shutdown) {
+      std::thread submitter([&] {
+        for (int i = 0; i < 64; ++i) {
+          if (!batcher->Submit(Request("q"), done)) break;
+          accepted.fetch_add(1);
+        }
+      });
+      batcher->Shutdown();
+      returned.store(true);
+      submitter.join();
+      batcher.reset();
+    } else {
+      for (int i = 0; i < round % 7 + 1; ++i) {
+        ASSERT_TRUE(batcher->Submit(Request("q"), done));
+        accepted.fetch_add(1);
+      }
+      batcher.reset();
+      returned.store(true);
+    }
+    ASSERT_EQ(answered.load(), accepted.load()) << "round " << round;
+    ASSERT_EQ(late.load(), 0) << "round " << round;
+  }
 }
 
 // Regression (PR 8): a short-deadline request batched with an unbounded

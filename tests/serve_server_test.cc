@@ -1,5 +1,6 @@
 // End-to-end serving tests over real loopback sockets: keep-alive,
-// pipelining, concurrent clients coalescing into batches, 429 shedding,
+// pipelining, concurrent clients coalescing into batches (and batches
+// running on several pool workers at once), 429 shedding,
 // 504 deadlines, hostile wire input, and graceful drain. The engine is
 // faked through ExpertSearchService's BatchExecuteFn seam, so these
 // tests exercise every serving layer except the model itself.
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
@@ -747,6 +749,96 @@ TEST(ServeObsTest, DebugSlowTruncatesQueryAtCodePointBoundary) {
   const JsonValue* query = slow->array_items[0].Find("query");
   ASSERT_NE(query, nullptr);
   EXPECT_EQ(query->string_value, euros.substr(0, 85 * 3));
+}
+
+// Batches run on the serving pool, one per worker at once, so the
+// completions of concurrent clients render on several workers together:
+// the access log, the slow ring, the tracer and the responder all take
+// completions from concurrent threads (the CI TSan job runs this).
+TEST(ServeObsTest, ConcurrentBatchesCompleteOnSeveralPoolWorkers) {
+  obs::Tracer::Global().ClearRequestTraces();
+  ThreadPool pool(4);  // declared first: outlives the harness
+  LogLines log;
+  ServiceConfig config = FastConfig();
+  config.batcher.pool = &pool;
+  config.access_log_sink = log.AsSink();
+  config.slow_e2e_ms = 0.0001;  // every request lands in the slow ring
+  config.trace_mode = obs::TraceMode::kAlwaysOn;
+  Harness harness(config);
+
+  // Two batches inside the engine at once, released together. EXPECT,
+  // not ASSERT, until the engine is released.
+  harness.engine.Block();
+  TestClient first(harness.port());
+  TestClient second(harness.port());
+  EXPECT_TRUE(first.Post("/v1/find_experts", R"({"query":"a","n":2})"));
+  EXPECT_TRUE(harness.engine.WaitForCalls(1));
+  EXPECT_TRUE(second.Post("/v1/find_experts", R"({"query":"b","n":2})"));
+  EXPECT_TRUE(harness.engine.WaitForCalls(2));
+  harness.engine.Release();
+  for (TestClient* client : {&first, &second}) {
+    ClientResponse response;
+    ASSERT_TRUE(client->ReadResponse(&response));
+    EXPECT_EQ(response.status, 200);
+  }
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 20;
+  auto id_of = [](int client, int i) {
+    return "storm-" + std::to_string(client) + "-" + std::to_string(i);
+  };
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      TestClient client(harness.port());
+      for (int i = 0; i < kPerClient; ++i) {
+        ClientResponse response;
+        if (!client.PostWithHeaders("/v1/find_experts",
+                                    R"({"query":"q","n":3})",
+                                    {"x-request-id: " + id_of(c, i)}) ||
+            !client.ReadResponse(&response)) {
+          return;
+        }
+        if (response.status == 200 &&
+            response.headers["x-request-id"] == id_of(c, i)) {
+          ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ok.load(), kClients * kPerClient);
+  // Every request was logged once, under its own id.
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kPerClient; ++i) {
+      EXPECT_FALSE(
+          log.Find("\"trace_id\":\"" + id_of(c, i) + "\"").empty())
+          << id_of(c, i);
+    }
+  }
+  TestClient client(harness.port());
+  ClientResponse response;
+  ASSERT_TRUE(client.Get("/v1/debug/slow"));
+  ASSERT_TRUE(client.ReadResponse(&response));
+  ASSERT_EQ(response.status, 200);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(response.body, &doc, &error)) << error;
+  const JsonValue* slow = doc.Find("slow");
+  ASSERT_NE(slow, nullptr);
+  EXPECT_FALSE(slow->array_items.empty());
+  // The tracer still retains a whole trace (the storm's own may already
+  // be evicted from the bounded retention set).
+  ASSERT_TRUE(client.PostWithHeaders("/v1/find_experts",
+                                     R"({"query":"q","n":1})",
+                                     {"x-request-id: after-storm"}));
+  ASSERT_TRUE(client.ReadResponse(&response));
+  EXPECT_EQ(response.status, 200);
+  ASSERT_TRUE(client.Get("/v1/debug/trace?id=after-storm"));
+  ASSERT_TRUE(client.ReadResponse(&response));
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("engine.fake"), std::string::npos);
 }
 
 TEST(ServeObsTest, UnknownTraceIdReturns404) {

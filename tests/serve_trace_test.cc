@@ -336,8 +336,9 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
   config.batcher.max_batch_size = 8;
   config.batcher.pool = &shared().pool;
   config.trace_mode = obs::TraceMode::kAlwaysOn;
-  // A "plug" request waits at the gate inside the engine call, so the
-  // batchmates queue behind it and ride the next real batch together.
+  // Batches run one per pool worker, so one "plug" request per worker
+  // waits at the gate inside its engine call; the batchmates then queue
+  // behind every busy slot and ride the next real batch together.
   Gate gate;
   BatchExecuteFn gated =
       [&gate, real = ExpertSearchService::ExecuteFor(shared().group.get())](
@@ -354,12 +355,18 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
     clients.push_back(std::make_unique<TestClient>(harness.port()));
     ASSERT_TRUE(clients.back()->connected());
   }
-  TestClient plug(harness.port());
-  ASSERT_TRUE(plug.Post("/v1/find_experts",
-                        "{\"query\":\"" + shared().queries.queries[0].text +
-                            "\",\"n\":3}",
-                        "plug"));
-  EXPECT_TRUE(gate.WaitEntered(1));
+  const size_t slots = shared().pool.num_threads();
+  std::vector<std::unique_ptr<TestClient>> plugs;
+  for (size_t i = 0; i < slots; ++i) {
+    plugs.push_back(std::make_unique<TestClient>(harness.port()));
+    ASSERT_TRUE(plugs.back()->Post(
+        "/v1/find_experts",
+        "{\"query\":\"" + shared().queries.queries[0].text + "\",\"n\":3}",
+        "plug-" + std::to_string(i)));
+    // Each plug is sent once the previous one holds its slot, so it
+    // rides a batch of its own.
+    EXPECT_TRUE(gate.WaitEntered(i + 1));
+  }
 
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};
@@ -383,7 +390,7 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
     });
   }
   // Open the gate only once all six are admitted (whatever happens, so
-  // a failure cannot leave the dispatcher parked).
+  // a failure cannot leave a slot parked).
   for (int wait = 0; wait < 5000 && harness.service->PendingForTest() <
                                         static_cast<size_t>(kClients);
        ++wait) {
@@ -394,9 +401,11 @@ TEST_F(ServeTraceTest, InterleavedBatchmatesKeepSpansSeparated) {
   for (std::thread& t : threads) t.join();
   // Every batchmate answered 200 from the one six-request batch.
   ASSERT_EQ(ok.load(), kClients);
-  ClientResponse plug_response;
-  ASSERT_TRUE(plug.ReadResponse(&plug_response));
-  EXPECT_EQ(plug_response.status, 200);
+  for (const std::unique_ptr<TestClient>& plug : plugs) {
+    ClientResponse plug_response;
+    ASSERT_TRUE(plug->ReadResponse(&plug_response));
+    EXPECT_EQ(plug_response.status, 200);
+  }
 
   const std::vector<obs::TraceSnapshot> retained =
       obs::Tracer::Global().RetainedSnapshots();

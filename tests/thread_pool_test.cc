@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -40,6 +41,39 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
     group.Wait();
   }
   EXPECT_EQ(counter.load(), 20);
+}
+
+// A submit wakes the most recently parked worker, so sequential tasks on
+// an otherwise idle pool all run on one (cache-warm) worker instead of
+// rotating across the pool. Each task is awaited without helping, and
+// the next is submitted only once its worker has parked again.
+TEST(ThreadPoolTest, IdlePoolWakesMostRecentlyBusyWorker) {
+  constexpr size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  auto all_parked = [&pool] {
+    for (int i = 0; i < 5000; ++i) {
+      if (pool.IdleWorkersForTest() == kWorkers) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  ASSERT_TRUE(all_parked());
+  std::set<std::thread::id> ran_on;
+  TaskGroup group(pool);
+  for (int i = 0; i < 20; ++i) {
+    std::atomic<bool> ran{false};
+    std::thread::id id;
+    group.Submit([&ran, &id] {
+      id = std::this_thread::get_id();
+      ran.store(true, std::memory_order_release);
+    });
+    while (!ran.load(std::memory_order_acquire)) std::this_thread::yield();
+    ran_on.insert(id);
+    ASSERT_TRUE(all_parked());
+  }
+  group.Wait();
+  EXPECT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
